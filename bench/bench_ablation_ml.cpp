@@ -7,8 +7,8 @@
 //
 // Besides the google-benchmark suites, the binary runs the fixed 3x4
 // ablation, checks that the three graphs produce byte-identical outputs
-// under serial coop, pinned-shard coop_mt and work-stealing execution, and
-// writes the results to a machine-readable JSON file:
+// under serial coop and coop_mt, and writes the results to a
+// machine-readable JSON file:
 //
 //   bench_ablation_ml [--out <dir>] [BENCH_ml.json [iters [min_speedup]]]
 //
@@ -208,9 +208,8 @@ BENCHMARK(BM_SoftmaxNative);
 
 // ---------------------------------------------------------------------------
 // Execution-mode digest identity: the three ML graphs must produce
-// byte-identical outputs under serial coop, pinned-shard coop_mt and
-// work-stealing coop_mt (the integer pipelines make any divergence a
-// scheduling bug).
+// byte-identical outputs under serial coop and coop_mt (the integer
+// pipelines make any divergence a scheduling bug).
 // ---------------------------------------------------------------------------
 
 template <class T>
@@ -223,8 +222,6 @@ int check_exec_modes() {
   using cgsim::RunOptions;
   const RunOptions mt2{.mode = ExecMode::coop_mt, .repetitions = 1,
                        .workers = 2};
-  const RunOptions steal2{.mode = ExecMode::coop_mt, .repetitions = 1,
-                          .workers = 2, .steal = true};
   int failures = 0;
 
   {  // ml_gemm
@@ -239,17 +236,13 @@ int check_exec_modes() {
         feeds[fi].push_back(p);
       }
     }
-    std::vector<apps::ml_gemm::Tile8> s0, s1, m0, m1, w0, w1;
+    std::vector<apps::ml_gemm::Tile8> s0, s1, m0, m1;
     apps::ml_gemm::graph(feeds[0], feeds[1], feeds[2], feeds[3], feeds[4],
                          feeds[5], feeds[6], feeds[7], 6, 6, s0, s1);
     apps::ml_gemm::graph.run(mt2, feeds[0], feeds[1], feeds[2], feeds[3],
                              feeds[4], feeds[5], feeds[6], feeds[7], 6, 6, m0,
                              m1);
-    apps::ml_gemm::graph.run(steal2, feeds[0], feeds[1], feeds[2], feeds[3],
-                             feeds[4], feeds[5], feeds[6], feeds[7], 6, 6, w0,
-                             w1);
-    if (vec_digest(s0) != vec_digest(m0) || vec_digest(s1) != vec_digest(m1) ||
-        vec_digest(s0) != vec_digest(w0) || vec_digest(s1) != vec_digest(w1)) {
+    if (vec_digest(s0) != vec_digest(m0) || vec_digest(s1) != vec_digest(m1)) {
       std::fprintf(stderr, "FAIL: ml_gemm graph digests diverge across "
                            "execution modes\n");
       ++failures;
@@ -271,14 +264,12 @@ int check_exec_modes() {
         w[ch].w[i] = static_cast<std::int8_t>(static_cast<int>(i + ch) - 4);
       }
     }
-    std::vector<apps::conv2d::Row> s, m, st;
+    std::vector<apps::conv2d::Row> s, m;
     apps::conv2d::graph(img[0], img[1], img[2], img[3], w[0], w[1], w[2],
                         w[3], s);
     apps::conv2d::graph.run(mt2, img[0], img[1], img[2], img[3], w[0], w[1],
                             w[2], w[3], m);
-    apps::conv2d::graph.run(steal2, img[0], img[1], img[2], img[3], w[0],
-                            w[1], w[2], w[3], st);
-    if (vec_digest(s) != vec_digest(m) || vec_digest(s) != vec_digest(st)) {
+    if (vec_digest(s) != vec_digest(m)) {
       std::fprintf(stderr, "FAIL: conv2d graph digests diverge across "
                            "execution modes\n");
       ++failures;
@@ -292,11 +283,10 @@ int check_exec_modes() {
         in[i].x[e] = static_cast<std::int8_t>((e * 67 + i * 5) % 249);
       }
     }
-    std::vector<apps::softmax::Block> s, m, st;
+    std::vector<apps::softmax::Block> s, m;
     apps::softmax::graph(in, s);
     apps::softmax::graph.run(mt2, in, m);
-    apps::softmax::graph.run(steal2, in, st);
-    if (vec_digest(s) != vec_digest(m) || vec_digest(s) != vec_digest(st)) {
+    if (vec_digest(s) != vec_digest(m)) {
       std::fprintf(stderr, "FAIL: softmax graph digests diverge across "
                            "execution modes\n");
       ++failures;

@@ -12,9 +12,11 @@
 //
 //   bench_ablation_scheduling [BENCH_sched.json [items-per-pipeline]]
 //
-// On hosts with >= 4 hardware threads the exit code is non-zero when
-// coop_mt at 4 workers fails to reach >= 2x over single-threaded coop; on
-// smaller hosts the speedup is recorded but not enforced.
+// After two seconds of 4-worker warm-up, each configuration is timed as
+// the best of fifteen interleaved runs. On hosts with >= 4 hardware threads
+// the exit code is non-zero when coop_mt at 4 workers fails to reach >= 2x
+// over single-threaded coop; on smaller hosts the speedup is recorded but
+// not enforced.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -23,6 +25,7 @@
 #include <cstdlib>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -156,7 +159,7 @@ constexpr auto wide_graph = make_compute_graph_v<[](
   return std::make_tuple(a2, b2, c2, d2);
 }>;
 
-double run_wide(ExecMode mode, int workers, int items, bool steal = false,
+double run_wide(ExecMode mode, int workers, int items,
                 RunResult* result_out = nullptr) {
   std::vector<int> a(static_cast<std::size_t>(items), 3);
   std::vector<int> b = a, c = a, d = a;
@@ -165,8 +168,7 @@ double run_wide(ExecMode mode, int workers, int items, bool steal = false,
   RunResult r = run_graph(wide_graph.view(),
                           RunOptions{.mode = mode,
                                      .repetitions = 1,
-                                     .workers = workers,
-                                     .steal = steal},
+                                     .workers = workers},
                           a, b, c, d, oa, ob, oc, od);
   const double s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -211,14 +213,9 @@ void print_json_loads(std::FILE* f, const char* key, const RunResult& r) {
   std::fprintf(f, "  \"%s\": [", key);
   for (std::size_t i = 0; i < r.worker_loads.size(); ++i) {
     const WorkerLoad& w = r.worker_loads[i];
-    std::fprintf(f,
-                 "%s{\"resumes\": %llu, \"steals\": %llu, "
-                 "\"steal_attempts\": %llu, \"busy_s\": %.6f}",
+    std::fprintf(f, "%s{\"resumes\": %llu, \"busy_s\": %.6f}",
                  i == 0 ? "" : ", ",
-                 static_cast<unsigned long long>(w.resumes),
-                 static_cast<unsigned long long>(w.steals),
-                 static_cast<unsigned long long>(w.steal_attempts),
-                 w.busy_s);
+                 static_cast<unsigned long long>(w.resumes), w.busy_s);
   }
   std::fprintf(f, "],\n");
 }
@@ -226,40 +223,52 @@ void print_json_loads(std::FILE* f, const char* key, const RunResult& r) {
 int run_ablation(const std::string& json_path, int items) {
   const unsigned hw = std::thread::hardware_concurrency();
 
-  // Warm-up: fault in code paths and spin up the frequency governor.
+  // Warm-up: fault in code paths, then keep four workers busy back to back
+  // for two seconds. On a shared virtual host an idle vCPU comes back only
+  // after about a second of sustained load; until then the four workers of
+  // a short run take turns on one vCPU and coop_mt reads ~1x.
+  constexpr double kWarmupS = 2.0;
   run_wide(ExecMode::coop, 0, items / 8 + 1);
-  run_wide(ExecMode::coop_mt, 4, items / 8 + 1);
+  const auto warm0 = std::chrono::steady_clock::now();
+  while (std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       warm0)
+             .count() < kWarmupS) {
+    run_wide(ExecMode::coop_mt, 4, items);
+  }
 
-  RunResult mt4_r{}, steal4_r{};
-  const double coop_s = run_wide(ExecMode::coop, 0, items);
-  const double mt2_s = run_wide(ExecMode::coop_mt, 2, items);
-  const double mt4_s = run_wide(ExecMode::coop_mt, 4, items, false, &mt4_r);
-  const double steal4_s =
-      run_wide(ExecMode::coop_mt, 4, items, true, &steal4_r);
+  // Best-of-R timing, the three configurations interleaved: one sample of
+  // a few milliseconds swings by 2x when other tenants take cores for a
+  // moment, and the minimum estimates each configuration's undisturbed
+  // cost. The loads reported are those of the fastest 4-worker run.
+  constexpr int kRepeats = 15;
+  RunResult mt4_r{};
+  double coop_s = 1e100, mt2_s = 1e100, mt4_s = 1e100;
+  for (int rep = 0; rep < kRepeats; ++rep) {
+    coop_s = std::min(coop_s, run_wide(ExecMode::coop, 0, items));
+    mt2_s = std::min(mt2_s, run_wide(ExecMode::coop_mt, 2, items));
+    RunResult r{};
+    const double s = run_wide(ExecMode::coop_mt, 4, items, &r);
+    if (s < mt4_s) {
+      mt4_s = s;
+      mt4_r = std::move(r);
+    }
+  }
   const double speedup2 = coop_s / mt2_s;
   const double speedup4 = coop_s / mt4_s;
-  const double speedup4_steal = coop_s / steal4_s;
   const bool gate_active = hw >= 4;
   const bool gate_ok = !gate_active || speedup4 >= 2.0;
 
   double mt4_busy_max = 0, mt4_busy_mean = 0;
-  double steal4_busy_max = 0, steal4_busy_mean = 0;
   busy_stats(mt4_r, mt4_busy_max, mt4_busy_mean);
-  busy_stats(steal4_r, steal4_busy_max, steal4_busy_mean);
 
   std::printf("\n-- scheduling ablation (4 pipelines x %d items, %u hw "
-              "threads) --\n",
-              items, hw);
+              "threads, best of %d) --\n",
+              items, hw, kRepeats);
   std::printf("coop (1 thread):      %9.4f s\n", coop_s);
   std::printf("coop_mt (2 workers):  %9.4f s  (%.2fx)\n", mt2_s, speedup2);
   std::printf("coop_mt (4 workers):  %9.4f s  (%.2fx)  busy max/mean "
               "%.4f/%.4f s\n",
               mt4_s, speedup4, mt4_busy_max, mt4_busy_mean);
-  std::printf("coop_mt+steal (4 w):  %9.4f s  (%.2fx)  %llu steals over "
-              "%d shards, busy max/mean %.4f/%.4f s\n",
-              steal4_s, speedup4_steal,
-              static_cast<unsigned long long>(steal4_r.steals),
-              steal4_r.shards_used, steal4_busy_max, steal4_busy_mean);
   if (gate_active) {
     std::printf("4-worker gate (>= 2.0x, enforced when hw >= 4): %s\n",
                 gate_ok ? "PASS" : "FAIL");
@@ -276,27 +285,19 @@ int run_ablation(const std::string& json_path, int items) {
                  "  \"bench\": \"bench_ablation_scheduling\",\n"
                  "  \"pipelines\": 4,\n"
                  "  \"items_per_pipeline\": %d,\n"
+                 "  \"warmup_s\": %.1f,\n"
+                 "  \"repeats\": %d,\n"
                  "  \"hw_threads\": %u,\n"
                  "  \"coop_s\": %.6f,\n"
                  "  \"coop_mt2_s\": %.6f,\n"
                  "  \"coop_mt4_s\": %.6f,\n"
-                 "  \"coop_mt4_steal_s\": %.6f,\n"
                  "  \"speedup_mt2\": %.3f,\n"
                  "  \"speedup_mt4\": %.3f,\n"
-                 "  \"speedup_mt4_steal\": %.3f,\n"
-                 "  \"steal4_shards\": %d,\n"
-                 "  \"steal4_steals\": %llu,\n"
                  "  \"mt4_busy_max_s\": %.6f,\n"
-                 "  \"mt4_busy_mean_s\": %.6f,\n"
-                 "  \"steal4_busy_max_s\": %.6f,\n"
-                 "  \"steal4_busy_mean_s\": %.6f,\n",
-                 items, hw, coop_s, mt2_s, mt4_s, steal4_s, speedup2,
-                 speedup4, speedup4_steal, steal4_r.shards_used,
-                 static_cast<unsigned long long>(steal4_r.steals),
-                 mt4_busy_max, mt4_busy_mean, steal4_busy_max,
-                 steal4_busy_mean);
+                 "  \"mt4_busy_mean_s\": %.6f,\n",
+                 items, kWarmupS, kRepeats, hw, coop_s, mt2_s, mt4_s, speedup2,
+                 speedup4, mt4_busy_max, mt4_busy_mean);
     print_json_loads(f, "mt4_loads", mt4_r);
-    print_json_loads(f, "steal4_loads", steal4_r);
     std::fprintf(f,
                  "  \"gate_enforced\": %s,\n"
                  "  \"gate_ok\": %s\n"

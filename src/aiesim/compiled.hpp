@@ -7,9 +7,9 @@
 // port-access costs the hot path reads on every element. None of that
 // depends on run-time data, so it is hoisted here into a CompiledGraph
 // artifact built once and reused:
-//   * SimEngine::bind() copies the tables instead of recomputing them,
-//     which removes the placement scan, the hop matrix and every first-
-//     touch cost computation from the per-run setup path;
+//   * the fast SimEngine binds only from an artifact: bind() copies its
+//     tables, so the placement scan, the hop matrix and every first-touch
+//     cost computation run once per artifact, not once per run;
 //   * a process-wide CompiledGraphCache memoizes artifacts keyed on the
 //     *complete serialized input* of compile() -- graph topology and
 //     settings, cost-model constants, placement directives -- so repeated

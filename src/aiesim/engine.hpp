@@ -35,6 +35,7 @@
 #include <coroutine>
 #include <cstdint>
 #include <deque>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -127,38 +128,35 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
   /// any task states created before the context was attached, so traces
   /// and tile stats never show anonymous tasks.
   ///
-  /// When `compiled` is non-null (and matches cfg_: same graph, cost model,
-  /// placement directives), the fast variant copies its precomputed tables
-  /// instead of deriving them -- the graph-compilation fast path. The
-  /// reference variant ignores it by design: it is the baseline the
+  /// The fast variant binds from `compiled`, the artifact compile_graph()
+  /// built for this graph and cfg_ (cost model, placement directives), and
+  /// throws std::invalid_argument without one. The reference variant
+  /// ignores it and derives its own tables: it is the baseline the
   /// compiled path is verified against.
-  void bind(cgsim::RuntimeContext& ctx,
-            const CompiledGraph* compiled = nullptr) {
+  void bind(cgsim::RuntimeContext& ctx, const CompiledGraph* compiled) {
+    if (fast_ && compiled == nullptr) {
+      throw std::invalid_argument{
+          "fast engine variant needs a CompiledGraph to bind; build one "
+          "with compile_graph() or CompiledGraphCache"};
+    }
     ctx_ = &ctx;
-    const cgsim::GraphView& g = ctx.graph();
     if (fast_) {
-      if (compiled != nullptr) {
-        // The artifact's tables are read-only spans into its arena; the
-        // engine keeps private copies because edge_cost_ entries are
-        // overwritten at run time on settings mismatches.
-        placement_ = Placement::from_coords(
-            {compiled->placement_coords.begin(),
-             compiled->placement_coords.end()});
-        edge_flags_.assign(compiled->edge_flags.begin(),
-                           compiled->edge_flags.end());
-        edge_hop_.assign(compiled->edge_hop.begin(),
-                         compiled->edge_hop.end());
-        edge_cost_.assign(compiled->edge_cost.begin(),
-                          compiled->edge_cost.end());
-      } else {
-        // Kernel-to-tile placement: intra-array streams pay per-hop switch
-        // latency proportional to the Manhattan distance between tiles.
-        placement_ = Placement::explicit_by_name(g, cfg_.placement,
-                                                 cfg_.array_columns);
-        bind_fast_tables(g);
-      }
+      // The artifact's tables are read-only spans into its arena; the
+      // engine keeps private copies because edge_cost_ entries are
+      // overwritten at run time on settings mismatches.
+      placement_ = Placement::from_coords(
+          {compiled->placement_coords.begin(),
+           compiled->placement_coords.end()});
+      edge_flags_.assign(compiled->edge_flags.begin(),
+                         compiled->edge_flags.end());
+      edge_hop_.assign(compiled->edge_hop.begin(), compiled->edge_hop.end());
+      edge_cost_.assign(compiled->edge_cost.begin(),
+                        compiled->edge_cost.end());
       bind_fast_tasks(ctx);
     } else {
+      const cgsim::GraphView& g = ctx.graph();
+      // Kernel-to-tile placement: intra-array streams pay per-hop switch
+      // latency proportional to the Manhattan distance between tiles.
       placement_ = Placement::explicit_by_name(g, cfg_.placement,
                                                cfg_.array_columns);
       bind_reference(ctx, g);
@@ -473,29 +471,6 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
     std::size_t size_ = 0;
     std::uint64_t generation_ = 0;
   };
-
-  /// Derives the static per-edge tables (flags, hop costs, cost memo) from
-  /// the graph and placement. compile_graph() produces the same tables
-  /// ahead of time; bind() copies those instead when given a CompiledGraph.
-  void bind_fast_tables(const cgsim::GraphView& g) {
-    edge_flags_.assign(g.edges.size(), 0);
-    edge_hop_.assign(g.edges.size(), 0);
-    edge_cost_.assign(g.edges.size() * 4, EdgeCost{});
-    for (const cgsim::FlatGlobal& in : g.inputs) {
-      edge_flags_[static_cast<std::size_t>(in.edge)] |= kEdgeGlobal;
-    }
-    for (const cgsim::FlatGlobal& out : g.outputs) {
-      edge_flags_[static_cast<std::size_t>(out.edge)] |=
-          kEdgeGlobal | kEdgeGlobalOut;
-    }
-    const std::vector<int> hops = placement_.all_edge_hops(g);
-    for (std::size_t e = 0; e < hops.size(); ++e) {
-      if (hops[e] > 0) {
-        edge_hop_[e] =
-            static_cast<std::uint64_t>(hops[e] * cfg_.cost.hop_cycles + 0.5);
-      }
-    }
-  }
 
   /// Resolves the context's tasks to dense task states.
   void bind_fast_tasks(cgsim::RuntimeContext& ctx) {

@@ -16,7 +16,6 @@
 
 #include "ct_graph.hpp"
 #include "port_config.hpp"
-#include "steal.hpp"
 #include "types.hpp"
 
 namespace cgsim {
@@ -72,6 +71,13 @@ struct GraphView {
   std::span<const FlatGlobal> outputs;
 };
 
+/// Per-worker execution statistics for one coop_mt run, reported through
+/// RunResult so load imbalance between shards is visible.
+struct WorkerLoad {
+  std::uint64_t resumes = 0;  ///< coroutine resumptions on this worker
+  double busy_s = 0.0;        ///< wall time minus time parked
+};
+
 /// Execution statistics returned by a graph run.
 struct RunResult {
   std::uint64_t resumes = 0;          ///< coroutine resumptions
@@ -82,8 +88,7 @@ struct RunResult {
   std::vector<std::string> blocked_kernels;
   std::uint64_t virtual_cycles = 0;   ///< cycle-approximate backend only
   int shards_used = 0;                ///< coop_mt only: worker shards run
-  std::uint64_t steals = 0;           ///< coop_mt + steal: shard migrations
-  /// coop_mt only: per-worker resume/steal/busy statistics of the run.
+  /// coop_mt only: per-worker resume/busy statistics of the run.
   std::vector<WorkerLoad> worker_loads;
 };
 
@@ -93,12 +98,6 @@ struct RunOptions {
   int repetitions = 1;  ///< how many times sources replay their data
   /// coop_mt only: worker-shard count ceiling; 0 = hardware concurrency.
   int workers = 0;
-  /// coop_mt only: run M workers over an over-partitioned shard set with
-  /// Chase-Lev work stealing instead of one pinned worker per shard.
-  bool steal = false;
-  /// coop_mt + steal only: shard count override; 0 = ~4x the worker count
-  /// (clamped to the kernel count by the partitioner).
-  int shards = 0;
 };
 
 }  // namespace cgsim

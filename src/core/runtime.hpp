@@ -20,6 +20,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -111,14 +112,12 @@ class RuntimeContext {
 
   /// Deserializes `g`. When `exec` is null the context's own FIFO scheduler
   /// is used (cooperative mode); the cycle-approximate backend passes its
-  /// event-queue executor and SimHooks instead. `workers`, `steal` and
-  /// `shards` apply to ExecMode::coop_mt only (0 workers = hardware
-  /// concurrency). With `steal` the graph is over-partitioned (~4 shards
-  /// per worker, or exactly `shards` when nonzero) and executed by a
-  /// work-stealing pool; otherwise one worker is pinned per shard.
+  /// event-queue executor and SimHooks instead. `workers` applies to
+  /// ExecMode::coop_mt only (0 = hardware concurrency): the graph is split
+  /// into at most that many shards, one worker pinned per shard.
   explicit RuntimeContext(const GraphView& g, ExecMode mode = ExecMode::coop,
                           Executor* exec = nullptr, SimHooks* sim = nullptr,
-                          int workers = 0, bool steal = false, int shards = 0)
+                          int workers = 0)
       : graph_(g), mode_(mode), sim_(sim) {
     exec_ = exec != nullptr ? exec : &sched_;
     if (mode_ == ExecMode::coop_mt) {
@@ -126,14 +125,8 @@ class RuntimeContext {
                   ? workers
                   : static_cast<int>(std::thread::hardware_concurrency());
       if (w < 1) w = 1;
-      if (steal) {
-        const int target = shards > 0 ? shards : w * 4;
-        partition_ = partition_graph(g, target);
-        pool_ = std::make_unique<StealingShardPool>(partition_.n_shards, w);
-      } else {
-        partition_ = partition_graph(g, w);
-        pool_ = std::make_unique<ShardPool>(partition_.n_shards);
-      }
+      partition_ = partition_graph(g, w);
+      pool_.emplace(partition_.n_shards);
     }
     // Recreate all channels from the serialized edge descriptors. Ping-pong
     // window connections are double buffers on hardware: unless the user
@@ -147,7 +140,7 @@ class RuntimeContext {
         capacity = 2;
       }
       ChannelBase* ch = nullptr;
-      if (pool_ != nullptr) {
+      if (pool_) {
         if (partition_.edge_cross[ei] != 0) {
           // The partitioner contracts RTP edges, so a cross-shard RTP edge
           // means the partition and the graph disagree.
@@ -162,7 +155,7 @@ class RuntimeContext {
           // the cooperative ring, homed on the owning shard's executor.
           ch = e.vtable().create(
               ExecMode::coop, e.n_consumers, capacity, e.settings.rtp,
-              &pool_->shard_exec(partition_.edge_home[ei]));
+              &pool_->shard(partition_.edge_home[ei]));
         }
       } else {
         ch = e.vtable().create(mode_, e.n_consumers, capacity, e.settings.rtp,
@@ -217,7 +210,7 @@ class RuntimeContext {
           rec.out_channels.push_back(ch);
         }
       }
-      if (pool_ != nullptr) {
+      if (pool_) {
         rec.shard = partition_.kernel_shard[ki];
       }
       rec.task = k.thunk(KernelBinding{bindings.data(), bindings.size()});
@@ -234,7 +227,7 @@ class RuntimeContext {
   /// (optional, one entry per kernel) elides frame construction for
   /// kernels excluded from the upcoming run -- see build_kernels().
   void reset_for_rerun(const std::vector<char>* kernel_mask = nullptr) {
-    if (pool_ != nullptr || mode_ == ExecMode::threaded) {
+    if (pool_ || mode_ == ExecMode::threaded) {
       throw std::logic_error{
           "reset_for_rerun supports single-threaded cooperative modes only"};
     }
@@ -316,7 +309,7 @@ class RuntimeContext {
 
   /// Cooperative single-threaded execution (paper Section 3.8).
   RunResult run_coop() {
-    if (pool_ != nullptr) {
+    if (pool_) {
       throw std::logic_error{
           "context built for ExecMode::coop_mt; call run_coop_mt()"};
     }
@@ -331,7 +324,7 @@ class RuntimeContext {
   /// Sharded cooperative execution: one worker thread per graph shard,
   /// cross-shard wakes through the routing executor, two-phase quiescence.
   RunResult run_coop_mt() {
-    if (pool_ == nullptr) {
+    if (!pool_) {
       throw std::logic_error{
           "run_coop_mt() requires a context built with ExecMode::coop_mt"};
     }
@@ -340,7 +333,6 @@ class RuntimeContext {
     r.resumes = pool_->run(
         [this](std::coroutine_handle<> h) { on_task_finished(h); });
     r.shards_used = pool_->n_shards();
-    r.steals = pool_->steals();
     r.worker_loads = pool_->worker_loads();
     return finish(r);
   }
@@ -370,7 +362,7 @@ class RuntimeContext {
     for (TaskRecord& rec : tasks_) {
       if (!rec.started) continue;
       by_handle_[rec.task.handle().address()] = &rec;
-      if (pool_ != nullptr) {
+      if (pool_) {
         pool_->register_task(rec.task.handle(), rec.shard);
       } else {
         exec_->make_ready(rec.task.handle(), 0);
@@ -473,16 +465,13 @@ class RuntimeContext {
     return graph_.edges[static_cast<std::size_t>(edge)].settings.rtp;
   }
   [[nodiscard]] bool edge_is_cross(int edge) const {
-    return pool_ != nullptr &&
-           partition_.edge_cross[static_cast<std::size_t>(edge)] != 0;
+    return pool_ && partition_.edge_cross[static_cast<std::size_t>(edge)] != 0;
   }
   /// Home shard for a source/sink task attached to `edge`: the edge's
   /// owning shard, so every endpoint of an intra-shard channel runs on the
   /// thread that owns the channel's single-threaded state.
   [[nodiscard]] int shard_for_edge(int edge) const {
-    return pool_ != nullptr
-               ? partition_.edge_home[static_cast<std::size_t>(edge)]
-               : 0;
+    return pool_ ? partition_.edge_home[static_cast<std::size_t>(edge)] : 0;
   }
   void require_rtp(int edge, const char* what) {
     if (!graph_.edges[static_cast<std::size_t>(edge)].settings.rtp) {
@@ -505,7 +494,7 @@ class RuntimeContext {
   // The pool outlives channels (which hold shard-executor pointers), and
   // channels are declared before tasks so tasks (which reference channels)
   // are destroyed first.
-  std::unique_ptr<ShardPoolBase> pool_;
+  std::optional<ShardPool> pool_;
   std::vector<std::unique_ptr<ChannelBase>> channels_;
   std::vector<TaskRecord> tasks_;
   std::unordered_map<void*, TaskRecord*> by_handle_;
@@ -566,8 +555,7 @@ RunResult run_graph(const GraphView& g, const RunOptions& opts,
         "ExecMode::sim requires the cycle-approximate engine; use "
         "aiesim::simulate()"};
   }
-  RuntimeContext ctx{g,            opts.mode,  nullptr,    nullptr,
-                     opts.workers, opts.steal, opts.shards};
+  RuntimeContext ctx{g, opts.mode, nullptr, nullptr, opts.workers};
   std::size_t pos = 0;
   (detail::attach_io(ctx, g, opts, pos++, std::forward<Args>(args)), ...);
   if (opts.mode == ExecMode::threaded) return ctx.run_threaded();

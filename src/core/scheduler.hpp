@@ -8,14 +8,8 @@
 // Besides the single-threaded Scheduler, this header provides the sharded
 // execution layer used by ExecMode::coop_mt: one ShardExecutor (a
 // cooperative scheduler plus a locked inbox for cross-shard wakes) per
-// graph shard, and two interchangeable pools behind ShardPoolBase:
-//
-//   * ShardPool          -- one worker thread per shard, static balance
-//                           (the original coop_mt engine).
-//   * StealingShardPool  -- M workers over N >= M shards with bounded
-//                           Chase-Lev deques of ready *shards*; idle
-//                           workers steal whole shards from loaded ones
-//                           (RunOptions::steal).
+// graph shard, run by a ShardPool with one worker thread pinned to each
+// shard.
 #pragma once
 
 #include <atomic>
@@ -24,14 +18,13 @@
 #include <condition_variable>
 #include <coroutine>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
-#include "steal.hpp"
+#include "graph_view.hpp"
 #include "task.hpp"
 
 namespace cgsim {
@@ -314,37 +307,10 @@ class RouterExecutor final : public Executor {
   std::unordered_map<void*, Executor*> routes_;
 };
 
-/// Common interface of the two coop_mt worker pools, so RuntimeContext can
-/// select static (ShardPool) or work-stealing (StealingShardPool)
-/// execution per run without duplicating the channel wiring.
-class ShardPoolBase {
- public:
-  using OnFinishedFn = std::function<void(std::coroutine_handle<>)>;
-
-  virtual ~ShardPoolBase() = default;
-
-  [[nodiscard]] virtual int n_shards() const = 0;
-  [[nodiscard]] virtual int n_workers() const = 0;
-  /// Executor homing the given shard's intra-shard channels.
-  [[nodiscard]] virtual Executor& shard_exec(int s) = 0;
-  /// Thread-safe executor for cross-shard channels.
-  [[nodiscard]] virtual Executor& router() = 0;
-  /// Registers a task with its home shard before the run starts.
-  virtual void register_task(std::coroutine_handle<> h, int shard) = 0;
-  /// Runs to global quiescence; returns the total resumption count.
-  /// `on_finished` must be safe to call from any worker thread.
-  virtual std::uint64_t run(const OnFinishedFn& on_finished) = 0;
-  /// Successful shard steals over the last run (0 for static pools).
-  [[nodiscard]] virtual std::uint64_t steals() const = 0;
-  /// Per-worker statistics of the last run.
-  [[nodiscard]] virtual const std::vector<WorkerLoad>& worker_loads()
-      const = 0;
-};
-
 /// Fixed pool of shard workers for one coop_mt run: owns the per-shard
 /// executors, the cross-shard router, and the quiescence state. One worker
 /// thread per shard; balance is whatever the static LPT packing gave.
-class ShardPool final : public ShardPoolBase {
+class ShardPool {
  public:
   explicit ShardPool(int n_shards) {
     q_.n_shards = n_shards < 1 ? 1 : n_shards;
@@ -356,20 +322,23 @@ class ShardPool final : public ShardPoolBase {
     loads_.resize(static_cast<std::size_t>(q_.n_shards));
   }
 
-  [[nodiscard]] int n_shards() const override { return q_.n_shards; }
-  [[nodiscard]] int n_workers() const override { return q_.n_shards; }
+  ShardPool(const ShardPool&) = delete;
+  ShardPool& operator=(const ShardPool&) = delete;
+
+  [[nodiscard]] int n_shards() const { return q_.n_shards; }
+  /// Executor homing the given shard's intra-shard channels.
   [[nodiscard]] ShardExecutor& shard(int s) {
     return *shards_[static_cast<std::size_t>(s)];
   }
-  [[nodiscard]] Executor& shard_exec(int s) override { return shard(s); }
-  [[nodiscard]] Executor& router() override { return router_; }
-  [[nodiscard]] std::uint64_t steals() const override { return 0; }
-  [[nodiscard]] const std::vector<WorkerLoad>& worker_loads()
-      const override {
+  /// Thread-safe executor for cross-shard channels.
+  [[nodiscard]] Executor& router() { return router_; }
+  /// Per-worker statistics of the last run, indexed by shard.
+  [[nodiscard]] const std::vector<WorkerLoad>& worker_loads() const {
     return loads_;
   }
 
-  void register_task(std::coroutine_handle<> h, int shard) override {
+  /// Registers a task with its home shard before the run starts.
+  void register_task(std::coroutine_handle<> h, int shard) {
     router_.add_route(h.address(), &this->shard(shard));
     this->shard(shard).seed(h);
   }
@@ -379,7 +348,8 @@ class ShardPool final : public ShardPoolBase {
   /// thread (cgsim's closure bookkeeping touches only channels reachable
   /// from the finishing task, which are either shard-local or
   /// cross-shard-safe).
-  std::uint64_t run(const OnFinishedFn& on_finished) override {
+  template <class OnFinished>
+  std::uint64_t run(OnFinished&& on_finished) {
     q_.idle.store(0);
     q_.done.store(false);
     std::atomic<std::uint64_t> resumes{0};
@@ -391,7 +361,6 @@ class ShardPool final : public ShardPoolBase {
           const auto t0 = std::chrono::steady_clock::now();
           const std::uint64_t n = s->worker_loop(on_finished);
           WorkerLoad& load = loads_[static_cast<std::size_t>(s->shard())];
-          load = WorkerLoad{};
           load.resumes = n;
           load.busy_s = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - t0)
@@ -408,357 +377,6 @@ class ShardPool final : public ShardPoolBase {
   ShardQuiescence q_;
   std::vector<std::unique_ptr<ShardExecutor>> shards_;
   RouterExecutor router_;
-  std::vector<WorkerLoad> loads_;
-};
-
-// ---------------------------------------------------------------------------
-// Work-stealing shard execution (RunOptions::steal).
-// ---------------------------------------------------------------------------
-
-/// M worker threads over N >= M shards with per-worker bounded Chase-Lev
-/// deques. Where ShardPool pins one worker per shard, this pool
-/// over-partitions the graph (RuntimeContext uses ~4 shards per worker)
-/// and lets idle workers steal ready shards from loaded workers.
-///
-/// The steal unit is a *shard*, not a task: intra-shard edges use the
-/// single-threaded CoopChannel fast path, so two tasks of one shard must
-/// never run concurrently. Migrating whole shards preserves that invariant
-/// (at most one worker runs a shard at a time) while still rebalancing
-/// dynamically. Results stay bit-identical to single-threaded coop
-/// execution for the same reason cgsim graphs are deterministic at all --
-/// blocking FIFO channels plus deterministic kernels form a Kahn process
-/// network -- and the same-cycle FIFO contract holds because each shard's
-/// ready queue and inbox are drained in FIFO order by whichever worker
-/// runs the shard.
-///
-/// Shard state machine (posters transition under the shard's inbox mutex,
-/// the acquiring worker CASes kQueued -> kRunning):
-///
-///   kIdle --post/seed--> kQueued --worker pops id--> kRunning
-///   kRunning --drained, inbox empty--> kIdle
-///   kRunning --inbox refilled during release--> kQueued (re-enqueued)
-///
-/// A shard is enqueued (in exactly one deque or the overflow list) iff
-/// kQueued, so per-worker deque capacity next_pow2(n_shards + 1) can never
-/// overflow. The release store leaving kRunning and the acquire CAS of the
-/// next runner order successive runners of one shard, so its CoopChannel
-/// state and ReadyQueue migrate safely between threads (TSan-visible
-/// happens-before, no fences).
-///
-/// Termination is the two-phase counter protocol of ShardPool extended to
-/// shard states: a worker that finds no runnable shard announces idleness;
-/// the worker whose announcement completes the count verifies every shard
-/// kIdle with an empty inbox, the overflow list empty, and the idle count
-/// still full before publishing done. Parking uses one global
-/// {mutex, condvar, epoch}: a worker snapshots the epoch before scanning
-/// for work and sleeps only while the epoch is unchanged; posters bump the
-/// epoch under the mutex after making work visible. A steal CAS that loses
-/// a race can at worst leave the shard in the *active* victim's own deque
-/// (only a worker's own thread pushes to its deque, so an idle worker's
-/// deque is empty), hence no ready shard can be stranded with all workers
-/// asleep.
-class StealingShardPool final : public ShardPoolBase {
-  enum : int { kIdle = 0, kQueued = 1, kRunning = 2 };
-
- public:
-  /// Executor for one shard. Wakes from the shard's current runner go to
-  /// the unlocked local ReadyQueue; wakes from any other thread land in
-  /// the locked inbox (same split as ShardExecutor).
-  class Shard final : public Executor {
-   public:
-    Shard(StealingShardPool* pool, int id) : pool_(pool), id_(id) {}
-
-    void make_ready(std::coroutine_handle<> h,
-                    std::uint64_t not_before) override {
-      assert(not_before == 0 &&
-             "virtual-time make_ready routed to a stealing shard executor");
-      (void)not_before;
-      if (runner_.load(std::memory_order_relaxed) ==
-          std::this_thread::get_id()) {
-        local_.push(h);
-        return;
-      }
-      pool_->post_remote(*this, h);
-    }
-
-   private:
-    friend class StealingShardPool;
-    StealingShardPool* pool_;
-    int id_;
-    ReadyQueue local_;  // current runner only
-    std::mutex m_;      // guards inbox_ and poster-side state_ transitions
-    std::vector<std::coroutine_handle<>> inbox_;
-    std::atomic<int> state_{kIdle};
-    std::atomic<std::thread::id> runner_{};
-  };
-
-  StealingShardPool(int n_shards, int n_workers) {
-    n_shards_ = n_shards < 1 ? 1 : n_shards;
-    n_workers_ = n_workers < 1 ? 1 : n_workers;
-    if (n_workers_ > n_shards_) n_workers_ = n_shards_;
-    shards_.reserve(static_cast<std::size_t>(n_shards_));
-    for (int s = 0; s < n_shards_; ++s) {
-      shards_.push_back(std::make_unique<Shard>(this, s));
-    }
-    const auto deque_cap = static_cast<std::size_t>(n_shards_) + 1;
-    workers_.reserve(static_cast<std::size_t>(n_workers_));
-    for (int i = 0; i < n_workers_; ++i) {
-      workers_.push_back(std::make_unique<Worker>(i, deque_cap));
-    }
-    loads_.resize(static_cast<std::size_t>(n_workers_));
-  }
-
-  [[nodiscard]] int n_shards() const override { return n_shards_; }
-  [[nodiscard]] int n_workers() const override { return n_workers_; }
-  [[nodiscard]] Executor& shard_exec(int s) override {
-    return *shards_[static_cast<std::size_t>(s)];
-  }
-  [[nodiscard]] Executor& router() override { return router_; }
-  [[nodiscard]] std::uint64_t steals() const override { return steals_; }
-  [[nodiscard]] const std::vector<WorkerLoad>& worker_loads()
-      const override {
-    return loads_;
-  }
-
-  /// Pre-run registration from the controlling thread (workers not
-  /// started, so local queues and deques are safe to touch).
-  void register_task(std::coroutine_handle<> h, int shard) override {
-    Shard& s = *shards_[static_cast<std::size_t>(shard)];
-    router_.add_route(h.address(), &s);
-    s.local_.push(h);
-    if (s.state_.load(std::memory_order_relaxed) == kIdle) {
-      s.state_.store(kQueued, std::memory_order_relaxed);
-      seeds_.push_back(shard);
-    }
-  }
-
-  std::uint64_t run(const OnFinishedFn& on_finished) override {
-    idle_.store(0);
-    done_.store(false);
-    // Deal seeded shards round-robin so the run starts balanced even
-    // before any steal happens.
-    for (std::size_t i = 0; i < seeds_.size(); ++i) {
-      const bool ok =
-          workers_[i % workers_.size()]->deque.push_bottom(seeds_[i]);
-      assert(ok && "seed overflowed a worker deque");
-      (void)ok;
-    }
-    seeds_.clear();
-    {
-      std::vector<std::jthread> threads;
-      threads.reserve(workers_.size());
-      for (auto& w : workers_) {
-        threads.emplace_back([this, &on_finished, worker = w.get()] {
-          worker_main(*worker, on_finished);
-        });
-      }
-    }  // join
-    std::uint64_t resumes = 0;
-    steals_ = 0;
-    for (auto& w : workers_) {
-      resumes += w->load.resumes;
-      steals_ += w->load.steals;
-      loads_[static_cast<std::size_t>(w->index)] = w->load;
-    }
-    return resumes;
-  }
-
- private:
-  struct Worker {
-    Worker(int index, std::size_t deque_capacity)
-        : index(index), deque(deque_capacity) {}
-    int index;
-    StealDeque<int> deque;
-    WorkerLoad load;
-  };
-
-  /// Which pool/worker the current thread belongs to; lets posters push
-  /// onto their own deque (the only thread allowed to) and everyone else
-  /// fall back to the locked overflow list.
-  struct Tls {
-    StealingShardPool* pool;
-    Worker* worker;
-  };
-  inline static thread_local Tls tls_{nullptr, nullptr};
-
-  void post_remote(Shard& s, std::coroutine_handle<> h) {
-    bool queue_it = false;
-    {
-      std::lock_guard lk{s.m_};
-      s.inbox_.push_back(h);
-      if (s.state_.load(std::memory_order_relaxed) == kIdle) {
-        s.state_.store(kQueued, std::memory_order_relaxed);
-        queue_it = true;
-      }
-      // kQueued: already in a deque/overflow and will drain the inbox when
-      // run. kRunning: the runner's release-time inbox check is under this
-      // same mutex, so it cannot miss the push. Neither case needs a wake.
-    }
-    if (queue_it) enqueue(s);
-  }
-
-  void enqueue(Shard& s) {
-    if (tls_.pool == this && tls_.worker->deque.push_bottom(s.id_)) {
-      signal_work();
-      return;
-    }
-    // Non-worker thread (seeding helpers, finalizer-driven wakes) or a
-    // full deque (impossible by capacity, kept as a safety net).
-    {
-      std::lock_guard lk{overflow_m_};
-      overflow_.push_back(s.id_);
-    }
-    signal_work();
-  }
-
-  void signal_work() {
-    // The epoch bump is under the park mutex so a sleeper's predicate
-    // cannot miss it between its work scan and its wait.
-    {
-      std::lock_guard lk{park_m_};
-      epoch_.fetch_add(1, std::memory_order_relaxed);
-    }
-    park_cv_.notify_all();
-  }
-
-  Shard* find_work(Worker& w) {
-    int id = -1;
-    if (w.deque.pop_bottom(id)) return shards_[static_cast<std::size_t>(id)].get();
-    {
-      std::lock_guard lk{overflow_m_};
-      if (!overflow_.empty()) {
-        id = overflow_.front();
-        overflow_.erase(overflow_.begin());  // FIFO; the list stays tiny
-        return shards_[static_cast<std::size_t>(id)].get();
-      }
-    }
-    const int nw = static_cast<int>(workers_.size());
-    for (int i = 1; i < nw; ++i) {
-      Worker& victim = *workers_[static_cast<std::size_t>((w.index + i) % nw)];
-      ++w.load.steal_attempts;
-      if (victim.deque.steal_top(id)) {
-        ++w.load.steals;
-        return shards_[static_cast<std::size_t>(id)].get();
-      }
-    }
-    return nullptr;
-  }
-
-  void run_shard(Worker& w, Shard& s, const OnFinishedFn& on_finished) {
-    int expected = kQueued;
-    const bool acquired = s.state_.compare_exchange_strong(
-        expected, kRunning, std::memory_order_acq_rel);
-    assert(acquired && "dequeued shard was not kQueued");
-    (void)acquired;
-    s.runner_.store(std::this_thread::get_id(), std::memory_order_relaxed);
-    for (;;) {
-      {
-        std::lock_guard lk{s.m_};
-        for (std::coroutine_handle<> h : s.inbox_) s.local_.push(h);
-        s.inbox_.clear();
-      }
-      if (s.local_.empty()) break;
-      while (!s.local_.empty()) {
-        std::coroutine_handle<> h = s.local_.pop();
-        h.resume();
-        ++w.load.resumes;
-        if (h.done()) on_finished(h);
-      }
-    }
-    // Drained. Release the shard; if the inbox refilled between the last
-    // drain and here, requeue it (on our own deque -- thieves may take it).
-    s.runner_.store(std::thread::id{}, std::memory_order_relaxed);
-    bool requeue = false;
-    {
-      std::lock_guard lk{s.m_};
-      if (s.inbox_.empty()) {
-        s.state_.store(kIdle, std::memory_order_release);
-      } else {
-        s.state_.store(kQueued, std::memory_order_release);
-        requeue = true;
-      }
-    }
-    if (requeue) enqueue(s);
-  }
-
-  void worker_main(Worker& w, const OnFinishedFn& on_finished) {
-    tls_ = Tls{this, &w};
-    w.load = WorkerLoad{};
-    const auto t_start = std::chrono::steady_clock::now();
-    double parked_s = 0.0;
-    for (;;) {
-      const std::uint64_t e0 = epoch_.load(std::memory_order_seq_cst);
-      if (Shard* s = find_work(w)) {
-        run_shard(w, *s, on_finished);
-        continue;
-      }
-      const int n = idle_.fetch_add(1, std::memory_order_seq_cst) + 1;
-      if (n == n_workers_ && verify_quiescent()) {
-        announce_done();
-        break;
-      }
-      {
-        std::unique_lock lk{park_m_};
-        const auto t0 = std::chrono::steady_clock::now();
-        park_cv_.wait(lk, [&] {
-          return done_.load(std::memory_order_acquire) ||
-                 epoch_.load(std::memory_order_relaxed) != e0;
-        });
-        parked_s += std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-      }
-      idle_.fetch_sub(1, std::memory_order_seq_cst);
-      if (done_.load(std::memory_order_acquire)) break;
-    }
-    tls_ = Tls{nullptr, nullptr};
-    w.load.busy_s = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - t_start)
-                        .count() -
-                    parked_s;
-  }
-
-  /// Phase 2 of termination: only trustworthy when called by the worker
-  /// whose idle announcement completed the count.
-  [[nodiscard]] bool verify_quiescent() {
-    for (const auto& s : shards_) {
-      std::lock_guard lk{s->m_};
-      if (s->state_.load(std::memory_order_seq_cst) != kIdle ||
-          !s->inbox_.empty()) {
-        return false;
-      }
-    }
-    {
-      std::lock_guard lk{overflow_m_};
-      if (!overflow_.empty()) return false;
-    }
-    // All shards idle and no queued work anywhere; if nobody retracted an
-    // idle announcement in the meantime the pool is quiescent.
-    return idle_.load(std::memory_order_seq_cst) == n_workers_;
-  }
-
-  void announce_done() {
-    {
-      std::lock_guard lk{park_m_};
-      done_.store(true, std::memory_order_release);
-    }
-    park_cv_.notify_all();
-  }
-
-  int n_shards_ = 1;
-  int n_workers_ = 1;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<int> seeds_;  // shards queued during registration
-  RouterExecutor router_;
-  std::mutex overflow_m_;
-  std::vector<int> overflow_;  // kQueued shards not in any worker's deque
-  std::mutex park_m_;
-  std::condition_variable park_cv_;
-  std::atomic<std::uint64_t> epoch_{0};
-  std::atomic<int> idle_{0};
-  std::atomic<bool> done_{false};
-  std::uint64_t steals_ = 0;
   std::vector<WorkerLoad> loads_;
 };
 

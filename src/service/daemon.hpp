@@ -205,11 +205,11 @@ class Daemon {
     std::optional<InteractiveSession> session;
   };
 
-  /// Warm sim-lane state. `last_inputs` is the baseline input snapshot the
-  /// *lane* last ran with -- the dirty set for an incremental rerun is
-  /// computed server-side by byte comparison against it, which stays
-  /// correct even when the lane was warmed by a different client session
-  /// with the same spec.
+  /// Warm sim-lane state. `last_inputs` is the input snapshot of the
+  /// *lane's* last full run, which is the ResimSession's baseline -- the
+  /// dirty set for an incremental rerun is computed server-side by byte
+  /// comparison against it, which stays correct even when the lane was
+  /// warmed by a different client session with the same spec.
   struct SimLane {
     rt::DynamicGraphBuilder builder;
     std::optional<aiesim::ResimSession> session;
@@ -935,16 +935,20 @@ class Daemon {
   // ---- simulation dispatch (worker threads) -------------------------------
 
   void post_run(const std::shared_ptr<Connection>& conn,
-                const std::shared_ptr<ServerSession>& sess, RunRequest req) {
-    runner_->post([this, conn, sess, req = std::move(req)](
+                std::shared_ptr<ServerSession> sess, RunRequest req) {
+    runner_->post([this, conn, sess = std::move(sess), req = std::move(req)](
                       SweepRunner::WorkerSlot& /*slot*/) mutable {
-      run_one(conn, sess, req);
+      run_one(conn, std::move(sess), req);
     });
   }
 
+  /// Takes the job's session reference and drops it before the reply is
+  /// delivered, so a client that closes the session after reading the
+  /// reply finds the I/O thread holding the last reference: the lane's
+  /// lease returns to its pool while close_session is handled, not at
+  /// some later point on this worker.
   void run_one(const std::shared_ptr<Connection>& conn,
-               const std::shared_ptr<ServerSession>& sess,
-               const RunRequest& req) {
+               std::shared_ptr<ServerSession> sess, const RunRequest& req) {
     Mail mail;
     mail.sid = sess->id;
     mail.run_done = true;
@@ -991,6 +995,7 @@ class Daemon {
       mail.frames.push_back(
           OutFrame{net::FrameType::session_error, sess->id, e.what()});
     }
+    sess.reset();
     deliver(conn, std::move(mail));
   }
 
@@ -1108,8 +1113,13 @@ class Daemon {
       res.warm = true;
       res.incremental = lane.session->last_was_incremental();
     }
-    lane.last_inputs = req.inputs;  // pointer copies, not byte copies
-    lane.has_baseline = true;
+    // The session's baseline advances only on full runs; an incremental
+    // rerun leaves it at the last full run's inputs, so the next dirty set
+    // must still be computed against those.
+    if (!lane.has_baseline || !lane.session->last_was_incremental()) {
+      lane.last_inputs = req.inputs;  // pointer copies, not byte copies
+      lane.has_baseline = true;
+    }
     res.virtual_cycles = r.virtual_cycles;
     res.persisted = lane.session->compiled().from_store;
     if (res.persisted) {

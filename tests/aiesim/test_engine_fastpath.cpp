@@ -2,12 +2,15 @@
 // tables, block-stepped micro model, buffered trace) must reproduce
 // EngineVariant::reference bit for bit on every observable: makespan,
 // step checksum, per-task busy cycles and the trace digest. Also covers
-// the bind-time name backfill and the no-reallocation guarantee of the
-// dense state tables.
+// the bind-time name backfill, the no-reallocation guarantee of the
+// dense state tables, and that the fast variant binds only from a
+// CompiledGraph.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "aiesim/engine.hpp"
@@ -40,6 +43,13 @@ std::vector<float> ramp(std::size_t n) {
   std::vector<float> v(n);
   std::iota(v.begin(), v.end(), 1.0f);
   return v;
+}
+
+/// The artifact a hand-driven fast engine binds from.
+std::shared_ptr<const aiesim::CompiledGraph> compile_for(
+    const aiesim::SimConfig& cfg) {
+  return aiesim::compile_graph(fp_graph.view(), cfg.cost, cfg.generated_io,
+                               cfg.placement, cfg.array_columns);
 }
 
 aiesim::SimResult run_variant(aiesim::EngineVariant v, aiesim::DetailLevel d,
@@ -125,7 +135,8 @@ TEST(EngineVariants, NamesBackfilledWhenStatePredatesBind) {
   // Touch a task state pre-bind (no resume; just state creation).
   auto& rec = ctx.tasks().front();
   engine.make_ready(rec.task.handle(), 0);
-  engine.bind(ctx);
+  const auto compiled = compile_for(cfg);
+  engine.bind(ctx, compiled.get());
   const auto tiles_pre = engine.tile_stats();  // names already backfilled
   for (const auto& t : tiles_pre) EXPECT_FALSE(t.kernel.empty());
 }
@@ -171,7 +182,8 @@ TEST(EngineVariants, BindAfterManualWarmupInvalidatesStateCache) {
                             &engine};
   auto& rec = ctx.tasks().front();
   const void* pre = engine.state_identity(rec.task.handle());
-  engine.bind(ctx);
+  const auto compiled = compile_for(cfg);
+  engine.bind(ctx, compiled.get());
   EXPECT_TRUE(engine.state_tables_stable());
   EXPECT_EQ(engine.state_identity(rec.task.handle()), pre);
   EXPECT_TRUE(engine.state_tables_stable());
@@ -189,11 +201,29 @@ TEST(EngineVariants, StateTablesStayStableAcrossRun) {
   cgsim::RunOptions opts{cgsim::ExecMode::sim, 1};
   cgsim::detail::attach_io(ctx, fp_graph.view(), opts, 0, in);
   cgsim::detail::attach_io(ctx, fp_graph.view(), opts, 1, out);
-  engine.bind(ctx);
+  const auto compiled = compile_for(cfg);
+  engine.bind(ctx, compiled.get());
   ctx.start_all();
   ctx.finish(engine.run());
   // Everything was known at bind: the reserve must have held.
   EXPECT_TRUE(engine.state_tables_stable());
+}
+
+TEST(EngineVariants, FastBindWithoutCompiledGraphThrows) {
+  // The fast variant has one source for its edge tables: the compiled
+  // artifact. The reference variant derives its own and accepts none.
+  aiesim::SimConfig cfg;
+  cfg.engine = aiesim::EngineVariant::fast;
+  aiesim::SimEngine fast{cfg};
+  cgsim::RuntimeContext fast_ctx{fp_graph.view(), cgsim::ExecMode::sim, &fast,
+                                 &fast};
+  EXPECT_THROW(fast.bind(fast_ctx, nullptr), std::invalid_argument);
+
+  cfg.engine = aiesim::EngineVariant::reference;
+  aiesim::SimEngine ref{cfg};
+  cgsim::RuntimeContext ref_ctx{fp_graph.view(), cgsim::ExecMode::sim, &ref,
+                                &ref};
+  EXPECT_NO_THROW(ref.bind(ref_ctx, nullptr));
 }
 
 }  // namespace

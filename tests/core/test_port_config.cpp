@@ -1,7 +1,23 @@
 // Port settings merging and attribute plumbing (paper Section 3.4).
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/cgsim.hpp"
+
+namespace cgsim {
+
+// gtest prints a parameter type that has no printer as raw bytes, padding
+// included, and ctest names the parameterized cases after that print:
+// without this printer the MergeIdentity case names carried stack residue
+// and changed whenever the test binary did.
+void PrintTo(const PortSettings& s, std::ostream* os) {
+  *os << "beat=" << s.beat_bits << " rtp=" << s.rtp << ' '
+      << buffer_mode_name(s.buffer) << " window=" << s.window_size
+      << " io=" << io_kind_name(s.io);
+}
+
+}  // namespace cgsim
 
 namespace {
 

@@ -1,10 +1,13 @@
 // Sharded cooperative execution (ExecMode::coop_mt): bit-identical outputs
 // against the single-threaded cooperative and the thread-per-kernel
-// backends on every ported app, cross-shard close/partial-batch behaviour,
-// and repeated-run determinism.
+// backends on every ported app and on randomized DAGs, cross-shard
+// close/partial-batch behaviour, repeated-run determinism, and the
+// per-worker load accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cstdint>
 #include <random>
 #include <span>
 #include <vector>
@@ -247,6 +250,19 @@ TEST(CoopMt, WideGraphUsesAllShardsWithoutCrossEdges) {
   EXPECT_EQ(od, std::vector<int>(100, 8));
 }
 
+TEST(CoopMt, ChainMatchesCoopAcrossWorkerCounts) {
+  std::vector<int> in(800);
+  for (int i = 0; i < 800; ++i) in[static_cast<std::size_t>(i)] = i - 400;
+  std::vector<int> reference;
+  mt_chain(in, reference);
+  for (const int workers : {1, 2, 4}) {
+    std::vector<int> out;
+    const RunResult r = mt_chain.run(mt(workers), in, out);
+    EXPECT_FALSE(r.deadlocked) << workers << " workers";
+    EXPECT_EQ(out, reference) << workers << " workers";
+  }
+}
+
 TEST(CoopMt, RepeatedRunsAreDeterministic) {
   std::vector<int> in(500);
   for (int i = 0; i < 500; ++i) in[static_cast<std::size_t>(i)] = i * 3;
@@ -295,6 +311,141 @@ TEST(CoopMt, InteractiveSessionRejectsNonCoopModes) {
 TEST(CoopMt, RunCoopOnMtContextThrows) {
   RuntimeContext ctx{mt_chain.view(), ExecMode::coop_mt, nullptr, nullptr, 2};
   EXPECT_THROW((void)ctx.run_coop(), std::logic_error);
+}
+
+// --- per-worker load accounting --------------------------------------------
+
+void expect_loads_sum_to_resumes(const RunResult& r) {
+  ASSERT_FALSE(r.deadlocked);
+  // One pinned worker per shard.
+  ASSERT_EQ(r.worker_loads.size(), static_cast<std::size_t>(r.shards_used));
+  std::uint64_t sum = 0;
+  for (const WorkerLoad& w : r.worker_loads) sum += w.resumes;
+  EXPECT_EQ(sum, r.resumes);
+}
+
+TEST(CoopMt, WorkerLoadsSumToTotalResumes) {
+  std::vector<int> a(200, 1), b(200, 2), c(200, 3), d(200, 4);
+  std::vector<int> oa, ob, oc, od;
+  expect_loads_sum_to_resumes(
+      mt_wide.run(mt(4), a, b, c, d, oa, ob, oc, od));
+}
+
+TEST(CoopMt, CrossShardChainLoadsSumToTotalResumes) {
+  std::vector<int> in(100);
+  for (int i = 0; i < 100; ++i) in[static_cast<std::size_t>(i)] = i;
+  std::vector<int> out;
+  expect_loads_sum_to_resumes(mt_chain.run(mt(2), in, out));
+}
+
+// --- randomized-graph fuzz -------------------------------------------------
+
+COMPUTE_KERNEL(aie, mt_dyn_inc,
+               KernelReadPort<int> in,
+               KernelWritePort<int> out) {
+  while (true) co_await out.put(co_await in.get() + 1);
+}
+
+COMPUTE_KERNEL(aie, mt_dyn_add,
+               KernelReadPort<int> a,
+               KernelReadPort<int> b,
+               KernelWritePort<int> out) {
+  while (true) co_await out.put(co_await a.get() + co_await b.get());
+}
+
+COMPUTE_KERNEL(aie, mt_dyn_split,
+               KernelReadPort<int> in,
+               KernelWritePort<int> lo,
+               KernelWritePort<int> hi) {
+  while (true) {
+    const int v = co_await in.get();
+    co_await lo.put(v - 1);
+    co_await hi.put(v + 1);
+  }
+}
+
+/// Random DAG over open edges: every kernel consumes previously produced
+/// edges and opens new ones, so the construction order is a topological
+/// order and the graph is acyclic by construction.
+void build_random_dag(rt::DynamicGraphBuilder& b, std::mt19937& rng,
+                      int n_inputs, int n_kernels) {
+  std::vector<int> open;
+  for (int i = 0; i < n_inputs; ++i) {
+    const int e = b.add_edge<int>();
+    b.add_input(e);
+    open.push_back(e);
+  }
+  std::uniform_int_distribution<int> op{0, 2};
+  for (int k = 0; k < n_kernels; ++k) {
+    std::shuffle(open.begin(), open.end(), rng);
+    switch (open.size() >= 2 ? op(rng) : 0) {
+      case 0: {  // inc: 1 -> 1
+        const int o = b.add_edge<int>();
+        b.add_kernel(mt_dyn_inc, {open.back(), o});
+        open.back() = o;
+        break;
+      }
+      case 1: {  // add: 2 -> 1 (narrows the frontier)
+        const int o = b.add_edge<int>();
+        const int x = open.back();
+        open.pop_back();
+        b.add_kernel(mt_dyn_add, {x, open.back(), o});
+        open.back() = o;
+        break;
+      }
+      default: {  // split: 1 -> 2 (widens the frontier)
+        const int lo = b.add_edge<int>();
+        const int hi = b.add_edge<int>();
+        b.add_kernel(mt_dyn_split, {open.back(), lo, hi});
+        open.back() = lo;
+        open.push_back(hi);
+        break;
+      }
+    }
+  }
+  std::sort(open.begin(), open.end());  // canonical output order
+  for (const int e : open) b.add_output(e);
+}
+
+TEST(CoopMt, RandomizedDagsMatchCoop) {
+  for (const unsigned seed : {11u, 23u, 37u, 41u, 59u, 67u, 83u, 97u, 109u,
+                              127u}) {
+    std::mt19937 rng{seed};
+    rt::DynamicGraphBuilder b;
+    std::uniform_int_distribution<int> ni{2, 4}, nk{6, 18};
+    build_random_dag(b, rng, ni(rng), nk(rng));
+    const GraphView view = b.view();
+
+    // All global inputs/outputs are int streams; drive them generically.
+    std::vector<std::vector<int>> ins(view.inputs.size());
+    for (std::size_t i = 0; i < ins.size(); ++i) {
+      ins[i].resize(64);
+      for (int j = 0; j < 64; ++j) {
+        ins[i][static_cast<std::size_t>(j)] =
+            static_cast<int>(i) * 1000 + j - 32;
+      }
+    }
+    const auto run_mode = [&](ExecMode mode, int workers) {
+      std::vector<std::vector<int>> outs(view.outputs.size());
+      RuntimeContext ctx{view, mode, nullptr, nullptr, workers};
+      for (std::size_t i = 0; i < ins.size(); ++i) {
+        ctx.add_stream_source<int>(i, std::span<const int>{ins[i]});
+      }
+      for (std::size_t i = 0; i < outs.size(); ++i) {
+        ctx.add_stream_sink<int>(i, outs[i]);
+      }
+      const RunResult r =
+          mode == ExecMode::coop ? ctx.run_coop() : ctx.run_coop_mt();
+      EXPECT_FALSE(r.deadlocked) << "seed " << seed;
+      return outs;
+    };
+
+    const auto reference = run_mode(ExecMode::coop, 0);
+    for (const int workers : {2, 4}) {
+      ASSERT_EQ(run_mode(ExecMode::coop_mt, workers), reference)
+          << "seed " << seed << ", " << workers << " workers";
+    }
+  }
 }
 
 }  // namespace

@@ -242,6 +242,47 @@ TEST(Service, SimLaneRunsAndIncrementalRerun) {
   EXPECT_EQ(warm.outputs, ref.outputs);
 }
 
+// The lane's ResimSession keeps the last full run as its baseline across
+// incremental reruns, so the server must diff each rerun against that
+// baseline. Resending the previous rerun's RTP must still produce that
+// RTP's outputs, not the baseline's.
+TEST(Service, RepeatedRtpRerunMatchesFreshDaemon) {
+  LocalDaemon d;
+  auto cli = d.connect();
+  const GraphSpec spec = twin_chain_spec();
+  const auto sid = cli.open(RunMode::sim, spec);
+  const std::vector<int> in0 = iota_vec(128, 0);
+  const std::vector<int> a = iota_vec(128, 100);
+  std::vector<int> b = a;
+  b[5] += 9000;
+
+  send_vec(cli, sid, 0, in0);
+  cli.send_rtp(sid, 1, a.data(), a.size() * sizeof(int));
+  RunOutcome first = cli.run(sid);
+  ASSERT_TRUE(first.ok) << first.error;
+  cli.send_rtp(sid, 1, b.data(), b.size() * sizeof(int));
+  RunOutcome second = cli.run(sid);
+  ASSERT_TRUE(second.ok) << second.error;
+  cli.send_rtp(sid, 1, b.data(), b.size() * sizeof(int));
+  RunOutcome third = cli.run(sid);
+  ASSERT_TRUE(third.ok) << third.error;
+  EXPECT_TRUE(third.result.warm);
+
+  LocalDaemon fresh;
+  auto cli2 = fresh.connect();
+  const auto sid2 = cli2.open(RunMode::sim, spec);
+  send_vec(cli2, sid2, 0, in0);
+  cli2.send_rtp(sid2, 1, b.data(), b.size() * sizeof(int));
+  RunOutcome ref = cli2.run(sid2);
+  ASSERT_TRUE(ref.ok) << ref.error;
+  EXPECT_NE(first.result.digest, ref.result.digest);
+  EXPECT_EQ(second.result.digest, ref.result.digest);
+  EXPECT_EQ(third.result.digest, ref.result.digest)
+      << "repeated RTP rerun returned stale outputs";
+  EXPECT_EQ(third.result.virtual_cycles, ref.result.virtual_cycles);
+  EXPECT_EQ(third.outputs, ref.outputs);
+}
+
 TEST(Service, ConcurrentClientsShareWarmLanes) {
   DaemonConfig cfg;
   cfg.io_threads = 2;
