@@ -1,5 +1,5 @@
 // bench_ablation_aiesim -- ablation of the cycle-approximate engine's fast
-// path (timing-wheel queue, dense id tables, block-stepped micro model)
+// path (timing-wheel queue, dense id tables, word-stepped micro model)
 // against the retained reference engine (binary heap, pointer-hashed
 // lookups, per-cycle loop).
 //

@@ -21,9 +21,10 @@
 //   * EngineVariant::fast -- timing-wheel event queue, tasks and channels
 //     resolved to dense integer ids at bind so the hot path indexes flat
 //     arrays (task states, per-edge global/output flags, hop costs, a lazy
-//     port-cost cache) instead of hashing pointers, block-stepped micro
-//     model (SIMD busy spans, GF(2) LFSR jump-ahead across stalls),
-//     buffered trace records.
+//     port-cost cache) instead of hashing pointers, word-stepped micro
+//     model (busy spans 32 cycles per LFSR state word, stalls jumped in
+//     O(1) up to 60 cycles and by GF(2) jump-ahead beyond), buffered
+//     trace records.
 //   * EngineVariant::reference -- the original structures: binary-heap
 //     queue, unordered_map/set lookups keyed on pointers, one micro-model
 //     loop iteration per cycle, string trace records. Retained as the
@@ -58,7 +59,7 @@ enum class DetailLevel : std::uint8_t {
 };
 
 enum class EngineVariant : std::uint8_t {
-  fast,       ///< timing wheel + dense id tables + block-stepped micro model
+  fast,       ///< timing wheel + dense id tables + word-stepped micro model
   reference,  ///< original heap + hash lookups + per-cycle loop
 };
 

@@ -1,5 +1,5 @@
 // Engine-variant equivalence: EngineVariant::fast (timing wheel, dense id
-// tables, block-stepped micro model, buffered trace) must reproduce
+// tables, word-stepped micro model, buffered trace) must reproduce
 // EngineVariant::reference bit for bit on every observable: makespan,
 // step checksum, per-task busy cycles and the trace digest. Also covers
 // the bind-time name backfill, the no-reallocation guarantee of the

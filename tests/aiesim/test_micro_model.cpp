@@ -1,4 +1,4 @@
-// Micro-model equivalence: the block-stepped/jump-ahead fast tile model
+// Micro-model equivalence: the word-stepped/jump-ahead fast tile model
 // must match the retained per-cycle reference loop bit for bit -- full
 // state snapshots (LFSR, pipeline, scoreboard, FIFOs, banks) and the run
 // checksum -- across arbitrary stall/busy segment interleavings. Also pins
@@ -35,10 +35,10 @@ TEST(MicroModel, StreamFifoCountMatchesSpec) {
 
 TEST(MicroModel, LfsrJumpMatchesScalarLoop) {
   std::uint64_t x = aiesim::kLfsrSeed;
-  // Jumps below the table threshold use the scalar loop; exercise both
-  // sides of the threshold plus values around lane/block boundaries.
-  const std::uint64_t jumps[] = {0, 1, 7, 63, 511, 512, 513, 1000, 4096,
-                                 123457, 1 << 20};
+  // Jumps of up to 60 steps take the window expression, longer ones the
+  // GF(2) tables; exercise both sides of that boundary and long gaps.
+  const std::uint64_t jumps[] = {0,   1,   7,    59,   60,     61,     63,
+                                 511, 512, 513, 1000, 4096, 123457, 1 << 20};
   for (const std::uint64_t n : jumps) {
     std::uint64_t loop = x;
     for (std::uint64_t i = 0; i < n; ++i) loop = lfsr_step(loop);
@@ -47,17 +47,45 @@ TEST(MicroModel, LfsrJumpMatchesScalarLoop) {
   }
 }
 
+// The window identity behind word stepping: bits 0..59 of a state are its
+// next 60 feedback bits, so k <= 60 steps are one shift/XOR expression.
+TEST(MicroModel, LfsrWindowJumpMatchesScalarSteps) {
+  std::mt19937_64 rng{0x60u};
+  for (int s = 0; s < 1001; ++s) {
+    const std::uint64_t x = s == 0 ? aiesim::kLfsrSeed : rng();
+    std::uint64_t loop = x;
+    for (unsigned k = 1; k <= aiesim::detail::kLfsrWindow; ++k) {
+      loop = lfsr_step(loop);
+      ASSERT_EQ(aiesim::detail::lfsr_window_jump(x, k), loop)
+          << "state " << s << " k=" << k;
+    }
+  }
+}
+
 TEST(MicroModel, FastMatchesReferenceOnBusySegments) {
   TileMicroRef ref;
   TileMicroFast fast;
-  // Segment lengths around every internal boundary: pipe warm-up (7/8),
-  // SIMD lanes (8), block size (128) and beyond.
-  const std::uint64_t lens[] = {1, 2, 6, 7, 8, 9, 15, 16, 17, 63, 64,
-                                127, 128, 129, 255, 256, 1000, 4096};
-  for (const std::uint64_t n : lens) {
+  // Every length up to 300, each segment starting from the previous one's
+  // busy history: covers the pipe warm-up (7/8) and every tail length
+  // behind the 32-cycle word blocks.
+  for (std::uint64_t n = 1; n <= 300; ++n) {
     ref.step_busy(n);
     fast.step_busy(n);
     ASSERT_EQ(fast.snapshot(), ref.snapshot()) << "after busy n=" << n;
+  }
+  // The block edges from a fresh model: a block runs only with 8 cycles
+  // left after it, so one block engages at 40 and two at 72.
+  const std::uint64_t edges[] = {31, 32, 33, 39, 40, 41, 63,   64,
+                                 65, 71, 72, 73, 1000, 4096, 4135};
+  for (const std::uint64_t n : edges) {
+    TileMicroRef r;
+    TileMicroFast f;
+    r.step_busy(n);
+    f.step_busy(n);
+    ASSERT_EQ(f.snapshot(), r.snapshot()) << "fresh busy n=" << n;
+    r.step_busy(n);
+    f.step_busy(n);
+    ASSERT_EQ(f.snapshot(), r.snapshot()) << "second busy n=" << n;
   }
 }
 
@@ -66,6 +94,15 @@ TEST(MicroModel, FastMatchesReferenceOnStallBusyInterleavings) {
   for (int round = 0; round < 20; ++round) {
     TileMicroRef ref;
     TileMicroFast fast;
+    const auto step = [&](bool stall, std::uint64_t n) {
+      if (stall) {
+        ref.step_stall(n);
+        fast.step_stall(n);
+      } else {
+        ref.step_busy(n);
+        fast.step_busy(n);
+      }
+    };
     for (int seg = 0; seg < 60; ++seg) {
       const bool stall = (rng() % 2) != 0;
       std::uint64_t n = 0;
@@ -75,18 +112,28 @@ TEST(MicroModel, FastMatchesReferenceOnStallBusyInterleavings) {
         case 2: n = rng() % 2048; break;
         case 3: n = rng() % 100000; break;  // exercises jump-ahead tables
       }
-      if (stall) {
-        ref.step_stall(n);
-        fast.step_stall(n);
-      } else {
-        // Bound busy spans: the reference loop is the slow part.
-        n %= 3000;
-        ref.step_busy(n);
-        fast.step_busy(n);
-      }
+      // Bound busy spans: the reference loop is the slow part.
+      if (!stall) n %= 3000;
+      step(stall, n);
       ASSERT_EQ(fast.snapshot(), ref.snapshot())
-          << "round " << round << " seg " << seg << (stall ? " stall " : " busy ")
-          << n;
+          << "round " << round << " seg " << seg
+          << (stall ? " stall " : " busy ") << n;
+    }
+    // The engine's own mix on the paper apps: short stalls between short
+    // activations, then long busy spans in the word-block loop.
+    for (int seg = 0; seg < 80; ++seg) {
+      const bool stall = seg % 2 == 0;
+      const std::uint64_t n = stall ? 32 + rng() % 32 : 64 + rng() % 64;
+      step(stall, n);
+      ASSERT_EQ(fast.snapshot(), ref.snapshot())
+          << "round " << round << " mix " << seg
+          << (stall ? " stall " : " busy ") << n;
+    }
+    for (int seg = 0; seg < 2; ++seg) {
+      const std::uint64_t n = 2048 + rng() % (130000 - 2048);
+      step(false, n);
+      ASSERT_EQ(fast.snapshot(), ref.snapshot())
+          << "round " << round << " long busy " << n;
     }
     ASSERT_EQ(fast.checksum(), ref.checksum());
   }
