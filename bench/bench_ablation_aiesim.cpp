@@ -1,13 +1,14 @@
-// bench_ablation_aiesim -- ablation of the cycle-approximate engine's fast
-// path (timing-wheel queue, dense id tables, word-stepped micro model)
-// against the retained reference engine (binary heap, pointer-hashed
-// lookups, per-cycle loop).
+// bench_ablation_aiesim -- ablation of the cycle-approximate engine
+// (timing-wheel queue, dense id tables read from the compiled graph,
+// word-stepped micro model) against the test-only reference oracle in
+// tests/aiesim/oracle/ (binary heap, pointer-hashed lookups, per-cycle
+// loop, tables derived from the graph on every bind).
 //
 // Runs the paper's four application graphs at (scaled-down) Table-2 cycle
-// detail with both EngineVariant::fast and EngineVariant::reference and
-// checks two things:
+// detail on both the engine (aiesim::simulate) and the oracle
+// (aiesim::oracle::simulate) and checks two things:
 //   * bit-exactness -- makespan, micro-model step checksum, per-task busy
-//     cycles and the trace digest must be identical between variants;
+//     cycles and the trace digest must be identical between the two;
 //   * speedup -- the fast engine must achieve at least `min-geomean`
 //     (default 3x) geometric-mean wall-clock speedup across the four
 //     graphs.
@@ -26,6 +27,7 @@
 
 #include "aiesim/engine.hpp"
 #include "bench_common.hpp"
+#include "oracle/reference_engine.hpp"
 #include "apps/bilinear.hpp"
 #include "apps/bitonic.hpp"
 #include "apps/farrow.hpp"
@@ -68,10 +70,8 @@ Row run_example(const char* name, int paper_reps, const Graph& graph,
   // speedup gate, and the first run additionally pays process warm-up.
   // Observables are checked to be stable across the repeats.
   constexpr int kTimedRuns = 3;
-  for (const auto variant :
-       {aiesim::EngineVariant::fast, aiesim::EngineVariant::reference}) {
-    VariantResult& vr =
-        variant == aiesim::EngineVariant::fast ? row.fast : row.ref;
+  for (const bool oracle : {false, true}) {
+    VariantResult& vr = oracle ? row.ref : row.fast;
     vr.seconds = 1e100;
     for (int t = 0; t < kTimedRuns; ++t) {
       VariantResult cur;
@@ -79,10 +79,10 @@ Row run_example(const char* name, int paper_reps, const Graph& graph,
       make_io([&](auto&&... io) {
         aiesim::SimConfig cfg;
         cfg.detail = aiesim::DetailLevel::cycle;
-        cfg.engine = variant;
         cfg.repetitions = row.reps;
         const aiesim::SimResult res =
-            aiesim::simulate(graph.view(), cfg, io...);
+            oracle ? aiesim::oracle::simulate(graph.view(), cfg, io...)
+                   : aiesim::simulate(graph.view(), cfg, io...);
         cur.makespan = res.virtual_cycles;
         cur.checksum = res.step_checksum;
         cur.trace_digest = res.trace.digest();
@@ -96,9 +96,7 @@ Row run_example(const char* name, int paper_reps, const Graph& graph,
                     cur.trace_digest != vr.trace_digest ||
                     cur.busy != vr.busy)) {
         std::fprintf(stderr, "FAIL: %s %s observables differ across runs\n",
-                     name,
-                     variant == aiesim::EngineVariant::fast ? "fast"
-                                                            : "reference");
+                     name, oracle ? "reference" : "fast");
         std::exit(1);
       }
       cur.seconds = std::min(cur.seconds, vr.seconds);
@@ -183,7 +181,7 @@ int main(int argc, char** argv) {
 
   std::printf(
       "\naiesim fast-path ablation (cycle detail, 1/%d of paper reps):\n"
-      "EngineVariant::fast vs EngineVariant::reference, bit-exactness\n"
+      "engine (fast) vs test oracle (ref), bit-exactness\n"
       "checked on makespan / step checksum / per-task busy cycles / trace\n"
       "digest.\n\n",
       g_divisor);

@@ -24,9 +24,9 @@
 //
 // Correctness is enforced unconditionally (exit 1), timing gates take the
 // thresholds from argv so the ctest smoke run can relax them: every timed
-// run's trace digest and outputs must equal a cold EngineVariant::reference
-// run, and the sweep must actually execute incrementally with the expected
-// cone size.
+// run's trace digest and outputs must equal a cold run of the test-only
+// reference oracle (tests/aiesim/oracle/), and the sweep must actually
+// execute incrementally with the expected cone size.
 //
 //   $ ./bench_ablation_resim [iters [json-path [min-warm [min-resim]]]]
 #include <chrono>
@@ -44,6 +44,7 @@
 #include "aiesim/resim.hpp"
 #include "core/cgsim.hpp"
 #include "core/dynamic_graph.hpp"
+#include "oracle/reference_engine.hpp"
 
 namespace {
 
@@ -113,9 +114,7 @@ void bench_warm_rerun(int depth, int iters, std::vector<Row>& rows) {
   aiesim::SimConfig cfg;
 
   std::vector<int> out_ref;
-  aiesim::SimConfig ref = cfg;
-  ref.engine = aiesim::EngineVariant::reference;
-  const auto rr = aiesim::simulate(view, ref, in, out_ref);
+  const auto rr = aiesim::oracle::simulate(view, cfg, in, out_ref);
 
   const auto check = [&](const aiesim::SimResult& r,
                          const std::vector<int>& out) {
@@ -206,8 +205,6 @@ Row bench_rtp_sweep(int depth, int sweep_points) {
   std::vector<std::vector<int>> outs_chk(static_cast<std::size_t>(chains));
 
   aiesim::SimConfig cfg;
-  aiesim::SimConfig ref = cfg;
-  ref.engine = aiesim::EngineVariant::reference;
 
   // Expands to (in x chains, rtp, out x chains) positional arguments.
   const auto invoke = [&](auto&& fn, std::vector<std::vector<int>>& o,
@@ -250,12 +247,14 @@ Row bench_rtp_sweep(int depth, int sweep_points) {
     row.warm_s = seconds_since(t0);
 
     // Correctness (outside the timed loops): one more sweep point, checked
-    // pop for pop against a cold reference-engine run.
+    // pop for pop against a cold oracle run.
     const auto ri = invoke(
         [&](auto&&... a) { return session.resimulate({rtp_idx}, a...); },
         outs, 99);
     const auto rc = invoke(
-        [&](auto&&... a) { return aiesim::simulate(view, ref, a...); },
+        [&](auto&&... a) {
+          return aiesim::oracle::simulate(view, cfg, a...);
+        },
         outs_chk, 99);
     if (ri.trace.digest() != rc.trace.digest() ||
         ri.virtual_cycles != rc.virtual_cycles ||

@@ -39,9 +39,6 @@ namespace {
 
 int g_divisor = 64;        // fraction of the paper's repetitions to run
 int g_aiesim_divisor = 4;  // extra scale-down for the cycle-level sim
-// Which aiesim engine produces the Table-2 column (the fast path is the
-// default engine; the reference variant is ablated in bench_ablation_aiesim).
-constexpr auto g_aiesim_engine = aiesim::EngineVariant::fast;
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -101,7 +98,6 @@ Row run_example(const char* name, int paper_reps, const Graph& graph,
     make_io([&](auto&&... io) {
       aiesim::SimConfig cfg;
       cfg.detail = aiesim::DetailLevel::cycle;
-      cfg.engine = g_aiesim_engine;
       cfg.repetitions = aie_reps;
       aiesim::simulate(graph.view(), cfg, io...);
     });
@@ -199,9 +195,8 @@ int main(int argc, char** argv) {
       "\nTable 2: wall-clock simulation time (seconds), measured at 1/%d of\n"
       "the paper's repetitions and extrapolated to paper scale. This host\n"
       "has 1 CPU core: the paper's farrow case (x86sim < cgsim via 2 cores)\n"
-      "cannot reproduce its sign here; see EXPERIMENTS.md.\n"
-      "aiesim engine variant: %s\n\n",
-      g_divisor, aiesim::to_string(g_aiesim_engine));
+      "cannot reproduce its sign here; see EXPERIMENTS.md.\n\n",
+      g_divisor);
   std::printf("%-10s %6s | %10s %11s %10s %12s | %8s %8s %10s\n", "Graph",
               "Reps", "cgsim(s)", "coop_mt(s)", "x86sim(s)", "aiesim(s)",
               "p.cgsim", "p.x86", "p.aiesim");
@@ -242,14 +237,13 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "  \"bench\": \"bench_table2\",\n"
                  "  \"simd_backend\": \"%s\",\n"
-                 "  \"aiesim_engine\": \"%s\",\n"
                  "  \"scale_divisor\": %d,\n"
                  "  \"hw_threads\": %u,\n"
                  "  \"gate_enforced\": %s,\n"
                  "  \"shape_ok\": %s,\n"
                  "  \"rows\": [\n",
-                 aie::simd::backend::name, aiesim::to_string(g_aiesim_engine),
-                 g_divisor, std::thread::hardware_concurrency(),
+                 aie::simd::backend::name, g_divisor,
+                 std::thread::hardware_concurrency(),
                  gate_enforced ? "true" : "false",
                  shape ? "true" : "false");
     for (std::size_t i = 0; i < rows.size(); ++i) {

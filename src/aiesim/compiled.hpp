@@ -7,9 +7,10 @@
 // port-access costs the hot path reads on every element. None of that
 // depends on run-time data, so it is hoisted here into a CompiledGraph
 // artifact built once and reused:
-//   * the fast SimEngine binds only from an artifact: bind() copies its
-//     tables, so the placement scan, the hop matrix and every first-touch
-//     cost computation run once per artifact, not once per run;
+//   * SimEngine binds only from an artifact: bind() reads its edge flags
+//     and hop costs in place and copies only the port-cost memo, so the
+//     placement scan, the hop matrix and every first-touch cost
+//     computation run once per artifact, not once per run;
 //   * a process-wide CompiledGraphCache memoizes artifacts keyed on the
 //     *complete serialized input* of compile() -- graph topology and
 //     settings, cost-model constants, placement directives -- so repeated
@@ -92,7 +93,7 @@ struct AdjTable {
 };
 
 /// The ahead-of-time-compiled form of (graph, cost model, placement):
-/// every static table the engine's fast path indexes, plus the adjacency
+/// every static table the engine's hot path indexes, plus the adjacency
 /// the incremental re-simulation layer traverses. Immutable after
 /// compile(); safely shared across engines.
 ///
@@ -107,8 +108,7 @@ struct CompiledGraph {
   bool generated_io = false;
   int array_columns = 8;
 
-  /// Per-kernel tile coordinates (the placement; engines rebuild a
-  /// Placement object from this at bind time).
+  /// Per-kernel tile coordinates (the placement the hop costs came from).
   std::span<const TileCoord> placement_coords;
   std::span<const std::uint8_t> edge_flags;  ///< kEdgeGlobal / kEdgeGlobalOut
   std::span<const std::uint64_t> edge_hop;   ///< routing cycles per element

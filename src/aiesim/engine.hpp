@@ -16,19 +16,15 @@
 //     every simulated cycle, reproducing the characteristic wall-clock cost
 //     of cycle-approximate simulation (paper Table 2's aiesim column).
 //
-// Engine variants (bit-identical observable results; checked in-tree by
-// tests/aiesim/test_engine.cpp and gated by bench_ablation_aiesim):
-//   * EngineVariant::fast -- timing-wheel event queue, tasks and channels
-//     resolved to dense integer ids at bind so the hot path indexes flat
-//     arrays (task states, per-edge global/output flags, hop costs, a lazy
-//     port-cost cache) instead of hashing pointers, word-stepped micro
-//     model (busy spans 32 cycles per LFSR state word, stalls jumped in
-//     O(1) up to 60 cycles and by GF(2) jump-ahead beyond), buffered
-//     trace records.
-//   * EngineVariant::reference -- the original structures: binary-heap
-//     queue, unordered_map/set lookups keyed on pointers, one micro-model
-//     loop iteration per cycle, string trace records. Retained as the
-//     baseline the fast path is verified and benchmarked against.
+// Hot-path structures (checked bit for bit against the test-only oracle
+// in tests/aiesim/oracle/ by the differential suites, and timed against
+// it by bench_ablation_aiesim): a timing-wheel event queue; tasks resolved to
+// dense integer ids at bind, so the hot path indexes flat arrays (task
+// states, a lazy port-cost cache) instead of hashing pointers; per-edge
+// global/output flags and hop costs read in place from the CompiledGraph
+// artifact; a word-stepped micro model (busy spans 32 cycles per LFSR
+// state word, stalls jumped in O(1) up to 60 cycles and by GF(2)
+// jump-ahead beyond); buffered trace records.
 #pragma once
 
 #include <algorithm>
@@ -36,10 +32,10 @@
 #include <coroutine>
 #include <cstdint>
 #include <deque>
+#include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "aie/cycle_model.hpp"
@@ -58,14 +54,12 @@ enum class DetailLevel : std::uint8_t {
   cycle,  ///< plus per-cycle tile pipeline stepping
 };
 
+/// The engine has one variant. The enum and SimConfig::engine remain only
+/// because perfbench/src/paper_apps.cpp:287 assigns
+/// `cfg.engine = aiesim::EngineVariant::fast`; both go with that line.
 enum class EngineVariant : std::uint8_t {
-  fast,       ///< timing wheel + dense id tables + word-stepped micro model
-  reference,  ///< original heap + hash lookups + per-cycle loop
+  fast,
 };
-
-[[nodiscard]] constexpr const char* to_string(EngineVariant v) {
-  return v == EngineVariant::fast ? "fast" : "reference";
-}
 
 /// Configuration of one cycle-approximate simulation run.
 struct SimConfig {
@@ -74,6 +68,7 @@ struct SimConfig {
   /// hand-optimized native stream access (paper Section 5.2).
   bool generated_io = false;
   DetailLevel detail = DetailLevel::event;
+  /// Ignored by the engine; kept for perfbench/src/paper_apps.cpp:287.
   EngineVariant engine = EngineVariant::fast;
   double aie_mhz = 1250.0;  ///< paper Section 5.2 configuration
   double pl_mhz = 625.0;
@@ -121,60 +116,40 @@ struct SimResult {
 /// The virtual-time executor + accounting hooks.
 class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
  public:
-  explicit SimEngine(const SimConfig& cfg)
-      : cfg_(cfg), fast_(cfg.engine == EngineVariant::fast) {}
+  explicit SimEngine(const SimConfig& cfg) : cfg_(cfg) {}
 
   /// Collects per-task metadata and resolves channels/tasks to dense ids;
   /// call after all sources/sinks are attached. Names are backfilled into
   /// any task states created before the context was attached, so traces
   /// and tile stats never show anonymous tasks.
   ///
-  /// The fast variant binds from `compiled`, the artifact compile_graph()
-  /// built for this graph and cfg_ (cost model, placement directives), and
-  /// throws std::invalid_argument without one. The reference variant
-  /// ignores it and derives its own tables: it is the baseline the
-  /// compiled path is verified against.
-  void bind(cgsim::RuntimeContext& ctx, const CompiledGraph* compiled) {
-    if (fast_ && compiled == nullptr) {
+  /// `compiled` is the artifact compile_graph() built for this graph and
+  /// cfg_ (cost model, placement directives); bind() throws
+  /// std::invalid_argument without one. The engine holds it for the run
+  /// and reads its edge flags and hop costs in place; only the port-cost
+  /// memo is copied, because a run overwrites entries on a settings
+  /// mismatch.
+  void bind(cgsim::RuntimeContext& ctx,
+            std::shared_ptr<const CompiledGraph> compiled) {
+    if (compiled == nullptr) {
       throw std::invalid_argument{
-          "fast engine variant needs a CompiledGraph to bind; build one "
-          "with compile_graph() or CompiledGraphCache"};
+          "the engine needs a CompiledGraph to bind; build one with "
+          "compile_graph() or CompiledGraphCache"};
     }
     ctx_ = &ctx;
-    if (fast_) {
-      // The artifact's tables are read-only spans into its arena; the
-      // engine keeps private copies because edge_cost_ entries are
-      // overwritten at run time on settings mismatches.
-      placement_ = Placement::from_coords(
-          {compiled->placement_coords.begin(),
-           compiled->placement_coords.end()});
-      edge_flags_.assign(compiled->edge_flags.begin(),
-                         compiled->edge_flags.end());
-      edge_hop_.assign(compiled->edge_hop.begin(), compiled->edge_hop.end());
-      edge_cost_.assign(compiled->edge_cost.begin(),
-                        compiled->edge_cost.end());
-      bind_fast_tasks(ctx);
-    } else {
-      const cgsim::GraphView& g = ctx.graph();
-      // Kernel-to-tile placement: intra-array streams pay per-hop switch
-      // latency proportional to the Manhattan distance between tiles.
-      placement_ = Placement::explicit_by_name(g, cfg_.placement,
-                                               cfg_.array_columns);
-      bind_reference(ctx, g);
-    }
+    compiled_ = std::move(compiled);
+    edge_flags_ = compiled_->edge_flags;
+    edge_hop_ = compiled_->edge_hop;
+    edge_cost_.assign(compiled_->edge_cost.begin(),
+                      compiled_->edge_cost.end());
+    bind_tasks(ctx);
   }
 
   // --- Executor ---
   void make_ready(std::coroutine_handle<> h,
                   std::uint64_t not_before) override {
     TaskState& s = state_for(h);
-    const std::uint64_t t = std::max(s.clock, not_before);
-    const Event ev{t, seq_++, h};
-    if (fast_) {
-      wheel_.push(ev);
-    } else {
-      heap_.push(ev);
-    }
+    wheel_.push(Event{std::max(s.clock, not_before), seq_++, h});
   }
 
   // --- SimHooks ---
@@ -189,65 +164,49 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
                           const cgsim::ChannelBase* ch) override {
     if (current_ == nullptr) return;
     const bool generated = cfg_.generated_io && current_->is_kernel;
-    if (fast_) {
-      const int e = ch->edge_id();
-      if (e < 0 || static_cast<std::size_t>(e) >= edge_flags_.size()) {
-        // Channel from outside the bound graph: no global/hop metadata.
-        port_pending_ += cfg_.cost.port_cycles(s, elem_bytes, false,
-                                               generated);
-        return;
-      }
-      const std::uint8_t flags = edge_flags_[static_cast<std::size_t>(e)];
-      // The element width is a property of the edge, but the two sides of
-      // an edge may access it through ports with different settings (a
-      // stream_source writes with default settings into a window-read
-      // kernel port), so the cost is cached per (edge, side, generated)
-      // and the cache entry remembers every cost-relevant input it was
-      // computed from, compared field-by-field -- a mismatch (possible
-      // when a broadcast edge mixes kernel and sink readers) recomputes
-      // and overwrites. A packed key would collide for beat widths whose
-      // low bits alias after shifting; the fields cannot.
-      const bool window = s.buffer == cgsim::BufferMode::window ||
-                          s.buffer == cgsim::BufferMode::pingpong;
-      const bool gmio = s.io == cgsim::IoKind::gmio;
-      EdgeCost& cached =
-          edge_cost_[static_cast<std::size_t>(e) * 4 + (is_read ? 2 : 0) +
-                     (generated ? 1 : 0)];
-      if (!cached.valid || cached.window != window || cached.gmio != gmio ||
-          cached.beat_bits != s.beat_bits ||
-          cached.elem_bytes != elem_bytes) {
-        cached.valid = true;
-        cached.window = window;
-        cached.gmio = gmio;
-        cached.beat_bits = s.beat_bits;
-        cached.elem_bytes = elem_bytes;
-        cached.cycles = cfg_.cost.port_cycles(
-            s, elem_bytes, (flags & kEdgeGlobal) != 0, generated);
-      }
-      port_pending_ += cached.cycles;
-      if (is_read) {
-        // Stream-switch routing latency, charged once per element on the
-        // consuming side (0 for co-located or global endpoints).
-        port_pending_ += edge_hop_[static_cast<std::size_t>(e)];
-      }
-      if (!is_read && current_->is_kernel && (flags & kEdgeGlobalOut) != 0) {
-        if (current_->trace_name == Trace::kNoName) {
-          current_->trace_name = trace_.intern(current_->name);
-        }
-        trace_.record(now(), current_->trace_name, ++current_->iterations);
-        ++output_items_;
-      }
+    const int e = ch->edge_id();
+    if (e < 0 || static_cast<std::size_t>(e) >= edge_flags_.size()) {
+      // Channel from outside the bound graph: no global/hop metadata.
+      port_pending_ += cfg_.cost.port_cycles(s, elem_bytes, false, generated);
       return;
     }
-    const bool global_io = global_.contains(ch);
-    port_pending_ +=
-        cfg_.cost.port_cycles(s, elem_bytes, global_io, generated);
-    if (is_read) {
-      const auto hop = hop_cost_.find(ch);
-      if (hop != hop_cost_.end()) port_pending_ += hop->second;
+    const std::uint8_t flags = edge_flags_[static_cast<std::size_t>(e)];
+    // The element width is a property of the edge, but the two sides of
+    // an edge may access it through ports with different settings (a
+    // stream_source writes with default settings into a window-read
+    // kernel port), so the cost is cached per (edge, side, generated)
+    // and the cache entry remembers every cost-relevant input it was
+    // computed from, compared field-by-field -- a mismatch (possible
+    // when a broadcast edge mixes kernel and sink readers) recomputes
+    // and overwrites. A packed key would collide for beat widths whose
+    // low bits alias after shifting; the fields cannot.
+    const bool window = s.buffer == cgsim::BufferMode::window ||
+                        s.buffer == cgsim::BufferMode::pingpong;
+    const bool gmio = s.io == cgsim::IoKind::gmio;
+    EdgeCost& cached =
+        edge_cost_[static_cast<std::size_t>(e) * 4 + (is_read ? 2 : 0) +
+                   (generated ? 1 : 0)];
+    if (!cached.valid || cached.window != window || cached.gmio != gmio ||
+        cached.beat_bits != s.beat_bits || cached.elem_bytes != elem_bytes) {
+      cached.valid = true;
+      cached.window = window;
+      cached.gmio = gmio;
+      cached.beat_bits = s.beat_bits;
+      cached.elem_bytes = elem_bytes;
+      cached.cycles = cfg_.cost.port_cycles(
+          s, elem_bytes, (flags & kEdgeGlobal) != 0, generated);
     }
-    if (!is_read && current_->is_kernel && global_out_.contains(ch)) {
-      trace_.record(now(), current_->name, ++current_->iterations);
+    port_pending_ += cached.cycles;
+    if (is_read) {
+      // Stream-switch routing latency, charged once per element on the
+      // consuming side (0 for co-located or global endpoints).
+      port_pending_ += edge_hop_[static_cast<std::size_t>(e)];
+    }
+    if (!is_read && current_->is_kernel && (flags & kEdgeGlobalOut) != 0) {
+      if (current_->trace_name == Trace::kNoName) {
+        current_->trace_name = trace_.intern(current_->name);
+      }
+      trace_.record(now(), current_->trace_name, ++current_->iterations);
       ++output_items_;
     }
   }
@@ -257,7 +216,7 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
     cgsim::RunResult r{};
     Event ev;
     const bool cycle_detail = cfg_.detail == DetailLevel::cycle;
-    while (fast_ ? wheel_.pop(ev) : heap_.pop(ev)) {
+    while (wheel_.pop(ev)) {
       TaskState& s = state_for(ev.h);
       segment_base_ = std::max(s.clock, ev.time);
       current_ = &s;
@@ -278,13 +237,8 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
         // base; busy cycles do the full micro-model update.
         const std::uint64_t stall = segment_base_ - s.clock;
         const std::uint64_t busy = end - segment_base_;
-        if (fast_) {
-          if (stall != 0) micro_fast_.step_stall(stall);
-          if (busy != 0) micro_fast_.step_busy(busy);
-        } else {
-          if (stall != 0) micro_ref_.step_stall(stall);
-          if (busy != 0) micro_ref_.step_busy(busy);
-        }
+        if (stall != 0) micro_.step_stall(stall);
+        if (busy != 0) micro_.step_busy(busy);
       }
       s.busy_cycles += end - segment_base_;
       ++s.activations;
@@ -300,11 +254,24 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
     return r;
   }
 
-  [[nodiscard]] const Trace& trace() const { return trace_; }
-  [[nodiscard]] const Placement& placement() const { return placement_; }
+  /// The SimResult of a finished run: `run` (as returned by the context's
+  /// finish()) plus the engine's makespan, trace, output items, tile stats
+  /// and step checksum.
+  [[nodiscard]] SimResult result(cgsim::RunResult run) const {
+    SimResult res{};
+    res.run = run;
+    res.virtual_cycles = makespan_;
+    res.ns_total = static_cast<double>(makespan_) * 1e3 / cfg_.aie_mhz;
+    res.trace = trace_;
+    res.output_items = output_items_;
+    res.tiles = tile_stats();
+    res.step_checksum = step_checksum();
+    return res;
+  }
 
-  /// Per-kernel tile statistics, ordered by kernel name (deterministic
-  /// across engine variants).
+  [[nodiscard]] const Trace& trace() const { return trace_; }
+
+  /// Per-kernel tile statistics, ordered by kernel name.
   [[nodiscard]] std::vector<TileStats> tile_stats() const {
     std::vector<TileStats> out;
     const auto add = [&out](const TaskState& s) {
@@ -312,12 +279,8 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
       out.push_back(TileStats{s.name, s.busy_cycles, s.clock, s.activations,
                               s.total_ops, s.iterations});
     };
-    if (fast_) {
-      for (const TaskState& s : states_) add(s);
-      for (const TaskState& s : overflow_states_) add(s);
-    } else {
-      for (const auto& [addr, s] : ref_states_) add(s);
-    }
+    for (const TaskState& s : states_) add(s);
+    for (const TaskState& s : overflow_states_) add(s);
     std::sort(out.begin(), out.end(),
               [](const TileStats& a, const TileStats& b) {
                 return a.kernel < b.kernel;
@@ -341,37 +304,24 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
           TileStats{s.name, s.busy_cycles, s.clock, s.activations,
                     s.total_ops, s.iterations};
     };
-    if (fast_) {
-      for (const TaskState& s : states_) add(s);
-      for (const TaskState& s : overflow_states_) add(s);
-    } else {
-      for (const auto& [addr, s] : ref_states_) add(s);
-    }
+    for (const TaskState& s : states_) add(s);
+    for (const TaskState& s : overflow_states_) add(s);
     return out;
   }
 
   /// Final tile clock of the task behind `h`; 0 when the engine never
   /// scheduled it. Read-only: never creates a state.
   [[nodiscard]] std::uint64_t task_clock(std::coroutine_handle<> h) const {
-    if (fast_) {
-      const TaskState* s = hindex_.find(h.address());
-      return s == nullptr ? 0 : s->clock;
-    }
-    const auto it = ref_states_.find(h.address());
-    return it == ref_states_.end() ? 0 : it->second.clock;
+    const TaskState* s = hindex_.find(h.address());
+    return s == nullptr ? 0 : s->clock;
   }
 
   [[nodiscard]] std::uint64_t makespan() const { return makespan_; }
-  [[nodiscard]] std::uint64_t output_items() const { return output_items_; }
 
   /// Checksum of the per-cycle pipeline stepping; consuming it keeps the
   /// cycle-detail work observable.
   [[nodiscard]] std::uint64_t step_checksum() const {
-    return fast_ ? micro_fast_.checksum() : micro_ref_.checksum();
-  }
-  /// Full micro-model state, for bit-exactness comparison across variants.
-  [[nodiscard]] MicroSnapshot micro_snapshot() const {
-    return fast_ ? micro_fast_.snapshot() : micro_ref_.snapshot();
+    return micro_.checksum();
   }
   /// Resolves `h` to the address of its task state, creating the state if
   /// unknown -- the same lookup the hot path uses. Exposed so tests can
@@ -391,7 +341,6 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
     return cache_generation_ == hindex_.generation() &&
            hindex_.find(cached_addr_) == cached_state_;
   }
-  [[nodiscard]] EngineVariant variant() const { return cfg_.engine; }
 
  private:
   struct TaskState {
@@ -474,7 +423,7 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
   };
 
   /// Resolves the context's tasks to dense task states.
-  void bind_fast_tasks(cgsim::RuntimeContext& ctx) {
+  void bind_tasks(cgsim::RuntimeContext& ctx) {
     // Dense task states in task-id order, sized once: pointers into
     // states_ stay valid for the whole run (emplace_back stays within the
     // reserved capacity, and post-bind discoveries go to overflow_states_).
@@ -504,48 +453,7 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
     bound_ = true;
   }
 
-  void bind_reference(cgsim::RuntimeContext& ctx, const cgsim::GraphView& g) {
-    for (const cgsim::FlatGlobal& out : g.outputs) {
-      global_out_.insert(ctx.channel(out.edge));
-    }
-    for (const cgsim::FlatGlobal& in : g.inputs) {
-      global_.insert(ctx.channel(in.edge));
-    }
-    for (const cgsim::FlatGlobal& out : g.outputs) {
-      global_.insert(ctx.channel(out.edge));
-    }
-    for (std::size_t e = 0; e < g.edges.size(); ++e) {
-      const int hops = placement_.edge_hops(g, static_cast<int>(e));
-      if (hops > 0) {
-        hop_cost_[ctx.channel(static_cast<int>(e))] =
-            static_cast<std::uint64_t>(hops * cfg_.cost.hop_cycles + 0.5);
-      }
-    }
-    // Backfill names into states created before the context existed.
-    for (auto& [addr, s] : ref_states_) {
-      if (!s.name.empty()) continue;
-      if (const auto* rec = ctx.record_for(
-              std::coroutine_handle<>::from_address(addr))) {
-        s.name = rec->name;
-        s.is_kernel = rec->kernel_index >= 0;
-        s.kernel_index = rec->kernel_index;
-      }
-    }
-    bound_ = true;
-  }
-
   TaskState& state_for(std::coroutine_handle<> h) {
-    if (!fast_) {
-      auto [it, inserted] = ref_states_.try_emplace(h.address());
-      if (inserted && ctx_ != nullptr) {
-        if (const auto* rec = ctx_->record_for(h)) {
-          it->second.name = rec->name;
-          it->second.is_kernel = rec->kernel_index >= 0;
-          it->second.kernel_index = rec->kernel_index;
-        }
-      }
-      return it->second;
-    }
     void* addr = h.address();
     // The one-entry cache is only valid for the index generation it was
     // filled under: an insert() can rehash (reallocate) the table storage,
@@ -581,34 +489,25 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
   // (shared with the ahead-of-time graph compiler).
 
   SimConfig cfg_;
-  bool fast_;
   cgsim::RuntimeContext* ctx_ = nullptr;
-
-  // Event queues (one active per variant).
   TimingWheelQueue wheel_;
-  PriorityEventQueue heap_;
 
-  // Fast variant: dense tables resolved at bind.
+  // Dense tables resolved at bind.
   std::vector<TaskState> states_;          ///< task-id order, fixed capacity
   std::deque<TaskState> overflow_states_;  ///< post-bind discoveries
   HandleIndex hindex_;
   void* cached_addr_ = nullptr;  ///< consecutive events mostly hit one task
   TaskState* cached_state_ = nullptr;
   std::uint64_t cache_generation_ = 0;  ///< hindex_ generation of the cache
-  std::vector<std::uint8_t> edge_flags_;
-  std::vector<std::uint64_t> edge_hop_;  ///< routing cycles per element
+  /// The bound artifact; edge_flags_ and edge_hop_ are spans into it.
+  std::shared_ptr<const CompiledGraph> compiled_;
+  std::span<const std::uint8_t> edge_flags_;
+  std::span<const std::uint64_t> edge_hop_;  ///< routing cycles per element
   /// [edge * 4 + is_read * 2 + generated] memoized port costs.
   std::vector<EdgeCost> edge_cost_;
   bool bound_ = false;
   bool tables_grew_ = false;
 
-  // Reference variant: original pointer-hashed lookups.
-  std::unordered_map<void*, TaskState> ref_states_;
-  std::unordered_set<const cgsim::ChannelBase*> global_out_;
-  std::unordered_set<const cgsim::ChannelBase*> global_;
-  std::unordered_map<const cgsim::ChannelBase*, std::uint64_t> hop_cost_;
-
-  Placement placement_;
   TaskState* current_ = nullptr;
   std::uint64_t segment_base_ = 0;
   std::uint64_t port_pending_ = 0;
@@ -616,15 +515,14 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
   std::uint64_t makespan_ = 0;
   std::uint64_t output_items_ = 0;
   Trace trace_;
-  TileMicroRef micro_ref_;
-  TileMicroFast micro_fast_;
+  TileMicroFast micro_;
 };
 
 /// Cycle-approximate simulation of a compute graph with positional data
 /// sources and sinks, mirroring cgsim's invocation convention
-/// (paper Section 3.7). The fast engine variant binds through the
-/// process-wide compiled-graph cache, so repeated simulations of one
-/// configuration skip the per-run table derivation.
+/// (paper Section 3.7). The engine binds through the process-wide
+/// compiled-graph cache, so repeated simulations of one configuration
+/// skip the per-run table derivation.
 template <class... Args>
 SimResult simulate(const cgsim::GraphView& g, const SimConfig& cfg,
                    Args&&... args) {
@@ -634,22 +532,11 @@ SimResult simulate(const cgsim::GraphView& g, const SimConfig& cfg,
   std::size_t pos = 0;
   (cgsim::detail::attach_io(ctx, g, opts, pos++, std::forward<Args>(args)),
    ...);
-  std::shared_ptr<const CompiledGraph> compiled;
-  if (cfg.engine == EngineVariant::fast) {
-    compiled = CompiledGraphCache::instance().get_or_compile(
-        g, cfg.cost, cfg.generated_io, cfg.placement, cfg.array_columns);
-  }
-  engine.bind(ctx, compiled.get());
+  engine.bind(ctx, CompiledGraphCache::instance().get_or_compile(
+                       g, cfg.cost, cfg.generated_io, cfg.placement,
+                       cfg.array_columns));
   ctx.start_all();
-  SimResult res{};
-  res.run = ctx.finish(engine.run());
-  res.virtual_cycles = engine.makespan();
-  res.ns_total = static_cast<double>(res.virtual_cycles) * 1e3 / cfg.aie_mhz;
-  res.trace = engine.trace();
-  res.output_items = engine.output_items();
-  res.tiles = engine.tile_stats();
-  res.step_checksum = engine.step_checksum();
-  return res;
+  return engine.result(ctx.finish(engine.run()));
 }
 
 }  // namespace aiesim

@@ -5,24 +5,21 @@
 // simulation runs deterministic and independent of container internals.
 // That contract is locked in by tests/aiesim/test_event_queue.cpp.
 //
-// Two implementations share it:
-//   * PriorityEventQueue -- the reference structure, a std::priority_queue
-//     with O(log n) push/pop. Retained as the baseline the timing wheel is
-//     fuzz-compared (and benchmarked) against.
-//   * TimingWheelQueue -- a hierarchical timing wheel / bucket queue keyed
-//     on cycle time. Pushes hash into 64-slot levels of geometrically
-//     growing slot width; same-cycle events share one level-0 slot and
-//     drain in push order, so pop is O(1) off the occupancy bitmasks.
-//     Wakes dated before the wheel floor (a consumer woken with the stamp
-//     of an item produced in its past) keep exact (time, seq) order
-//     through a small sorted side array.
+// TimingWheelQueue implements it as a hierarchical timing wheel / bucket
+// queue keyed on cycle time. Pushes hash into 64-slot levels of
+// geometrically growing slot width; same-cycle events share one level-0
+// slot and drain in push order, so pop is O(1) off the occupancy bitmasks.
+// Wakes dated before the wheel floor (a consumer woken with the stamp of
+// an item produced in its past) keep exact (time, seq) order through a
+// small sorted side array. The binary-heap queue it replaced lives on as
+// the test oracle's queue (tests/aiesim/oracle/), which the wheel is
+// fuzz-compared against.
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <coroutine>
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 namespace aiesim {
@@ -32,32 +29,6 @@ struct Event {
   std::uint64_t time = 0;
   std::uint64_t seq = 0;  ///< FIFO among simultaneous events
   std::coroutine_handle<> h;
-};
-
-/// Reference queue: binary heap ordered by (time, seq).
-class PriorityEventQueue {
- public:
-  void push(const Event& e) { q_.push(e); }
-
-  /// Pops the earliest event (ties broken by lowest seq) into `out`;
-  /// returns false when empty.
-  bool pop(Event& out) {
-    if (q_.empty()) return false;
-    out = q_.top();
-    q_.pop();
-    return true;
-  }
-
-  [[nodiscard]] bool empty() const { return q_.empty(); }
-  [[nodiscard]] std::size_t size() const { return q_.size(); }
-
- private:
-  struct After {
-    [[nodiscard]] bool operator()(const Event& a, const Event& b) const {
-      return a.time != b.time ? a.time > b.time : a.seq > b.seq;
-    }
-  };
-  std::priority_queue<Event, std::vector<Event>, After> q_;
 };
 
 /// Hierarchical timing wheel: kLevels levels of 64 slots; a level-l slot
@@ -70,7 +41,7 @@ class PriorityEventQueue {
 /// front-inserting so older (lower-seq) events stay ahead of same-time
 /// events pushed directly to the lower level.
 ///
-/// Exactness notes (fuzz-checked against PriorityEventQueue):
+/// Exactness notes (fuzz-checked against the oracle's binary heap):
 ///  * equal-time events never split across levels once popping reaches
 ///    them: cascades complete before the window's first pop;
 ///  * pushes dated before the floor (a consumer woken with the stamp of an

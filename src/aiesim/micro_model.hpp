@@ -13,32 +13,27 @@
 //   * busy cycles (an activation segment executing): full per-cycle
 //     update of every structure, accumulating the run checksum.
 //
-// Two implementations expose identical observable state:
-//   * TileMicroRef -- the reference loop, one cycle per iteration.
-//     Retained so the fast path can be checked bit-for-bit in-tree.
-//   * TileMicroFast -- word stepping. The LFSR's taps sit at bits >= 59,
-//     so bit j < 60 of a state is the feedback bit j steps ahead: one
-//     64-bit state word holds every bit the model reads over the next 40
-//     cycles, and up to 60 steps are one shift/XOR expression
-//     (detail::lfsr_window_jump). Stall gaps of <= 60 cycles jump in
-//     O(1), longer ones through GF(2) jump-ahead tables. Busy spans
-//     collapse every replicated structure to one representative
-//     trajectory and advance 32 cycles per state word: the pipeline's
-//     stage-7 checksum term becomes weighted popcounts of bit windows of
-//     the word, and the FIFO and scoreboard recurrences advance 8 cycles
-//     per lookup in transition tables built by running the per-cycle
-//     rule. Each segment's last 8 cycles step one at a time to refill the
-//     busy history. The checksum only regroups u64 additions (the
-//     reference's bank XORs cancel in runs of eight equal values), so it
-//     is bit-identical, not merely statistically equivalent;
-//     tests/aiesim/test_micro_model.cpp holds the two implementations to
-//     snapshot equality under fuzzing.
+// TileMicroFast steps by words. The LFSR's taps sit at bits >= 59, so
+// bit j < 60 of a state is the feedback bit j steps ahead: one 64-bit
+// state word holds every bit the model reads over the next 40 cycles, and
+// up to 60 steps are one shift/XOR expression (detail::lfsr_window_jump).
+// Stall gaps of <= 60 cycles jump in O(1), longer ones through GF(2)
+// jump-ahead tables. Busy spans collapse every replicated structure to
+// one representative trajectory and advance 32 cycles per state word: the
+// pipeline's stage-7 checksum term becomes weighted popcounts of bit
+// windows of the word, and the FIFO and scoreboard recurrences advance 8
+// cycles per lookup in transition tables built by running the per-cycle
+// rule. Each segment's last 8 cycles step one at a time to refill the busy
+// history. The checksum only regroups u64 additions (the per-cycle model's
+// bank XORs cancel in runs of eight equal values), so it is bit-identical,
+// not merely statistically equivalent; tests/aiesim/test_micro_model.cpp
+// holds it to snapshot equality under fuzzing against the per-cycle loop
+// in the test oracle (tests/aiesim/oracle/, TileMicroRef).
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <cstring>
 
 namespace aiesim {
 
@@ -131,69 +126,8 @@ struct LfsrJumpTables {
 
 }  // namespace detail
 
-/// Reference implementation: one loop iteration per simulated cycle.
-class TileMicroRef {
- public:
-  void step_stall(std::uint64_t n) {
-    std::uint64_t lfsr = lfsr_;
-    for (std::uint64_t i = 0; i < n; ++i) lfsr = lfsr_step(lfsr);
-    lfsr_ = lfsr;
-  }
-
-  void step_busy(std::uint64_t n) {
-    std::uint64_t lfsr = lfsr_;
-    std::uint64_t sum = checksum_;
-    for (std::uint64_t i = 0; i < n; ++i) {
-      lfsr = lfsr_step(lfsr);
-      // Advance the VLIW pipeline (issue -> writeback).
-      for (int s = kPipeStages - 1; s > 0; --s) {
-        pipe_[s] = pipe_[s - 1] + (lfsr >> s & 1);
-      }
-      pipe_[0] = lfsr & 0xFF;
-      // Age the vector register scoreboard; retire ready entries.
-      for (auto& r : scoreboard_) {
-        r = r > 0 ? r - 1 : (lfsr >> 17) & 0x7;
-        sum += r;
-      }
-      // Stream FIFO occupancies (2 in + 2 out x 16-deep).
-      for (auto& f : fifo_) {
-        f = (f + ((lfsr >> 5) & 3)) & 0xF;
-        sum += f;
-      }
-      // Memory-bank arbitration round-robin state.
-      for (auto& b : banks_) {
-        b = (b + 1) & 7;
-        sum ^= b;
-      }
-      sum += pipe_[kPipeStages - 1];
-    }
-    lfsr_ = lfsr;
-    checksum_ = sum;
-  }
-
-  [[nodiscard]] std::uint64_t checksum() const { return checksum_; }
-
-  [[nodiscard]] MicroSnapshot snapshot() const {
-    MicroSnapshot s;
-    s.lfsr = lfsr_;
-    std::memcpy(s.pipe, pipe_, sizeof pipe_);
-    std::memcpy(s.scoreboard, scoreboard_, sizeof scoreboard_);
-    std::memcpy(s.fifo, fifo_, sizeof fifo_);
-    std::memcpy(s.banks, banks_, sizeof banks_);
-    s.checksum = checksum_;
-    return s;
-  }
-
- private:
-  std::uint64_t lfsr_ = kLfsrSeed;
-  std::uint64_t pipe_[kPipeStages]{};
-  std::uint64_t scoreboard_[kScoreboardEntries]{};
-  std::uint64_t fifo_[kStreamFifos]{};
-  std::uint64_t banks_[kMemoryBanks]{};
-  std::uint64_t checksum_ = 0;
-};
-
-/// Fast implementation: bit-identical to TileMicroRef by construction.
+/// Word-stepped micro model: bit-identical to the per-cycle loop (the test
+/// oracle's TileMicroRef) by construction.
 ///
 /// Collapse invariants (all hold from the zero-initialized start state and
 /// are preserved by every step, so they hold forever):
@@ -202,7 +136,7 @@ class TileMicroRef {
 ///     accumulated unscaled and multiplied once at the end (exact mod 2^64).
 ///   * all FIFO occupancies are equal -> one trajectory `fifo_` stands for
 ///     4 FIFOs, its contribution scaled by 4 the same way.
-///   * all banks are equal -> the reference's eight consecutive XORs of
+///   * all banks are equal -> the per-cycle loop's eight consecutive XORs of
 ///     one value cancel to zero in the checksum, and the state jumps to
 ///     (b + n) & 7.
 ///   * pipe stage s at cycle t equals (lfsr_{t-s} & 0xFF) plus the carry

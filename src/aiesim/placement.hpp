@@ -62,14 +62,6 @@ class Placement {
     return p;
   }
 
-  /// Reconstructs a placement from serialized coordinates (compiled-
-  /// artifact store); round-trips exactly with coords().
-  static Placement from_coords(std::vector<TileCoord> coords) {
-    Placement p;
-    p.coords_ = std::move(coords);
-    return p;
-  }
-
   [[nodiscard]] const std::vector<TileCoord>& coords() const {
     return coords_;
   }

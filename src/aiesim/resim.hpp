@@ -76,8 +76,7 @@ class ResimSession {
  public:
   ResimSession(const cgsim::GraphView& g, SimConfig cfg)
       : graph_(g), cfg_(std::move(cfg)) {
-    // Adjacency is needed for cone analysis under both engine variants;
-    // the reference variant simply ignores the tables at bind.
+    // One artifact serves the engine's bind and the cone analysis.
     compiled_ = CompiledGraphCache::instance().get_or_compile(
         graph_, cfg_.cost, cfg_.generated_io, cfg_.placement,
         cfg_.array_columns);
@@ -281,7 +280,7 @@ class ResimSession {
           ch, &taps_[e], &*engine_, &replay_blocked_);
       ctx_->push_task(std::move(rec));
     }
-    engine_->bind(*ctx_, compiled_.get());
+    engine_->bind(*ctx_, compiled_);
     ctx_->start_all();
     cgsim::RunResult r = ctx_->finish(engine_->run());
     if (replay_blocked_ != 0 || r.deadlocked) {
@@ -317,17 +316,9 @@ class ResimSession {
                          : 0;
     }
     attach_io();
-    engine_->bind(*ctx_, compiled_.get());
+    engine_->bind(*ctx_, compiled_);
     ctx_->start_all();
-    SimResult res{};
-    res.run = ctx_->finish(engine_->run());
-    res.virtual_cycles = engine_->makespan();
-    res.ns_total =
-        static_cast<double>(res.virtual_cycles) * 1e3 / cfg_.aie_mhz;
-    res.trace = engine_->trace();
-    res.output_items = engine_->output_items();
-    res.tiles = engine_->tile_stats();
-    res.step_checksum = engine_->step_checksum();
+    SimResult res = engine_->result(ctx_->finish(engine_->run()));
     capture_baseline(res);
     for (auto& f : post_run_) f();
     last_was_incremental_ = false;

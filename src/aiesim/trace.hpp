@@ -5,13 +5,13 @@
 // trace records one event per element a kernel writes to a global output,
 // in virtual AIE cycles, and computes the same statistics.
 //
-// The engine's fast path records into an append-only store: kernel names
-// are interned once at bind time, records carry a 12-byte POD (cycles,
-// name id, iteration) into fixed-size chunks whose capacity is reserved up
-// front, so the hot path never copies a string or reallocates an element.
-// The string-based events() view is materialized lazily for consumers; the
-// reference engine variant still records through the legacy string
-// overload, and both funnel into the same store so their digests compare.
+// The engine records into an append-only store: kernel names are interned
+// once at bind time, records carry a 12-byte POD (cycles, name id,
+// iteration) into fixed-size chunks whose capacity is reserved up front,
+// so the hot path never copies a string or reallocates an element. The
+// string-based events() view is materialized lazily for consumers; the
+// test oracle (tests/aiesim/oracle/) records through the string overload,
+// and both funnel into the same store so their digests compare.
 #pragma once
 
 #include <cstdint>
@@ -57,7 +57,7 @@ class Trace {
     if (chunks_.empty()) new_chunk();
   }
 
-  /// Fast path: append by interned name id.
+  /// Append by interned name id (the engine's path).
   void record(std::uint64_t cycles, std::uint32_t name,
               std::uint64_t iteration) {
     if (chunks_.empty() || chunks_.back().size() == kChunkSize) new_chunk();
@@ -66,7 +66,7 @@ class Trace {
     cache_valid_ = false;
   }
 
-  /// Legacy path (reference engine variant, direct users): interns on the
+  /// Append by kernel name (the test oracle, direct users): interns on the
   /// way in.
   void record(std::uint64_t cycles, const std::string& kernel,
               std::uint64_t iteration) {
@@ -125,8 +125,8 @@ class Trace {
   /// iteration), and the per-record hashes are combined by wrapping
   /// addition. Two independence properties follow:
   ///  * intern-order independence -- the name *strings* are hashed, not the
-  ///    intern ids, so the fast variant (names interned at bind) and the
-  ///    reference variant (interned on first record) digest identically;
+  ///    intern ids, so the engine (names interned at bind) and the test
+  ///    oracle (interned on first record) digest identically;
   ///  * record-order independence -- addition commutes, so a trace spliced
   ///    together from a partial re-simulation plus cached baseline records
   ///    digests identically to the full run that produced the same events.

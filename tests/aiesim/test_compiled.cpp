@@ -3,7 +3,9 @@
 // The compiled-graph cache and the ResimSession splice are only allowed to
 // make simulation *faster*, never *different*: every observable (trace
 // digest, makespan, output items, output data, per-tile stats) must be bit
-// identical to a cold full run under EngineVariant::reference. These tests
+// identical to a cold full run on the reference oracle
+// (oracle/reference_engine.hpp), which derives every table from the graph
+// and the cost model itself and never reads a CompiledGraph. These tests
 // enforce that pop for pop -- first on targeted shapes that pin down the
 // cone/replay boundary cases, then with a randomized differential fuzz
 // over DynamicGraphBuilder-generated graphs and random dirty sets.
@@ -23,6 +25,7 @@
 #include "aiesim/resim.hpp"
 #include "core/cgsim.hpp"
 #include "core/dynamic_graph.hpp"
+#include "oracle/reference_engine.hpp"
 
 namespace {
 
@@ -113,7 +116,7 @@ TEST(CompiledCache, HitsMissesAndClear) {
   auto& cache = aiesim::CompiledGraphCache::instance();
   cache.clear();
   ChainFixture g;
-  aiesim::SimConfig cfg;  // fast variant: goes through the cache
+  aiesim::SimConfig cfg;  // simulate() binds through the cache
   std::vector<int> out;
   (void)aiesim::simulate(g.view(), cfg, iota_vec(8), 3, out);
   const auto s1 = cache.stats();
@@ -144,15 +147,17 @@ TEST(CompiledCache, CostModelChangesTheKey) {
 }
 
 TEST(CompiledCache, ReferenceVariantBypassesTheCache) {
+  // The oracle derives its own tables: a run leaves the cache untouched.
   auto& cache = aiesim::CompiledGraphCache::instance();
   cache.clear();
   ChainFixture g;
   aiesim::SimConfig cfg;
-  cfg.engine = aiesim::EngineVariant::reference;
   std::vector<int> out;
-  (void)aiesim::simulate(g.view(), cfg, iota_vec(8), 3, out);
-  EXPECT_EQ(cache.stats().misses, 0u);
-  EXPECT_EQ(cache.stats().entries, 0u);
+  (void)aiesim::oracle::simulate(g.view(), cfg, iota_vec(8), 3, out);
+  const auto s = cache.stats();
+  EXPECT_EQ(s.hits, 0u);
+  EXPECT_EQ(s.misses, 0u);
+  EXPECT_EQ(s.entries, 0u);
 }
 
 TEST(CompiledCache, CapacityBoundTriggersEviction) {
@@ -175,16 +180,15 @@ TEST(CompiledCache, CapacityBoundTriggersEviction) {
 
 TEST(CompiledSim, CachedFastBindMatchesReference) {
   ChainFixture g;
-  aiesim::SimConfig fast;
-  aiesim::SimConfig ref;
-  ref.engine = aiesim::EngineVariant::reference;
+  aiesim::SimConfig cfg;
   std::vector<int> out_f;
   std::vector<int> out_r;
-  // Run the fast variant twice so the second bind comes from a cache hit.
+  // Run the engine twice so the second bind comes from a cache hit.
   std::vector<int> scratch;
-  (void)aiesim::simulate(g.view(), fast, iota_vec(24), 5, scratch);
-  const auto rf = aiesim::simulate(g.view(), fast, iota_vec(24), 5, out_f);
-  const auto rr = aiesim::simulate(g.view(), ref, iota_vec(24), 5, out_r);
+  (void)aiesim::simulate(g.view(), cfg, iota_vec(24), 5, scratch);
+  const auto rf = aiesim::simulate(g.view(), cfg, iota_vec(24), 5, out_f);
+  const auto rr =
+      aiesim::oracle::simulate(g.view(), cfg, iota_vec(24), 5, out_r);
   EXPECT_EQ(out_f, out_r);
   expect_same_observables(rf, rr, /*both_full=*/true);
 }
@@ -211,8 +215,6 @@ TEST(Resim, WarmRerunMatchesColdSimulate) {
 TEST(Resim, RtpSweepRunsIncrementallyAndMatchesReference) {
   ChainFixture g;
   aiesim::SimConfig cfg;
-  aiesim::SimConfig ref;
-  ref.engine = aiesim::EngineVariant::reference;
   aiesim::ResimSession s{g.view(), cfg};
   std::vector<int> out;
   const auto in = iota_vec(12);
@@ -223,7 +225,8 @@ TEST(Resim, RtpSweepRunsIncrementallyAndMatchesReference) {
     const auto ri = s.resimulate({1}, in, factor, out_inc);
     EXPECT_TRUE(s.last_was_incremental());
     EXPECT_EQ(s.last_cone_size(), 1u);  // only tc_scale; tc_inc is replayed
-    const auto rr = aiesim::simulate(g.view(), ref, in, factor, out_ref);
+    const auto rr =
+        aiesim::oracle::simulate(g.view(), cfg, in, factor, out_ref);
     EXPECT_EQ(out_inc, out_ref);
     expect_same_observables(ri, rr);
   }
@@ -247,8 +250,6 @@ TEST(Resim, CycleDetailFallsBackToFullRun) {
   ChainFixture g;
   aiesim::SimConfig cfg;
   cfg.detail = aiesim::DetailLevel::cycle;
-  aiesim::SimConfig ref = cfg;
-  ref.engine = aiesim::EngineVariant::reference;
   aiesim::ResimSession s{g.view(), cfg};
   std::vector<int> out;
   const auto in = iota_vec(12);
@@ -257,7 +258,7 @@ TEST(Resim, CycleDetailFallsBackToFullRun) {
   std::vector<int> out_ref;
   const auto ri = s.resimulate({1}, in, 4, out_inc);
   EXPECT_FALSE(s.last_was_incremental());  // cycle micro-model: no splice
-  const auto rr = aiesim::simulate(g.view(), ref, in, 4, out_ref);
+  const auto rr = aiesim::oracle::simulate(g.view(), cfg, in, 4, out_ref);
   EXPECT_EQ(out_inc, out_ref);
   expect_same_observables(ri, rr);
 }
@@ -265,8 +266,6 @@ TEST(Resim, CycleDetailFallsBackToFullRun) {
 TEST(Resim, DirtyStreamInputCoversTheWholeConeAndFallsBack) {
   ChainFixture g;
   aiesim::SimConfig cfg;
-  aiesim::SimConfig ref;
-  ref.engine = aiesim::EngineVariant::reference;
   aiesim::ResimSession s{g.view(), cfg};
   std::vector<int> out;
   (void)s.run(iota_vec(12), 2, out);
@@ -277,7 +276,7 @@ TEST(Resim, DirtyStreamInputCoversTheWholeConeAndFallsBack) {
   const auto in2 = iota_vec(12, 100);
   const auto ri = s.resimulate({0}, in2, 2, out_inc);
   EXPECT_FALSE(s.last_was_incremental());
-  const auto rr = aiesim::simulate(g.view(), ref, in2, 2, out_ref);
+  const auto rr = aiesim::oracle::simulate(g.view(), cfg, in2, 2, out_ref);
   EXPECT_EQ(out_inc, out_ref);
   expect_same_observables(ri, rr);
 }
@@ -297,35 +296,15 @@ TEST(Resim, CostModelChangeRerunsFullAndMatchesReference) {
   const auto rs = s.resimulate_with_cost(cost, in, 2, out_s);
   EXPECT_FALSE(s.last_was_incremental());
   aiesim::SimConfig ref;
-  ref.engine = aiesim::EngineVariant::reference;
   ref.cost = cost;
-  const auto rr = aiesim::simulate(g.view(), ref, in, 2, out_r);
+  const auto rr = aiesim::oracle::simulate(g.view(), ref, in, 2, out_r);
   EXPECT_EQ(out_s, out_r);
   expect_same_observables(rs, rr);
 }
 
-TEST(Resim, ReferenceVariantSupportsIncrementalSplice) {
-  // The cone machinery sits above the engine variants: the reference
-  // engine must splice to the same observables as the fast engine.
-  ChainFixture g;
-  aiesim::SimConfig cfg;
-  cfg.engine = aiesim::EngineVariant::reference;
-  aiesim::ResimSession s{g.view(), cfg};
-  std::vector<int> out;
-  const auto in = iota_vec(12);
-  (void)s.run(in, 2, out);
-  std::vector<int> out_inc;
-  std::vector<int> out_ref;
-  const auto ri = s.resimulate({1}, in, 9, out_inc);
-  EXPECT_TRUE(s.last_was_incremental());
-  const auto rr = aiesim::simulate(g.view(), cfg, in, 9, out_ref);
-  EXPECT_EQ(out_inc, out_ref);
-  expect_same_observables(ri, rr);
-}
-
 // ---------------------------------------------------------------------------
 // Differential fuzz: random DAGs, random dirty sets, pop-for-pop equality
-// against a cold EngineVariant::reference run of the same arguments.
+// against a cold oracle run of the same arguments.
 // ---------------------------------------------------------------------------
 
 // Distinct kernel handles (the builder names kernels after the handle, and
@@ -495,9 +474,20 @@ TEST(Resim, DifferentialFuzzAgainstReference) {
     std::vector<std::vector<int>> outs_resim(g.n_outputs);
     std::vector<std::vector<int>> outs_ref(g.n_outputs);
 
+    // Every other seed models generated kernel I/O (the Table 1
+    // mechanism) and pins one random kernel to the far tile {7, 7}, so the
+    // port costs and hop costs the engine reads from the artifact differ
+    // from the defaults. A separate generator keeps the graph and the
+    // inputs of each seed as they were.
     aiesim::SimConfig cfg;
-    aiesim::SimConfig ref;
-    ref.engine = aiesim::EngineVariant::reference;
+    if (seed % 2 == 0) {
+      cfg.generated_io = true;
+      std::mt19937 place_rng(seed);
+      std::uniform_int_distribution<std::size_t> pick_kernel(
+          0, view.kernels.size() - 1);
+      cfg.placement[std::string{view.kernels[pick_kernel(place_rng)].name}] =
+          aiesim::TileCoord{7, 7};
+    }
     aiesim::ResimSession session{view, cfg};
 
     // A graph invocation takes (inputs..., rtp?, outputs...) positionally;
@@ -575,7 +565,7 @@ TEST(Resim, DifferentialFuzzAgainstReference) {
       return session.run(a...);
     });
     const auto base_ref = with_args(outs_ref, [&](auto&... a) {
-      return aiesim::simulate(view, ref, a...);
+      return aiesim::oracle::simulate(view, cfg, a...);
     });
     ASSERT_FALSE(base.run.deadlocked) << "seed " << seed;
     expect_same_observables(base, base_ref);
@@ -612,7 +602,7 @@ TEST(Resim, DifferentialFuzzAgainstReference) {
         dirty_vs_baseline.clear();  // fallback reran in full: new baseline
       }
       const auto rr = with_args(outs_ref, [&](auto&... a) {
-        return aiesim::simulate(view, ref, a...);
+        return aiesim::oracle::simulate(view, cfg, a...);
       });
       expect_same_observables(ri, rr);
       EXPECT_EQ(outs_resim, outs_ref)

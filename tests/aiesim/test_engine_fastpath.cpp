@@ -1,10 +1,9 @@
-// Engine-variant equivalence: EngineVariant::fast (timing wheel, dense id
-// tables, word-stepped micro model, buffered trace) must reproduce
-// EngineVariant::reference bit for bit on every observable: makespan,
-// step checksum, per-task busy cycles and the trace digest. Also covers
-// the bind-time name backfill, the no-reallocation guarantee of the
-// dense state tables, and that the fast variant binds only from a
-// CompiledGraph.
+// Engine-oracle equivalence: the engine (timing wheel, dense id tables,
+// word-stepped micro model, buffered trace) must reproduce the reference
+// oracle in oracle/reference_engine.hpp bit for bit on every observable:
+// makespan, step checksum, per-task busy cycles and the trace digest. Also
+// covers the bind-time name backfill, the no-reallocation guarantee of the
+// dense state tables, and that the engine binds only from a CompiledGraph.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,6 +14,7 @@
 
 #include "aiesim/engine.hpp"
 #include "core/cgsim.hpp"
+#include "oracle/reference_engine.hpp"
 
 namespace {
 
@@ -45,31 +45,31 @@ std::vector<float> ramp(std::size_t n) {
   return v;
 }
 
-/// The artifact a hand-driven fast engine binds from.
+/// The artifact a hand-driven engine binds from.
 std::shared_ptr<const aiesim::CompiledGraph> compile_for(
     const aiesim::SimConfig& cfg) {
   return aiesim::compile_graph(fp_graph.view(), cfg.cost, cfg.generated_io,
                                cfg.placement, cfg.array_columns);
 }
 
-aiesim::SimResult run_variant(aiesim::EngineVariant v, aiesim::DetailLevel d,
+/// Runs fp_graph on the engine, or on the reference oracle.
+aiesim::SimResult run_variant(bool oracle, aiesim::DetailLevel d,
                               std::size_t n, std::vector<float>& out,
                               int repetitions = 1) {
   aiesim::SimConfig cfg;
-  cfg.engine = v;
   cfg.detail = d;
   cfg.repetitions = repetitions;
   out.clear();
-  return aiesim::simulate(fp_graph.view(), cfg, ramp(n), out);
+  return oracle ? aiesim::oracle::simulate(fp_graph.view(), cfg, ramp(n), out)
+                : aiesim::simulate(fp_graph.view(), cfg, ramp(n), out);
 }
 
 TEST(EngineVariants, BitIdenticalObservables) {
   std::vector<float> out_f;
   std::vector<float> out_r;
-  const auto rf = run_variant(aiesim::EngineVariant::fast,
-                              aiesim::DetailLevel::cycle, 96, out_f, 3);
-  const auto rr = run_variant(aiesim::EngineVariant::reference,
-                              aiesim::DetailLevel::cycle, 96, out_r, 3);
+  const auto rf =
+      run_variant(false, aiesim::DetailLevel::cycle, 96, out_f, 3);
+  const auto rr = run_variant(true, aiesim::DetailLevel::cycle, 96, out_r, 3);
   EXPECT_EQ(out_f, out_r);
   EXPECT_EQ(rf.virtual_cycles, rr.virtual_cycles);
   EXPECT_EQ(rf.step_checksum, rr.step_checksum);
@@ -87,10 +87,8 @@ TEST(EngineVariants, BitIdenticalObservables) {
 TEST(EngineVariants, BitIdenticalAtEventDetailToo) {
   std::vector<float> out_f;
   std::vector<float> out_r;
-  const auto rf = run_variant(aiesim::EngineVariant::fast,
-                              aiesim::DetailLevel::event, 64, out_f);
-  const auto rr = run_variant(aiesim::EngineVariant::reference,
-                              aiesim::DetailLevel::event, 64, out_r);
+  const auto rf = run_variant(false, aiesim::DetailLevel::event, 64, out_f);
+  const auto rr = run_variant(true, aiesim::DetailLevel::event, 64, out_r);
   EXPECT_EQ(out_f, out_r);
   EXPECT_EQ(rf.virtual_cycles, rr.virtual_cycles);
   EXPECT_EQ(rf.trace.digest(), rr.trace.digest());
@@ -98,10 +96,8 @@ TEST(EngineVariants, BitIdenticalAtEventDetailToo) {
 
 TEST(EngineVariants, DigestIsDeterministicAcrossRuns) {
   std::vector<float> out;
-  const auto r1 = run_variant(aiesim::EngineVariant::fast,
-                              aiesim::DetailLevel::cycle, 48, out);
-  const auto r2 = run_variant(aiesim::EngineVariant::fast,
-                              aiesim::DetailLevel::cycle, 48, out);
+  const auto r1 = run_variant(false, aiesim::DetailLevel::cycle, 48, out);
+  const auto r2 = run_variant(false, aiesim::DetailLevel::cycle, 48, out);
   EXPECT_EQ(r1.trace.digest(), r2.trace.digest());
   EXPECT_EQ(r1.step_checksum, r2.step_checksum);
   EXPECT_EQ(r1.virtual_cycles, r2.virtual_cycles);
@@ -109,11 +105,10 @@ TEST(EngineVariants, DigestIsDeterministicAcrossRuns) {
 
 TEST(EngineVariants, TracesNameEveryTask) {
   // Bind-time interning + backfill: no trace event or kernel tile may end
-  // up anonymous in either variant.
-  for (const auto v :
-       {aiesim::EngineVariant::fast, aiesim::EngineVariant::reference}) {
+  // up anonymous, on the engine or on the oracle.
+  for (const bool oracle : {false, true}) {
     std::vector<float> out;
-    const auto res = run_variant(v, aiesim::DetailLevel::event, 16, out);
+    const auto res = run_variant(oracle, aiesim::DetailLevel::event, 16, out);
     ASSERT_FALSE(res.trace.events().empty());
     for (const auto& e : res.trace.events()) {
       EXPECT_EQ(e.kernel, "fp_offset");  // the output-writing kernel
@@ -128,7 +123,6 @@ TEST(EngineVariants, NamesBackfilledWhenStatePredatesBind) {
   // Drive the engine by hand: create a state via make_ready *before*
   // bind() attaches the context, as an executor wired up early would.
   aiesim::SimConfig cfg;
-  cfg.engine = aiesim::EngineVariant::fast;
   aiesim::SimEngine engine{cfg};
   cgsim::RuntimeContext ctx{fp_graph.view(), cgsim::ExecMode::sim, &engine,
                             &engine};
@@ -136,7 +130,7 @@ TEST(EngineVariants, NamesBackfilledWhenStatePredatesBind) {
   auto& rec = ctx.tasks().front();
   engine.make_ready(rec.task.handle(), 0);
   const auto compiled = compile_for(cfg);
-  engine.bind(ctx, compiled.get());
+  engine.bind(ctx, compiled);
   const auto tiles_pre = engine.tile_stats();  // names already backfilled
   for (const auto& t : tiles_pre) EXPECT_FALSE(t.kernel.empty());
 }
@@ -150,7 +144,6 @@ TEST(EngineVariants, StateCacheSurvivesIndexRehash) {
   // state_tables_stable() -- which now cross-checks the cache against the
   // index generation -- holds at every step.
   aiesim::SimConfig cfg;
-  cfg.engine = aiesim::EngineVariant::fast;
   aiesim::SimEngine engine{cfg};  // unbound: manual driving, like an
                                   // executor wired up before its context
   const auto tag = [](std::uintptr_t i) {
@@ -176,14 +169,13 @@ TEST(EngineVariants, BindAfterManualWarmupInvalidatesStateCache) {
   // already hold a pre-bind entry; the engine must drop that entry and
   // still resolve the warmed-up handle to its original state.
   aiesim::SimConfig cfg;
-  cfg.engine = aiesim::EngineVariant::fast;
   aiesim::SimEngine engine{cfg};
   cgsim::RuntimeContext ctx{fp_graph.view(), cgsim::ExecMode::sim, &engine,
                             &engine};
   auto& rec = ctx.tasks().front();
   const void* pre = engine.state_identity(rec.task.handle());
   const auto compiled = compile_for(cfg);
-  engine.bind(ctx, compiled.get());
+  engine.bind(ctx, compiled);
   EXPECT_TRUE(engine.state_tables_stable());
   EXPECT_EQ(engine.state_identity(rec.task.handle()), pre);
   EXPECT_TRUE(engine.state_tables_stable());
@@ -192,7 +184,6 @@ TEST(EngineVariants, BindAfterManualWarmupInvalidatesStateCache) {
 TEST(EngineVariants, StateTablesStayStableAcrossRun) {
   std::vector<float> out;
   aiesim::SimConfig cfg;
-  cfg.engine = aiesim::EngineVariant::fast;
   cfg.detail = aiesim::DetailLevel::cycle;
   aiesim::SimEngine engine{cfg};
   cgsim::RuntimeContext ctx{fp_graph.view(), cgsim::ExecMode::sim, &engine,
@@ -202,7 +193,7 @@ TEST(EngineVariants, StateTablesStayStableAcrossRun) {
   cgsim::detail::attach_io(ctx, fp_graph.view(), opts, 0, in);
   cgsim::detail::attach_io(ctx, fp_graph.view(), opts, 1, out);
   const auto compiled = compile_for(cfg);
-  engine.bind(ctx, compiled.get());
+  engine.bind(ctx, compiled);
   ctx.start_all();
   ctx.finish(engine.run());
   // Everything was known at bind: the reserve must have held.
@@ -210,20 +201,12 @@ TEST(EngineVariants, StateTablesStayStableAcrossRun) {
 }
 
 TEST(EngineVariants, FastBindWithoutCompiledGraphThrows) {
-  // The fast variant has one source for its edge tables: the compiled
-  // artifact. The reference variant derives its own and accepts none.
+  // The engine has one source for its edge tables: the compiled artifact.
   aiesim::SimConfig cfg;
-  cfg.engine = aiesim::EngineVariant::fast;
   aiesim::SimEngine fast{cfg};
   cgsim::RuntimeContext fast_ctx{fp_graph.view(), cgsim::ExecMode::sim, &fast,
                                  &fast};
   EXPECT_THROW(fast.bind(fast_ctx, nullptr), std::invalid_argument);
-
-  cfg.engine = aiesim::EngineVariant::reference;
-  aiesim::SimEngine ref{cfg};
-  cgsim::RuntimeContext ref_ctx{fp_graph.view(), cgsim::ExecMode::sim, &ref,
-                                &ref};
-  EXPECT_NO_THROW(ref.bind(ref_ctx, nullptr));
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Event-queue ordering contract (satellite of the aiesim fast path):
 // events with equal timestamps must pop in seq (push) order, and the
 // global pop order is exactly ascending (time, seq). This file pins the
-// contract against the reference PriorityEventQueue *before* the timing
-// wheel replaces it in the engine, then fuzz-compares the two structures
+// contract on the test oracle's binary heap (oracle::PriorityEventQueue),
+// then on the engine's timing wheel, and fuzz-compares the two structures
 // event-for-event.
 #include <gtest/gtest.h>
 
@@ -11,11 +11,12 @@
 #include <vector>
 
 #include "aiesim/event_queue.hpp"
+#include "oracle/reference_engine.hpp"
 
 namespace {
 
 using aiesim::Event;
-using aiesim::PriorityEventQueue;
+using aiesim::oracle::PriorityEventQueue;
 using aiesim::TimingWheelQueue;
 
 // Coroutine handles are only compared by address in these tests; the queue
@@ -119,7 +120,9 @@ TEST(PriorityEventQueue, FuzzGlobalTimeSeqOrder) {
       // must always hold is the tie rule: equal times pop in seq order
       // whenever they were pending together, which the schedule above
       // guarantees by construction for adjacent pops.
-      if (a.time == b.time) EXPECT_LT(a.seq, b.seq);
+      if (a.time == b.time) {
+        EXPECT_LT(a.seq, b.seq);
+      }
     }
   }
 }

@@ -1,22 +1,24 @@
 // Micro-model equivalence: the word-stepped/jump-ahead fast tile model
-// must match the retained per-cycle reference loop bit for bit -- full
-// state snapshots (LFSR, pipeline, scoreboard, FIFOs, banks) and the run
-// checksum -- across arbitrary stall/busy segment interleavings. Also pins
-// the stream-FIFO model to its spec: 2 in + 2 out FIFOs means exactly 4
-// occupancy counters (the original engine walked a 64-entry array).
+// must match the test oracle's per-cycle loop (TileMicroRef) bit for bit
+// -- full state snapshots (LFSR, pipeline, scoreboard, FIFOs, banks) and
+// the run checksum -- across arbitrary stall/busy segment interleavings.
+// Also pins the stream-FIFO model to its spec: 2 in + 2 out FIFOs means
+// exactly 4 occupancy counters (the original engine walked a 64-entry
+// array).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <random>
 
 #include "aiesim/micro_model.hpp"
+#include "oracle/reference_engine.hpp"
 
 namespace {
 
 using aiesim::lfsr_step;
 using aiesim::MicroSnapshot;
 using aiesim::TileMicroFast;
-using aiesim::TileMicroRef;
+using aiesim::oracle::TileMicroRef;
 
 // The satellite fix: the spec models 2 input + 2 output stream FIFOs
 // (16-deep each), i.e. 4 occupancy counters -- not 64.

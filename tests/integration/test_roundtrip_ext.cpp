@@ -134,9 +134,16 @@ int main() {
 }
 )cpp";
 
-TEST(RoundtripExt, TemplateKernelCompilesAndRuns) {
+/// Extracts rte_graph into roundtrip_ext/<current test name>, removed
+/// first, and returns the generated project directory. Each case owns its
+/// directory: ctest runs every case as its own process, possibly in
+/// parallel and in any order, so no case may read another's output.
+std::filesystem::path extract_project() {
   namespace fs = std::filesystem;
-  const fs::path dir = fs::path{CGSIM_BINARY_DIR} / "roundtrip_ext";
+  const fs::path dir =
+      fs::path{CGSIM_BINARY_DIR} / "roundtrip_ext" /
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  fs::remove_all(dir);
   fs::create_directories(dir);
   {
     std::ofstream f{dir / "proto.cpp"};
@@ -148,10 +155,14 @@ TEST(RoundtripExt, TemplateKernelCompilesAndRuns) {
   opts.out_dir = dir.string();
   const auto rep = cgx::extract_graph(
       desc, cgx::SourceFile::load((dir / "proto.cpp").string()), opts);
-  ASSERT_TRUE(rep.project.warnings.empty())
+  EXPECT_TRUE(rep.project.warnings.empty())
       << rep.project.warnings.front();
-  const fs::path proj = dir / "rte_graph";
-  ASSERT_TRUE(fs::exists(proj / "rte_cast.cc"));
+  return dir / "rte_graph";
+}
+
+TEST(RoundtripExt, TemplateKernelCompilesAndRuns) {
+  const std::filesystem::path proj = extract_project();
+  ASSERT_TRUE(std::filesystem::exists(proj / "rte_cast.cc"));
 
   {
     std::ofstream f{proj / "adf.h"};
@@ -175,11 +186,8 @@ TEST(RoundtripExt, TemplateKernelCompilesAndRuns) {
 }
 
 TEST(RoundtripExt, HlsProjectCompiles) {
-  namespace fs = std::filesystem;
-  const fs::path dir = fs::path{CGSIM_BINARY_DIR} / "roundtrip_ext";
-  const fs::path proj = dir / "rte_graph";
-  ASSERT_TRUE(fs::exists(proj / "hls" / "rte_offset_hls.cpp"))
-      << "run TemplateKernelCompilesAndRuns first (same fixture dir)";
+  const std::filesystem::path proj = extract_project();
+  ASSERT_TRUE(std::filesystem::exists(proj / "hls" / "rte_offset_hls.cpp"));
   {
     std::ofstream f{proj / "hls" / "hls_stream.h"};
     f << kHlsShim;
