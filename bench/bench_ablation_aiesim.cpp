@@ -1,19 +1,23 @@
 // bench_ablation_aiesim -- ablation of the cycle-approximate engine
-// (timing-wheel queue, dense id tables read from the compiled graph,
-// word-stepped micro model) against the test-only reference oracle in
-// tests/aiesim/oracle/ (binary heap, pointer-hashed lookups, per-cycle
-// loop, tables derived from the graph on every bind).
+// against the test-only reference oracle in tests/aiesim/oracle/. Both
+// share the binary-heap event queue, the handle-keyed task-state map and
+// the per-access port-cost computation. The engine reads edge flags and
+// hop costs from the compiled graph and steps its micro model a state
+// word at a time; the oracle derives its tables from the graph on every
+// bind and steps the micro model once per simulated cycle.
 //
-// Runs the paper's four application graphs at (scaled-down) Table-2 cycle
-// detail on both the engine (aiesim::simulate) and the oracle
-// (aiesim::oracle::simulate) and checks two things:
-//   * bit-exactness -- makespan, micro-model step checksum, per-task busy
-//     cycles and the trace digest must be identical between the two;
-//   * speedup -- the fast engine must achieve at least `min-geomean`
+// Runs the paper's four application graphs at (scaled-down) Table-2
+// repetitions on both the engine (aiesim::simulate) and the oracle
+// (aiesim::oracle::simulate), in two passes:
+//   * cycle detail, gated: the engine must achieve at least `min-geomean`
 //     (default 3x) geometric-mean wall-clock speedup across the four
-//     graphs.
-// Exits non-zero if either gate fails. Results go to a JSON file so
-// successive PRs can track the trajectory.
+//     graphs;
+//   * event detail, ungated: no micro model runs, so this pass times the
+//     event path alone (queue, state lookups, port costs).
+// In both passes makespan, micro-model step checksum, per-task busy cycles
+// and the trace digest must be identical between engine and oracle. Exits
+// non-zero if the gate or either bit-exactness check fails. Results go to
+// a JSON file so successive changes can track the trajectory.
 //
 //   $ ./bench_ablation_aiesim [scale-divisor [json-path [min-geomean]]]
 #include <chrono>
@@ -59,9 +63,18 @@ struct Row {
   double speedup = 0;
 };
 
+/// Base workloads sized like bench_table2's per-repetition inputs.
+struct Inputs {
+  std::vector<apps::bitonic::Block> bit;
+  std::vector<apps::farrow::SampleBlock> far;
+  std::vector<apps::farrow::MuBlock> far_mu;
+  std::vector<apps::iir::Block> iir;
+  std::vector<apps::bilinear::Packet> bil;
+};
+
 template <class Graph, class MakeIo>
-Row run_example(const char* name, int paper_reps, const Graph& graph,
-                MakeIo make_io) {
+Row run_example(aiesim::DetailLevel detail, const char* name, int paper_reps,
+                const Graph& graph, MakeIo make_io) {
   Row row{};
   row.name = name;
   row.reps = std::max(1, paper_reps / g_divisor);
@@ -78,7 +91,7 @@ Row run_example(const char* name, int paper_reps, const Graph& graph,
       const auto t0 = std::chrono::steady_clock::now();
       make_io([&](auto&&... io) {
         aiesim::SimConfig cfg;
-        cfg.detail = aiesim::DetailLevel::cycle;
+        cfg.detail = detail;
         cfg.repetitions = row.reps;
         const aiesim::SimResult res =
             oracle ? aiesim::oracle::simulate(graph.view(), cfg, io...)
@@ -111,6 +124,72 @@ Row run_example(const char* name, int paper_reps, const Graph& graph,
   return row;
 }
 
+/// Prints one pass's table; returns its geomean speedup and sets
+/// `all_identical` to whether every row was bit-exact.
+double print_pass(const char* detail, const std::vector<Row>& rows,
+                  bool& all_identical) {
+  std::printf(
+      "\naiesim fast-path ablation (%s detail, 1/%d of paper reps):\n"
+      "engine (fast) vs test oracle (ref), bit-exactness\n"
+      "checked on makespan / step checksum / per-task busy cycles / trace\n"
+      "digest.\n\n",
+      detail, g_divisor);
+  std::printf("%-10s %6s | %10s %10s %8s | %9s %18s\n", "Graph", "Reps",
+              "fast(s)", "ref(s)", "speedup", "identical", "makespan");
+  std::printf("%.*s\n", 82,
+              "-----------------------------------------------------------"
+              "-----------------------");
+  all_identical = true;
+  double log_sum = 0;
+  for (const Row& r : rows) {
+    std::printf("%-10s %6d | %10.3f %10.3f %7.2fx | %9s %18llu\n", r.name,
+                r.reps, r.fast.seconds, r.ref.seconds, r.speedup,
+                r.identical ? "yes" : "NO",
+                static_cast<unsigned long long>(r.fast.makespan));
+    all_identical = all_identical && r.identical;
+    log_sum += std::log(std::max(r.speedup, 1e-9));
+  }
+  return std::exp(log_sum / static_cast<double>(rows.size()));
+}
+
+/// Runs the four application graphs at one detail level.
+std::vector<Row> run_pass(aiesim::DetailLevel d, const Inputs& in) {
+  std::vector<Row> rows;
+  {
+    std::vector<apps::bitonic::Block> out;
+    rows.push_back(run_example(d, "bitonic", 1024, apps::bitonic::graph,
+                               [&](auto run) {
+                                 out.clear();
+                                 run(in.bit, out);
+                               }));
+  }
+  {
+    std::vector<apps::farrow::SampleBlock> out;
+    rows.push_back(run_example(d, "farrow", 512, apps::farrow::graph,
+                               [&](auto run) {
+                                 out.clear();
+                                 run(in.far, in.far_mu, out);
+                               }));
+  }
+  {
+    std::vector<apps::iir::Block> out;
+    rows.push_back(run_example(d, "IIR", 256, apps::iir::graph,
+                               [&](auto run) {
+                                 out.clear();
+                                 run(in.iir, 1.0f, out);
+                               }));
+  }
+  {
+    std::vector<apps::bilinear::V> out;
+    rows.push_back(run_example(d, "bilinear", 64, apps::bilinear::graph,
+                               [&](auto run) {
+                                 out.clear();
+                                 run(in.bil, out);
+                               }));
+  }
+  return rows;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -121,30 +200,30 @@ int main(int argc, char** argv) {
       out_dir, argc > 2 ? argv[2] : "BENCH_aiesim.json");
   const double min_geomean = argc > 3 ? std::atof(argv[3]) : 3.0;
 
-  // Base workloads sized like bench_table2's per-repetition inputs.
   std::mt19937 rng{7};
   std::uniform_real_distribution<float> df{-100, 100};
   std::uniform_int_distribution<int> di{-20000, 20000};
   std::uniform_int_distribution<int> dmu{0, (1 << 14) - 1};
 
-  std::vector<apps::bitonic::Block> bit_in(512);
-  for (auto& b : bit_in) {
+  Inputs in;
+  in.bit.resize(512);
+  for (auto& b : in.bit) {
     for (unsigned i = 0; i < 16; ++i) b.set(i, df(rng));
   }
-  std::vector<apps::farrow::SampleBlock> far_in(8);
-  std::vector<apps::farrow::MuBlock> far_mu(8);
-  for (std::size_t b = 0; b < far_in.size(); ++b) {
+  in.far.resize(8);
+  in.far_mu.resize(8);
+  for (std::size_t b = 0; b < in.far.size(); ++b) {
     for (unsigned i = 0; i < apps::farrow::kBlockSamples; ++i) {
-      far_in[b].s[i] = static_cast<std::int16_t>(di(rng));
-      far_mu[b].mu[i] = static_cast<std::int16_t>(dmu(rng));
+      in.far[b].s[i] = static_cast<std::int16_t>(di(rng));
+      in.far_mu[b].mu[i] = static_cast<std::int16_t>(dmu(rng));
     }
   }
-  std::vector<apps::iir::Block> iir_in(8);
-  for (auto& b : iir_in) {
+  in.iir.resize(8);
+  for (auto& b : in.iir) {
     for (auto& s : b.samples) s = df(rng) / 100.0f;
   }
-  std::vector<apps::bilinear::Packet> bil_in(4096);
-  for (auto& p : bil_in) {
+  in.bil.resize(4096);
+  for (auto& p : in.bil) {
     for (unsigned i = 0; i < apps::bilinear::kLanes; ++i) {
       p.p00.set(i, df(rng));
       p.p01.set(i, df(rng));
@@ -155,56 +234,20 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<Row> rows;
-  {
-    std::vector<apps::bitonic::Block> out;
-    rows.push_back(run_example("bitonic", 1024, apps::bitonic::graph,
-                               [&](auto run) { out.clear(); run(bit_in, out); }));
-  }
-  {
-    std::vector<apps::farrow::SampleBlock> out;
-    rows.push_back(run_example(
-        "farrow", 512, apps::farrow::graph,
-        [&](auto run) { out.clear(); run(far_in, far_mu, out); }));
-  }
-  {
-    std::vector<apps::iir::Block> out;
-    rows.push_back(run_example(
-        "IIR", 256, apps::iir::graph,
-        [&](auto run) { out.clear(); run(iir_in, 1.0f, out); }));
-  }
-  {
-    std::vector<apps::bilinear::V> out;
-    rows.push_back(run_example("bilinear", 64, apps::bilinear::graph,
-                               [&](auto run) { out.clear(); run(bil_in, out); }));
-  }
+  const std::vector<Row> rows = run_pass(aiesim::DetailLevel::cycle, in);
+  const std::vector<Row> event_rows = run_pass(aiesim::DetailLevel::event, in);
 
-  std::printf(
-      "\naiesim fast-path ablation (cycle detail, 1/%d of paper reps):\n"
-      "engine (fast) vs test oracle (ref), bit-exactness\n"
-      "checked on makespan / step checksum / per-task busy cycles / trace\n"
-      "digest.\n\n",
-      g_divisor);
-  std::printf("%-10s %6s | %10s %10s %8s | %9s %18s\n", "Graph", "Reps",
-              "fast(s)", "ref(s)", "speedup", "identical", "makespan");
-  std::printf("%.*s\n", 82,
-              "-----------------------------------------------------------"
-              "-----------------------");
-  bool all_identical = true;
-  double log_sum = 0;
-  for (const Row& r : rows) {
-    std::printf("%-10s %6d | %10.3f %10.3f %7.2fx | %9s %18llu\n", r.name,
-                r.reps, r.fast.seconds, r.ref.seconds, r.speedup,
-                r.identical ? "yes" : "NO",
-                static_cast<unsigned long long>(r.fast.makespan));
-    all_identical = all_identical && r.identical;
-    log_sum += std::log(std::max(r.speedup, 1e-9));
-  }
-  const double geomean = std::exp(log_sum / static_cast<double>(rows.size()));
+  bool all_identical = false;
+  const double geomean = print_pass("cycle", rows, all_identical);
   const bool speed_ok = geomean >= min_geomean;
   std::printf("\ngeomean speedup: %.2fx (gate: >= %.2fx) %s\n", geomean,
               min_geomean, speed_ok ? "PASS" : "FAIL");
   std::printf("bit-exactness: %s\n", all_identical ? "PASS" : "FAIL");
+
+  bool event_identical = false;
+  const double event_geomean = print_pass("event", event_rows, event_identical);
+  std::printf("\ngeomean speedup: %.2fx (ungated)\n", event_geomean);
+  std::printf("bit-exactness: %s\n", event_identical ? "PASS" : "FAIL");
 
   if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
     std::fprintf(f, "{\n");
@@ -218,23 +261,27 @@ int main(int argc, char** argv) {
                  "  \"min_geomean\": %.2f,\n"
                  "  \"geomean_speedup\": %.3f,\n"
                  "  \"bit_identical\": %s,\n"
+                 "  \"event_geomean\": %.3f,\n"
+                 "  \"event_bit_identical\": %s,\n"
                  "  \"rows\": [\n",
                  std::thread::hardware_concurrency(),
                  min_geomean >= 3.0 ? "true" : "false",
                  aie::simd::backend::name, g_divisor, min_geomean, geomean,
-                 all_identical ? "true" : "false");
+                 all_identical ? "true" : "false", event_geomean,
+                 event_identical ? "true" : "false");
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const Row& r = rows[i];
       std::fprintf(
           f,
           "    {\"graph\": \"%s\", \"reps\": %d, \"fast_s\": %.4f, "
           "\"reference_s\": %.4f, \"speedup\": %.3f, \"identical\": %s, "
-          "\"makespan\": %llu, \"checksum\": %llu}%s\n",
+          "\"makespan\": %llu, \"checksum\": %llu, "
+          "\"event_speedup\": %.3f}%s\n",
           r.name, r.reps, r.fast.seconds, r.ref.seconds, r.speedup,
           r.identical ? "true" : "false",
           static_cast<unsigned long long>(r.fast.makespan),
           static_cast<unsigned long long>(r.fast.checksum),
-          i + 1 < rows.size() ? "," : "");
+          event_rows[i].speedup, i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
@@ -243,5 +290,5 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FAIL: cannot write %s\n", json_path.c_str());
     return 1;
   }
-  return all_identical && speed_ok ? 0 : 1;
+  return all_identical && event_identical && speed_ok ? 0 : 1;
 }

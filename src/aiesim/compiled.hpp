@@ -1,16 +1,16 @@
 // aiesim -- ahead-of-time graph compilation for the cycle-approximate
 // engine.
 //
-// Binding a graph to a SimEngine derives a set of static tables from the
-// flattened graph, the cost model and the placement: per-edge global/output
-// flags, per-edge routing-hop cycles, and the per-(edge, side, generated)
-// port-access costs the hot path reads on every element. None of that
-// depends on run-time data, so it is hoisted here into a CompiledGraph
-// artifact built once and reused:
-//   * SimEngine binds only from an artifact: bind() reads its edge flags
-//     and hop costs in place and copies only the port-cost memo, so the
-//     placement scan, the hop matrix and every first-touch cost
-//     computation run once per artifact, not once per run;
+// Binding a graph to a SimEngine needs two per-edge tables that the
+// flattened graph, the cost model and the placement fix: global/output
+// flags and routing-hop cycles. Neither depends on run-time data, so both
+// are hoisted here into a CompiledGraph artifact built once and reused.
+// The artifact holds only what the graph fixes: a port-access cost
+// depends on the accessing port's settings, so the engine computes it at
+// each access.
+//   * SimEngine binds only from an artifact and reads its edge flags and
+//     hop costs in place, so the placement scan and the hop matrix run
+//     once per artifact, not once per run;
 //   * a process-wide CompiledGraphCache memoizes artifacts keyed on the
 //     *complete serialized input* of compile() -- graph topology and
 //     settings, cost-model constants, placement directives -- so repeated
@@ -56,21 +56,6 @@
 
 namespace aiesim {
 
-/// Memoized port-access cost plus every cost-relevant input it was derived
-/// from (everything CostModel::port_cycles reads besides the per-edge
-/// constants), compared field-by-field so distinct settings can never
-/// alias to one memo entry. Compiled entries are seeded from the edge's
-/// merged settings; a port accessing the edge with different settings
-/// fails the field comparison and recomputes at run time.
-struct EdgeCost {
-  bool valid = false;
-  bool window = false;
-  bool gmio = false;
-  int beat_bits = 0;
-  std::size_t elem_bytes = 0;
-  std::uint64_t cycles = 0;
-};
-
 /// Per-edge flag bits shared by the engine and the compiler.
 inline constexpr std::uint8_t kEdgeGlobal = 1;     ///< global in or out
 inline constexpr std::uint8_t kEdgeGlobalOut = 2;  ///< global output
@@ -112,9 +97,6 @@ struct CompiledGraph {
   std::span<const TileCoord> placement_coords;
   std::span<const std::uint8_t> edge_flags;  ///< kEdgeGlobal / kEdgeGlobalOut
   std::span<const std::uint64_t> edge_hop;   ///< routing cycles per element
-  /// [edge * 4 + is_read * 2 + generated] port costs, pre-seeded from the
-  /// edge's merged settings (see EdgeCost).
-  std::span<const EdgeCost> edge_cost;
 
   // Kernel/edge adjacency (kernel and edge indices of the flattened
   // graph). Source/sink tasks are not kernels and do not appear here;
@@ -203,7 +185,6 @@ inline void key_settings(KeyWriter& w, const cgsim::PortSettings& s) {
 //   n_kernels x TileCoord                     (placement)
 //   n_edges   x u8, zero-padded to 8          (edge_flags)
 //   n_edges   x u64                           (edge_hop)
-//   4*n_edges x EdgeCost                      (edge_cost)
 //   4 x CSR table (kernel_in, kernel_out, edge_producers, edge_consumers):
 //     u64 nvals | (n+1) x u32 offsets, padded | nvals x i32 values, padded
 //
@@ -212,8 +193,6 @@ inline void key_settings(KeyWriter& w, const cgsim::PortSettings& s) {
 // lives on the heap or at (page-aligned file mapping + 24-byte header).
 // ---------------------------------------------------------------------------
 
-static_assert(std::is_trivially_copyable_v<EdgeCost> &&
-              alignof(EdgeCost) <= 8);
 static_assert(std::is_trivially_copyable_v<TileCoord> &&
               alignof(TileCoord) <= 8);
 
@@ -433,7 +412,6 @@ inline CsrBuild arena_csr(ArenaWriter& w, std::vector<std::uint32_t>& deg,
       align8(nk * sizeof(TileCoord)) +          // placement
       align8(ne) +                              // edge_flags
       ne * 8 +                                  // edge_hop
-      align8(ne * 4 * sizeof(EdgeCost)) +       // edge_cost
       2 * csr_bytes(nk, n_in) + csr_bytes(ne, n_out) + csr_bytes(ne, n_in);
 
   detail::ArenaWriter w{total};
@@ -468,33 +446,6 @@ inline CsrBuild arena_csr(ArenaWriter& w, std::vector<std::uint32_t>& deg,
                          : 0;
   }
   cg->edge_hop = hop;
-
-  // Pre-seed the per-(edge, side, generated) cost memo from the edge's
-  // merged settings and element width -- for graphs whose ports inherit
-  // the edge settings (the common case) the run never computes a port
-  // cost; divergent per-port settings fail EdgeCost's field comparison
-  // and recompute exactly as before. Fields are assigned one by one onto
-  // the zeroed arena so struct padding stays deterministic in the file.
-  auto ecost = w.arr<EdgeCost>(ne * 4);
-  for (std::size_t e = 0; e < ne; ++e) {
-    const cgsim::FlatEdge& fe = g.edges[e];
-    const cgsim::PortSettings& s = fe.settings;
-    const bool global_io = (flags[e] & kEdgeGlobal) != 0;
-    const bool window = s.buffer == cgsim::BufferMode::window ||
-                        s.buffer == cgsim::BufferMode::pingpong;
-    const bool gmio = s.io == cgsim::IoKind::gmio;
-    const std::size_t elem = fe.vtable().elem_size;
-    for (int side = 0; side < 4; ++side) {
-      EdgeCost& c = ecost[e * 4 + static_cast<std::size_t>(side)];
-      c.valid = true;
-      c.window = window;
-      c.gmio = gmio;
-      c.beat_bits = s.beat_bits;
-      c.elem_bytes = elem;
-      c.cycles = cost.port_cycles(s, elem, global_io, (side & 1) != 0);
-    }
-  }
-  cg->edge_cost = ecost;
 
   auto kin = detail::arena_csr(w, in_deg, n_in);
   auto kout = detail::arena_csr(w, out_deg, n_out);

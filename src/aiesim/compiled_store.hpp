@@ -1,7 +1,7 @@
 // aiesim -- persistent on-disk store for CompiledGraph artifacts.
 //
-// Compiling a graph is ~hundreds of microseconds of placement scans, hop
-// matrices and cost seeding per configuration; the in-process
+// Compiling a graph is ~hundreds of microseconds of key serialization,
+// placement scans and hop matrices per configuration; the in-process
 // CompiledGraphCache amortizes that within one process lifetime, but a
 // restarted cgsimd pays it all again on the first request of every spec.
 // This store extends the cache across restarts: an artifact's flat arena
@@ -173,9 +173,12 @@ namespace store_detail {
 // ---------------------------------------------------------------------------
 
 inline constexpr std::uint32_t kStoreMagic = 0x43474353u;  // "CGCS"
-// Version 2: payload is the artifact arena verbatim (compiled.hpp flat
-// format, parsed in place) and payload_crc is the 4-lane wide CRC.
-inline constexpr std::uint32_t kStoreVersion = 2;
+// Version 3: payload is the artifact arena verbatim (compiled.hpp flat
+// format, parsed in place) and payload_crc is the 4-lane wide CRC. It
+// drops version 2's per-edge port-cost memo, whose bool fields a file
+// could set to a byte that is undefined to read; every mapped type now
+// accepts any byte pattern.
+inline constexpr std::uint32_t kStoreVersion = 3;
 
 /// 24-byte file header. `header_crc` covers the 20 bytes before it;
 /// `payload_crc` covers the `payload_bytes` that follow the header.
@@ -324,7 +327,6 @@ deserialize_compiled_graph(const std::byte* payload, std::size_t n,
   if (!r.arr(cg->placement_coords, cg->n_kernels) ||
       !r.arr(cg->edge_flags, cg->n_edges) ||
       !r.arr(cg->edge_hop, cg->n_edges) ||
-      !r.arr(cg->edge_cost, cg->n_edges * 4) ||
       !store_detail::parse_csr(r, cg->kernel_in_edges, cg->n_kernels,
                                max_adj, cg->n_edges) ||
       !store_detail::parse_csr(r, cg->kernel_out_edges, cg->n_kernels,

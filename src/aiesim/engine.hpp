@@ -16,26 +16,25 @@
 //     every simulated cycle, reproducing the characteristic wall-clock cost
 //     of cycle-approximate simulation (paper Table 2's aiesim column).
 //
-// Hot-path structures (checked bit for bit against the test-only oracle
-// in tests/aiesim/oracle/ by the differential suites, and timed against
-// it by bench_ablation_aiesim): a timing-wheel event queue; tasks resolved to
-// dense integer ids at bind, so the hot path indexes flat arrays (task
-// states, a lazy port-cost cache) instead of hashing pointers; per-edge
-// global/output flags and hop costs read in place from the CompiledGraph
-// artifact; a word-stepped micro model (busy spans 32 cycles per LFSR
-// state word, stalls jumped in O(1) up to 60 cycles and by GF(2)
-// jump-ahead beyond); buffered trace records.
+// The engine is checked bit for bit against the test-only oracle in
+// tests/aiesim/oracle/ by the differential suites, and timed against it by
+// bench_ablation_aiesim. Both share the binary-heap event queue, a
+// handle-keyed task-state map and CostModel::port_cycles() at every port
+// access. The engine differs in two places: it reads per-edge global/output
+// flags and hop costs in place from the CompiledGraph artifact, and its
+// micro model is word-stepped (busy spans 32 cycles per LFSR state word,
+// stalls jumped in O(1) up to 60 cycles and by GF(2) jump-ahead beyond).
+// Trace records are buffered with interned names.
 #pragma once
 
 #include <algorithm>
-#include <cassert>
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "aie/cycle_model.hpp"
@@ -118,17 +117,15 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
  public:
   explicit SimEngine(const SimConfig& cfg) : cfg_(cfg) {}
 
-  /// Collects per-task metadata and resolves channels/tasks to dense ids;
-  /// call after all sources/sinks are attached. Names are backfilled into
-  /// any task states created before the context was attached, so traces
-  /// and tile stats never show anonymous tasks.
+  /// Collects per-task metadata; call after all sources/sinks are
+  /// attached. Names are backfilled into any task states created before
+  /// the context was attached, so traces and tile stats never show
+  /// anonymous tasks.
   ///
   /// `compiled` is the artifact compile_graph() built for this graph and
   /// cfg_ (cost model, placement directives); bind() throws
   /// std::invalid_argument without one. The engine holds it for the run
-  /// and reads its edge flags and hop costs in place; only the port-cost
-  /// memo is copied, because a run overwrites entries on a settings
-  /// mismatch.
+  /// and reads its edge flags and hop costs in place.
   void bind(cgsim::RuntimeContext& ctx,
             std::shared_ptr<const CompiledGraph> compiled) {
     if (compiled == nullptr) {
@@ -140,16 +137,21 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
     compiled_ = std::move(compiled);
     edge_flags_ = compiled_->edge_flags;
     edge_hop_ = compiled_->edge_hop;
-    edge_cost_.assign(compiled_->edge_cost.begin(),
-                      compiled_->edge_cost.end());
-    bind_tasks(ctx);
+    trace_.reserve(ctx.tasks().size(), 4096);
+    for (auto& rec : ctx.tasks()) {
+      void* addr = rec.task.handle().address();
+      if (addr == nullptr) continue;  // kernel skipped by a resim mask
+      // Backfill: the state may predate the context (engine driven
+      // manually before bind); it must not stay anonymous.
+      name_state(states_[addr], rec);
+    }
   }
 
   // --- Executor ---
   void make_ready(std::coroutine_handle<> h,
                   std::uint64_t not_before) override {
     TaskState& s = state_for(h);
-    wheel_.push(Event{std::max(s.clock, not_before), seq_++, h});
+    queue_.push(Event{std::max(s.clock, not_before), seq_++, h});
   }
 
   // --- SimHooks ---
@@ -171,32 +173,11 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
       return;
     }
     const std::uint8_t flags = edge_flags_[static_cast<std::size_t>(e)];
-    // The element width is a property of the edge, but the two sides of
-    // an edge may access it through ports with different settings (a
-    // stream_source writes with default settings into a window-read
-    // kernel port), so the cost is cached per (edge, side, generated)
-    // and the cache entry remembers every cost-relevant input it was
-    // computed from, compared field-by-field -- a mismatch (possible
-    // when a broadcast edge mixes kernel and sink readers) recomputes
-    // and overwrites. A packed key would collide for beat widths whose
-    // low bits alias after shifting; the fields cannot.
-    const bool window = s.buffer == cgsim::BufferMode::window ||
-                        s.buffer == cgsim::BufferMode::pingpong;
-    const bool gmio = s.io == cgsim::IoKind::gmio;
-    EdgeCost& cached =
-        edge_cost_[static_cast<std::size_t>(e) * 4 + (is_read ? 2 : 0) +
-                   (generated ? 1 : 0)];
-    if (!cached.valid || cached.window != window || cached.gmio != gmio ||
-        cached.beat_bits != s.beat_bits || cached.elem_bytes != elem_bytes) {
-      cached.valid = true;
-      cached.window = window;
-      cached.gmio = gmio;
-      cached.beat_bits = s.beat_bits;
-      cached.elem_bytes = elem_bytes;
-      cached.cycles = cfg_.cost.port_cycles(
-          s, elem_bytes, (flags & kEdgeGlobal) != 0, generated);
-    }
-    port_pending_ += cached.cycles;
+    // The port's own settings, not the edge's: the two sides of an edge
+    // may access it differently (a stream_source writes with default
+    // settings into a window-read kernel port).
+    port_pending_ += cfg_.cost.port_cycles(
+        s, elem_bytes, (flags & kEdgeGlobal) != 0, generated);
     if (is_read) {
       // Stream-switch routing latency, charged once per element on the
       // consuming side (0 for co-located or global endpoints).
@@ -216,7 +197,7 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
     cgsim::RunResult r{};
     Event ev;
     const bool cycle_detail = cfg_.detail == DetailLevel::cycle;
-    while (wheel_.pop(ev)) {
+    while (queue_.pop(ev)) {
       TaskState& s = state_for(ev.h);
       segment_base_ = std::max(s.clock, ev.time);
       current_ = &s;
@@ -249,8 +230,6 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
       if (ev.h.done()) ctx_->on_task_finished(ev.h);
     }
     r.virtual_cycles = makespan_;
-    assert(state_tables_stable() &&
-           "task state tables grew after bind-time reserve");
     return r;
   }
 
@@ -271,16 +250,21 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
 
   [[nodiscard]] const Trace& trace() const { return trace_; }
 
-  /// Per-kernel tile statistics, ordered by kernel name.
+  /// Per-kernel tile statistics, ordered by kernel name. The sort starts
+  /// from kernel-id order, as ResimSession's splice does, so kernels that
+  /// share a name come out in one order from both, whatever the order of
+  /// the state map.
   [[nodiscard]] std::vector<TileStats> tile_stats() const {
+    std::vector<const TaskState*> kernels;
+    for (const auto& [addr, s] : states_) {
+      if (s.is_kernel) kernels.push_back(&s);
+    }
+    std::sort(kernels.begin(), kernels.end(),
+              [](const TaskState* a, const TaskState* b) {
+                return a->kernel_index < b->kernel_index;
+              });
     std::vector<TileStats> out;
-    const auto add = [&out](const TaskState& s) {
-      if (!s.is_kernel) return;
-      out.push_back(TileStats{s.name, s.busy_cycles, s.clock, s.activations,
-                              s.total_ops, s.iterations});
-    };
-    for (const TaskState& s : states_) add(s);
-    for (const TaskState& s : overflow_states_) add(s);
+    for (const TaskState* s : kernels) out.push_back(tile(*s));
     std::sort(out.begin(), out.end(),
               [](const TileStats& a, const TileStats& b) {
                 return a.kernel < b.kernel;
@@ -295,25 +279,20 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
   [[nodiscard]] std::vector<TileStats> tile_stats_by_kernel(
       std::size_t n_kernels) const {
     std::vector<TileStats> out(n_kernels);
-    const auto add = [&out, n_kernels](const TaskState& s) {
-      if (s.kernel_index < 0 ||
-          static_cast<std::size_t>(s.kernel_index) >= n_kernels) {
-        return;
+    for (const auto& [addr, s] : states_) {
+      if (s.kernel_index >= 0 &&
+          static_cast<std::size_t>(s.kernel_index) < n_kernels) {
+        out[static_cast<std::size_t>(s.kernel_index)] = tile(s);
       }
-      out[static_cast<std::size_t>(s.kernel_index)] =
-          TileStats{s.name, s.busy_cycles, s.clock, s.activations,
-                    s.total_ops, s.iterations};
-    };
-    for (const TaskState& s : states_) add(s);
-    for (const TaskState& s : overflow_states_) add(s);
+    }
     return out;
   }
 
   /// Final tile clock of the task behind `h`; 0 when the engine never
   /// scheduled it. Read-only: never creates a state.
   [[nodiscard]] std::uint64_t task_clock(std::coroutine_handle<> h) const {
-    const TaskState* s = hindex_.find(h.address());
-    return s == nullptr ? 0 : s->clock;
+    const auto it = states_.find(h.address());
+    return it == states_.end() ? 0 : it->second.clock;
   }
 
   [[nodiscard]] std::uint64_t makespan() const { return makespan_; }
@@ -322,24 +301,6 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
   /// cycle-detail work observable.
   [[nodiscard]] std::uint64_t step_checksum() const {
     return micro_.checksum();
-  }
-  /// Resolves `h` to the address of its task state, creating the state if
-  /// unknown -- the same lookup the hot path uses. Exposed so tests can
-  /// pin that resolution (and the one-entry cache in front of it) survives
-  /// HandleIndex rehashes with state identity intact.
-  [[nodiscard]] const void* state_identity(std::coroutine_handle<> h) {
-    return &state_for(h);
-  }
-
-  /// False if a task state had to be allocated after bind() reserved the
-  /// dense tables, or if the one-entry state cache disagrees with the
-  /// handle index it mirrors (instrumented builds assert on this at end
-  /// of run).
-  [[nodiscard]] bool state_tables_stable() const {
-    if (tables_grew_) return false;
-    if (cached_addr_ == nullptr) return true;
-    return cache_generation_ == hindex_.generation() &&
-           hindex_.find(cached_addr_) == cached_state_;
   }
 
  private:
@@ -356,157 +317,36 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
     aie::OpCounts total_ops{};
   };
 
-  /// Open-addressing map from coroutine frame address to its dense task
-  /// state -- one multiply-shift hash and a short probe instead of
-  /// std::unordered_map's bucket chase on the resume path.
-  class HandleIndex {
-   public:
-    void reserve(std::size_t n) { rehash(2 * (n + size_) + 8); }
+  static TileStats tile(const TaskState& s) {
+    return TileStats{s.name,        s.busy_cycles, s.clock,
+                     s.activations, s.total_ops,   s.iterations};
+  }
 
-    [[nodiscard]] TaskState* find(void* key) const {
-      if (cap_ == 0) return nullptr;
-      std::size_t i = hash(key) & (cap_ - 1);
-      while (keys_[i] != nullptr) {
-        if (keys_[i] == key) return vals_[i];
-        i = (i + 1) & (cap_ - 1);
-      }
-      return nullptr;
-    }
-
-    void insert(void* key, TaskState* val) {
-      if (2 * (size_ + 1) > cap_) rehash(cap_ == 0 ? 16 : cap_ * 2);
-      std::size_t i = hash(key) & (cap_ - 1);
-      while (keys_[i] != nullptr) i = (i + 1) & (cap_ - 1);
-      keys_[i] = key;
-      vals_[i] = val;
-      ++size_;
-    }
-
-    /// Bumped every time rehash() reallocates the key/value storage.
-    /// Callers that hold results of find() across inserts compare this to
-    /// detect that their pointers came from a dropped table generation.
-    [[nodiscard]] std::uint64_t generation() const { return generation_; }
-
-   private:
-    static std::size_t hash(void* p) {
-      auto x = reinterpret_cast<std::uintptr_t>(p);
-      x ^= x >> 33;
-      x *= 0xFF51AFD7ED558CCDull;
-      x ^= x >> 33;
-      return static_cast<std::size_t>(x);
-    }
-
-    void rehash(std::size_t want) {
-      std::size_t cap = 16;
-      while (cap < want) cap *= 2;
-      if (cap <= cap_) return;
-      std::vector<void*> keys(cap, nullptr);
-      std::vector<TaskState*> vals(cap);
-      for (std::size_t i = 0; i < cap_; ++i) {
-        if (keys_[i] == nullptr) continue;
-        std::size_t j = hash(keys_[i]) & (cap - 1);
-        while (keys[j] != nullptr) j = (j + 1) & (cap - 1);
-        keys[j] = keys_[i];
-        vals[j] = vals_[i];
-      }
-      keys_ = std::move(keys);
-      vals_ = std::move(vals);
-      cap_ = cap;
-      ++generation_;
-    }
-
-    std::vector<void*> keys_;
-    std::vector<TaskState*> vals_;
-    std::size_t cap_ = 0;
-    std::size_t size_ = 0;
-    std::uint64_t generation_ = 0;
-  };
-
-  /// Resolves the context's tasks to dense task states.
-  void bind_tasks(cgsim::RuntimeContext& ctx) {
-    // Dense task states in task-id order, sized once: pointers into
-    // states_ stay valid for the whole run (emplace_back stays within the
-    // reserved capacity, and post-bind discoveries go to overflow_states_).
-    auto& tasks = ctx.tasks();
-    states_.reserve(states_.size() + tasks.size());
-    hindex_.reserve(tasks.size());
-    // reserve()/insert() below may rehash; drop any pre-bind cache entry.
-    cached_addr_ = nullptr;
-    cached_state_ = nullptr;
-    trace_.reserve(tasks.size(), 4096);
-    for (auto& rec : tasks) {
-      void* addr = rec.task.handle().address();
-      if (addr == nullptr) continue;
-      TaskState* s = hindex_.find(addr);
-      if (s == nullptr) {
-        states_.emplace_back();
-        s = &states_.back();
-        hindex_.insert(addr, s);
-      }
-      // Backfill: the state may predate the context (engine driven
-      // manually before bind); it must not stay anonymous.
-      s->name = rec.name;
-      s->is_kernel = rec.kernel_index >= 0;
-      s->kernel_index = rec.kernel_index;
-      s->trace_name = trace_.intern(rec.name);
-    }
-    bound_ = true;
+  void name_state(TaskState& s, const cgsim::RuntimeContext::TaskRecord& rec) {
+    s.name = rec.name;
+    s.is_kernel = rec.kernel_index >= 0;
+    s.kernel_index = rec.kernel_index;
+    s.trace_name = trace_.intern(rec.name);
   }
 
   TaskState& state_for(std::coroutine_handle<> h) {
-    void* addr = h.address();
-    // The one-entry cache is only valid for the index generation it was
-    // filled under: an insert() can rehash (reallocate) the table storage,
-    // and a cache consulted across that boundary would answer from a
-    // dropped generation.
-    if (addr == cached_addr_ && cache_generation_ == hindex_.generation()) {
-      return *cached_state_;
+    auto [it, inserted] = states_.try_emplace(h.address());
+    if (inserted && ctx_ != nullptr) {
+      if (const auto* rec = ctx_->record_for(h)) name_state(it->second, *rec);
     }
-    TaskState* s = hindex_.find(addr);
-    if (s == nullptr) {
-      // Task unknown at bind time: park it off the dense table so existing
-      // TaskState pointers stay valid.
-      if (bound_) tables_grew_ = true;
-      overflow_states_.emplace_back();
-      s = &overflow_states_.back();
-      if (ctx_ != nullptr) {
-        if (const auto* rec = ctx_->record_for(h)) {
-          s->name = rec->name;
-          s->is_kernel = rec->kernel_index >= 0;
-          s->kernel_index = rec->kernel_index;
-          s->trace_name = trace_.intern(rec->name);
-        }
-      }
-      hindex_.insert(addr, s);
-    }
-    cached_addr_ = addr;
-    cached_state_ = s;
-    cache_generation_ = hindex_.generation();
-    return *s;
+    return it->second;
   }
-
-  // Edge flag bits and the EdgeCost memo struct live in compiled.hpp
-  // (shared with the ahead-of-time graph compiler).
 
   SimConfig cfg_;
   cgsim::RuntimeContext* ctx_ = nullptr;
-  TimingWheelQueue wheel_;
-
-  // Dense tables resolved at bind.
-  std::vector<TaskState> states_;          ///< task-id order, fixed capacity
-  std::deque<TaskState> overflow_states_;  ///< post-bind discoveries
-  HandleIndex hindex_;
-  void* cached_addr_ = nullptr;  ///< consecutive events mostly hit one task
-  TaskState* cached_state_ = nullptr;
-  std::uint64_t cache_generation_ = 0;  ///< hindex_ generation of the cache
+  PriorityEventQueue queue_;
+  /// Node-based: a TaskState's address survives rehashes, so current_
+  /// stays valid while a resumed task makes other tasks ready.
+  std::unordered_map<void*, TaskState> states_;
   /// The bound artifact; edge_flags_ and edge_hop_ are spans into it.
   std::shared_ptr<const CompiledGraph> compiled_;
   std::span<const std::uint8_t> edge_flags_;
   std::span<const std::uint64_t> edge_hop_;  ///< routing cycles per element
-  /// [edge * 4 + is_read * 2 + generated] memoized port costs.
-  std::vector<EdgeCost> edge_cost_;
-  bool bound_ = false;
-  bool tables_grew_ = false;
 
   TaskState* current_ = nullptr;
   std::uint64_t segment_base_ = 0;

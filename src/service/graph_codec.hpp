@@ -16,6 +16,7 @@
 
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <map>
 #include <optional>
 #include <span>
@@ -53,6 +54,7 @@ struct GraphSpec {
 };
 
 inline constexpr std::uint32_t kGraphSpecVersion = 1;
+inline constexpr int kMaxEdgeCapacity = 1 << 24;  ///< elements per edge
 
 namespace detail {
 inline void put_str(std::string& out, std::string_view s) {
@@ -66,6 +68,16 @@ inline bool get_str(const std::byte*& p, const std::byte* end,
   if (static_cast<std::uint64_t>(end - p) < n) return false;
   s.assign(reinterpret_cast<const char*>(p), static_cast<std::size_t>(n));
   p += n;
+  return true;
+}
+/// Reads a varint into an int, failing above `max`: build_graph()
+/// range-checks the narrowed value, and a wider one (2^32 + 64) would wrap
+/// to a value it accepts (64).
+inline bool get_int(const std::byte*& p, const std::byte* end, int& v,
+                    std::uint64_t max = std::numeric_limits<int>::max()) {
+  std::uint64_t x = 0;
+  if (!net::get_varint(p, end, x) || x > max) return false;
+  v = static_cast<int>(x);
   return true;
 }
 }  // namespace detail
@@ -108,21 +120,17 @@ inline bool parse_graph(std::span<const std::byte> bytes, GraphSpec& g) {
   if (!net::get_varint(p, end, n) || n > (1u << 20)) return false;
   g.edges.resize(static_cast<std::size_t>(n));
   for (EdgeSpec& e : g.edges) {
-    std::uint64_t cap = 0, beat = 0, win = 0;
     if (!detail::get_str(p, end, e.type) ||
-        !net::get_varint(p, end, cap)) {
+        !detail::get_int(p, end, e.capacity, kMaxEdgeCapacity) ||
+        !detail::get_int(p, end, e.settings.beat_bits)) {
       return false;
     }
-    if (!net::get_varint(p, end, beat)) return false;
     if (end - p < 2) return false;
-    e.settings.beat_bits = static_cast<int>(beat);
     e.settings.rtp = static_cast<std::uint8_t>(*p++) != 0;
     e.settings.buffer = static_cast<BufferMode>(*p++);
-    if (!net::get_varint(p, end, win)) return false;
+    if (!detail::get_int(p, end, e.settings.window_size)) return false;
     if (end - p < 1) return false;
-    e.settings.window_size = static_cast<int>(win);
     e.settings.io = static_cast<IoKind>(*p++);
-    e.capacity = static_cast<int>(cap);
   }
   if (!net::get_varint(p, end, n) || n > (1u << 20)) return false;
   g.kernels.resize(static_cast<std::size_t>(n));
@@ -134,18 +142,14 @@ inline bool parse_graph(std::span<const std::byte> bytes, GraphSpec& g) {
     }
     k.edges.resize(static_cast<std::size_t>(arity));
     for (int& e : k.edges) {
-      std::uint64_t id = 0;
-      if (!net::get_varint(p, end, id)) return false;
-      e = static_cast<int>(id);
+      if (!detail::get_int(p, end, e)) return false;
     }
   }
   for (std::vector<int>* list : {&g.inputs, &g.outputs}) {
     if (!net::get_varint(p, end, n) || n > (1u << 20)) return false;
     list->resize(static_cast<std::size_t>(n));
     for (int& e : *list) {
-      std::uint64_t id = 0;
-      if (!net::get_varint(p, end, id)) return false;
-      e = static_cast<int>(id);
+      if (!detail::get_int(p, end, e)) return false;
     }
   }
   return p == end;
@@ -252,7 +256,7 @@ inline void build_graph(const GraphSpec& spec, rt::DynamicGraphBuilder& b) {
     if (t == nullptr) {
       throw std::invalid_argument{"unknown element type: " + e.type};
     }
-    if (e.capacity < 1 || e.capacity > (1 << 24)) {
+    if (e.capacity < 1 || e.capacity > kMaxEdgeCapacity) {
       throw std::invalid_argument{"edge capacity out of range"};
     }
     t->add_edge(b, e.capacity, e.settings);

@@ -1,21 +1,21 @@
 // Test-only oracle for the cycle-approximate engine (aiesim::SimEngine).
 //
 // ReferenceEngine is the engine's original executor, kept outside src/ so
-// the production engine has one variant: a binary-heap event queue
-// (PriorityEventQueue), task states and per-channel metadata in
+// the production engine has one variant. Like the engine, it uses the
+// binary-heap event queue (PriorityEventQueue, src/aiesim/event_queue.hpp)
+// and a handle-keyed task-state map. It keeps per-channel metadata in
 // pointer-keyed hash maps, one micro-model loop iteration per simulated
 // cycle (TileMicroRef), and string trace records. It derives placement,
 // edge flags, hop and port costs from the GraphView and the CostModel at
 // every bind and never reads a CompiledGraph, so differential tests and
-// the ablation benches check the compiled tables as well as the fast
-// structures. oracle::simulate() takes aiesim::simulate()'s arguments.
+// the ablation benches check the compiled tables and the word-stepped
+// micro model. oracle::simulate() takes aiesim::simulate()'s arguments.
 #pragma once
 
 #include <algorithm>
 #include <coroutine>
 #include <cstdint>
 #include <cstring>
-#include <queue>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -25,32 +25,6 @@
 #include "aiesim/engine.hpp"
 
 namespace aiesim::oracle {
-
-/// Reference queue: binary heap ordered by (time, seq).
-class PriorityEventQueue {
- public:
-  void push(const Event& e) { q_.push(e); }
-
-  /// Pops the earliest event (ties broken by lowest seq) into `out`;
-  /// returns false when empty.
-  bool pop(Event& out) {
-    if (q_.empty()) return false;
-    out = q_.top();
-    q_.pop();
-    return true;
-  }
-
-  [[nodiscard]] bool empty() const { return q_.empty(); }
-  [[nodiscard]] std::size_t size() const { return q_.size(); }
-
- private:
-  struct After {
-    [[nodiscard]] bool operator()(const Event& a, const Event& b) const {
-      return a.time != b.time ? a.time > b.time : a.seq > b.seq;
-    }
-  };
-  std::priority_queue<Event, std::vector<Event>, After> q_;
-};
 
 /// Reference implementation: one loop iteration per simulated cycle.
 class TileMicroRef {

@@ -476,9 +476,9 @@ TEST(Resim, DifferentialFuzzAgainstReference) {
 
     // Every other seed models generated kernel I/O (the Table 1
     // mechanism) and pins one random kernel to the far tile {7, 7}, so the
-    // port costs and hop costs the engine reads from the artifact differ
-    // from the defaults. A separate generator keeps the graph and the
-    // inputs of each seed as they were.
+    // port costs differ from the defaults and the hop costs the engine
+    // reads from the artifact are nonzero. A separate generator keeps the
+    // graph and the inputs of each seed as they were.
     aiesim::SimConfig cfg;
     if (seed % 2 == 0) {
       cfg.generated_io = true;

@@ -126,7 +126,6 @@ void expect_equal_artifacts(const aiesim::CompiledGraph& a,
   expect_equal_spans(a.placement_coords, b.placement_coords, "placement");
   expect_equal_spans(a.edge_flags, b.edge_flags, "edge_flags");
   expect_equal_spans(a.edge_hop, b.edge_hop, "edge_hop");
-  expect_equal_spans(a.edge_cost, b.edge_cost, "edge_cost");
   expect_equal_adj(a.kernel_in_edges, b.kernel_in_edges, "kernel_in");
   expect_equal_adj(a.kernel_out_edges, b.kernel_out_edges, "kernel_out");
   expect_equal_adj(a.edge_producer_kernels, b.edge_producer_kernels,
@@ -215,8 +214,6 @@ TEST_F(StoreFixture, LoadedArtifactIsZeroCopyIntoItsPayload) {
   EXPECT_TRUE(inside(loaded->edge_flags.data(),
                      loaded->edge_flags.size_bytes()));
   EXPECT_TRUE(inside(loaded->edge_hop.data(), loaded->edge_hop.size_bytes()));
-  EXPECT_TRUE(inside(loaded->edge_cost.data(),
-                     loaded->edge_cost.size_bytes()));
   for (const aiesim::AdjTable* t :
        {&loaded->kernel_in_edges, &loaded->kernel_out_edges,
         &loaded->edge_producer_kernels, &loaded->edge_consumer_kernels}) {
@@ -227,10 +224,6 @@ TEST_F(StoreFixture, LoadedArtifactIsZeroCopyIntoItsPayload) {
   // ...and every span must be naturally aligned despite living at an
   // arbitrary offset behind the 24-byte file header.
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(loaded->edge_hop.data()) % 8, 0u);
-  EXPECT_EQ(
-      reinterpret_cast<std::uintptr_t>(loaded->edge_cost.data()) %
-          alignof(aiesim::EdgeCost),
-      0u);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(
                 loaded->kernel_in_edges.offsets.data()) %
                 alignof(std::uint32_t),

@@ -1,9 +1,9 @@
-// Engine-oracle equivalence: the engine (timing wheel, dense id tables,
-// word-stepped micro model, buffered trace) must reproduce the reference
-// oracle in oracle/reference_engine.hpp bit for bit on every observable:
-// makespan, step checksum, per-task busy cycles and the trace digest. Also
-// covers the bind-time name backfill, the no-reallocation guarantee of the
-// dense state tables, and that the engine binds only from a CompiledGraph.
+// Engine-oracle equivalence: the engine (compiled edge tables, word-stepped
+// micro model, buffered trace) must reproduce the reference oracle in
+// oracle/reference_engine.hpp bit for bit on every observable: makespan,
+// step checksum, per-task busy cycles and the trace digest. Also covers the
+// bind-time name backfill and that the engine binds only from a
+// CompiledGraph.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -133,71 +133,6 @@ TEST(EngineVariants, NamesBackfilledWhenStatePredatesBind) {
   engine.bind(ctx, compiled);
   const auto tiles_pre = engine.tile_stats();  // names already backfilled
   for (const auto& t : tiles_pre) EXPECT_FALSE(t.kernel.empty());
-}
-
-TEST(EngineVariants, StateCacheSurvivesIndexRehash) {
-  // Regression: the engine's one-entry (handle -> state) cache is filled
-  // from the open-addressed HandleIndex, whose storage reallocates on
-  // rehash. Force many rehashes mid-stream (each insert doubles the table
-  // at 50% load) with cache fills interleaved, and verify that every
-  // handle keeps resolving to its original state object and that
-  // state_tables_stable() -- which now cross-checks the cache against the
-  // index generation -- holds at every step.
-  aiesim::SimConfig cfg;
-  aiesim::SimEngine engine{cfg};  // unbound: manual driving, like an
-                                  // executor wired up before its context
-  const auto tag = [](std::uintptr_t i) {
-    return std::coroutine_handle<>::from_address(
-        reinterpret_cast<void*>((i + 1) << 4));
-  };
-  std::vector<const void*> identity;
-  for (std::uintptr_t i = 0; i < 200; ++i) {
-    identity.push_back(engine.state_identity(tag(i)));  // insert + cache
-    // Revisit the first handle so the cache holds a pre-rehash fill when
-    // the next insert grows the table.
-    ASSERT_EQ(engine.state_identity(tag(0)), identity[0]);
-    ASSERT_TRUE(engine.state_tables_stable());
-  }
-  for (std::uintptr_t i = 0; i < 200; ++i) {
-    EXPECT_EQ(engine.state_identity(tag(i)), identity[i]);
-  }
-  EXPECT_TRUE(engine.state_tables_stable());
-}
-
-TEST(EngineVariants, BindAfterManualWarmupInvalidatesStateCache) {
-  // bind() re-reserves the handle index (a rehash) after the cache may
-  // already hold a pre-bind entry; the engine must drop that entry and
-  // still resolve the warmed-up handle to its original state.
-  aiesim::SimConfig cfg;
-  aiesim::SimEngine engine{cfg};
-  cgsim::RuntimeContext ctx{fp_graph.view(), cgsim::ExecMode::sim, &engine,
-                            &engine};
-  auto& rec = ctx.tasks().front();
-  const void* pre = engine.state_identity(rec.task.handle());
-  const auto compiled = compile_for(cfg);
-  engine.bind(ctx, compiled);
-  EXPECT_TRUE(engine.state_tables_stable());
-  EXPECT_EQ(engine.state_identity(rec.task.handle()), pre);
-  EXPECT_TRUE(engine.state_tables_stable());
-}
-
-TEST(EngineVariants, StateTablesStayStableAcrossRun) {
-  std::vector<float> out;
-  aiesim::SimConfig cfg;
-  cfg.detail = aiesim::DetailLevel::cycle;
-  aiesim::SimEngine engine{cfg};
-  cgsim::RuntimeContext ctx{fp_graph.view(), cgsim::ExecMode::sim, &engine,
-                            &engine};
-  const auto in = ramp(64);
-  cgsim::RunOptions opts{cgsim::ExecMode::sim, 1};
-  cgsim::detail::attach_io(ctx, fp_graph.view(), opts, 0, in);
-  cgsim::detail::attach_io(ctx, fp_graph.view(), opts, 1, out);
-  const auto compiled = compile_for(cfg);
-  engine.bind(ctx, compiled);
-  ctx.start_all();
-  ctx.finish(engine.run());
-  // Everything was known at bind: the reserve must have held.
-  EXPECT_TRUE(engine.state_tables_stable());
 }
 
 TEST(EngineVariants, FastBindWithoutCompiledGraphThrows) {

@@ -3,12 +3,14 @@
 // bytes simulates to bit-identical outputs.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "core/dynamic_graph.hpp"
 #include "core/session.hpp"
+#include "net/frame.hpp"
 #include "service/graph_codec.hpp"
 #include "service/kernels.hpp"
 #include "service/protocol.hpp"
@@ -29,6 +31,45 @@ GraphSpec inc_spec() {
 
 std::span<const std::byte> as_bytes(const std::string& s) {
   return std::as_bytes(std::span{s.data(), s.size()});
+}
+
+/// The fields of inc_spec() that parse_graph() narrows to int.
+struct IncSpecFields {
+  std::uint64_t capacity = 64;    ///< edge 0
+  std::uint64_t beat_bits = 0;    ///< edge 0
+  std::uint64_t kernel_edge = 1;  ///< the kernel's output edge id
+  std::uint64_t input_edge = 0;
+};
+
+/// inc_spec()'s wire bytes, written field by field with net::put_varint so
+/// a narrowed field can hold any u64. inc_spec_bytes({}) equals
+/// serialize_graph(inc_spec()).
+std::string inc_spec_bytes(const IncSpecFields& f) {
+  const PortSettings s{};
+  std::string out;
+  net::put_varint(out, kGraphSpecVersion);
+  net::put_varint(out, 2);  // edges
+  for (int e = 0; e < 2; ++e) {
+    net::put_varint(out, 3);
+    out += "i32";
+    net::put_varint(out, e == 0 ? f.capacity : 64);
+    net::put_varint(out, e == 0 ? f.beat_bits : 0);
+    out.push_back(0);  // rtp
+    out.push_back(static_cast<char>(s.buffer));
+    net::put_varint(out, 0);  // window size
+    out.push_back(static_cast<char>(s.io));
+  }
+  net::put_varint(out, 1);  // kernels
+  net::put_varint(out, 11);
+  out += "svc_inc_i32";
+  net::put_varint(out, 2);  // arity
+  net::put_varint(out, 0);
+  net::put_varint(out, f.kernel_edge);
+  net::put_varint(out, 1);  // inputs
+  net::put_varint(out, f.input_edge);
+  net::put_varint(out, 1);  // outputs
+  net::put_varint(out, 1);
+  return out;
 }
 
 TEST(GraphCodec, SerializeParseRoundTrip) {
@@ -63,6 +104,19 @@ TEST(GraphCodec, MalformedBytesRejected) {
   // Trailing garbage is rejected too.
   const std::string extended = bytes + "x";
   EXPECT_FALSE(parse_graph(as_bytes(extended), g));
+  // A value that would wrap when narrowed to int fails the parse, rather
+  // than wrapping into one build_graph() accepts (2^32 + 64 -> 64).
+  ASSERT_EQ(inc_spec_bytes({}), bytes);
+  for (const IncSpecFields& wide :
+       {IncSpecFields{.capacity = (std::uint64_t{1} << 32) + 64},
+        IncSpecFields{.kernel_edge = std::uint64_t{1} << 32},
+        IncSpecFields{.input_edge = std::uint64_t{1} << 32},
+        IncSpecFields{.beat_bits = std::uint64_t{1} << 31}}) {
+    EXPECT_FALSE(parse_graph(as_bytes(inc_spec_bytes(wide)), g))
+        << "capacity=" << wide.capacity << " beat=" << wide.beat_bits
+        << " kernel_edge=" << wide.kernel_edge
+        << " input_edge=" << wide.input_edge;
+  }
 }
 
 TEST(GraphCodec, UnknownNamesRejectedAtBuild) {
