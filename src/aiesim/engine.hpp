@@ -9,22 +9,16 @@
 // cross-kernel data dependencies propagate time through per-item
 // virtual-time stamps in the channels. An event queue orders kernel
 // activations by tile time, exactly like an event-driven RTL simulator.
-//
-// Detail levels:
-//   * DetailLevel::event -- event-driven only; fast.
-//   * DetailLevel::cycle -- additionally steps per-tile pipeline state for
-//     every simulated cycle, reproducing the characteristic wall-clock cost
-//     of cycle-approximate simulation (paper Table 2's aiesim column).
+// A tile's busy and stall cycles follow from its activation times, so no
+// per-cycle state is ever stepped.
 //
 // The engine is checked bit for bit against the test-only oracle in
 // tests/aiesim/oracle/ by the differential suites, and timed against it by
 // bench_ablation_aiesim. Both share the binary-heap event queue, a
 // handle-keyed task-state map and CostModel::port_cycles() at every port
-// access. The engine differs in two places: it reads per-edge global/output
-// flags and hop costs in place from the CompiledGraph artifact, and its
-// micro model is word-stepped (busy spans 32 cycles per LFSR state word,
-// stalls jumped in O(1) up to 60 cycles and by GF(2) jump-ahead beyond).
-// Trace records are buffered with interned names.
+// access. The engine reads per-edge global/output flags and hop costs in
+// place from the CompiledGraph artifact, where the oracle derives them
+// from the graph, and buffers trace records with interned names.
 #pragma once
 
 #include <algorithm>
@@ -42,15 +36,20 @@
 #include "core/cgsim.hpp"
 #include "cost_model.hpp"
 #include "event_queue.hpp"
-#include "micro_model.hpp"
 #include "placement.hpp"
 #include "trace.hpp"
 
 namespace aiesim {
 
+/// Ignored by the engine: both levels run the same event-driven engine
+/// and give the same result. The enum, SimConfig::detail and
+/// SimResult::step_checksum remain only because
+/// perfbench/src/paper_apps.cpp:286 assigns
+/// `cfg.detail = aiesim::DetailLevel::cycle` and :400 records
+/// `res.step_checksum`; all three go with those lines.
 enum class DetailLevel : std::uint8_t {
-  event,  ///< event-driven virtual time only
-  cycle,  ///< plus per-cycle tile pipeline stepping
+  event,
+  cycle,
 };
 
 /// The engine has one variant. The enum and SimConfig::engine remain only
@@ -66,6 +65,7 @@ struct SimConfig {
   /// Model the extracted (generated) kernel I/O instead of the
   /// hand-optimized native stream access (paper Section 5.2).
   bool generated_io = false;
+  /// Ignored by the engine; kept for perfbench/src/paper_apps.cpp:286.
   DetailLevel detail = DetailLevel::event;
   /// Ignored by the engine; kept for perfbench/src/paper_apps.cpp:287.
   EngineVariant engine = EngineVariant::fast;
@@ -103,7 +103,8 @@ struct SimResult {
   Trace trace{};
   std::uint64_t output_items = 0;
   std::vector<TileStats> tiles;      ///< one entry per kernel
-  std::uint64_t step_checksum = 0;   ///< micro-model checksum (cycle detail)
+  /// Always 0; kept for perfbench/src/paper_apps.cpp:400.
+  std::uint64_t step_checksum = 0;
 
   /// Steady-state nanoseconds between output iterations.
   [[nodiscard]] double ns_per_iteration(double aie_mhz,
@@ -196,7 +197,6 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
   cgsim::RunResult run() {
     cgsim::RunResult r{};
     Event ev;
-    const bool cycle_detail = cfg_.detail == DetailLevel::cycle;
     while (queue_.pop(ev)) {
       TaskState& s = state_for(ev.h);
       segment_base_ = std::max(s.clock, ev.time);
@@ -213,14 +213,6 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
       const std::uint64_t end = segment_base_ +
                                 cfg_.cost.compute_cycles(s.counter.counts) +
                                 port_pending_;
-      if (cycle_detail) {
-        // Stall cycles (tile waiting on data) advance only the LFSR time
-        // base; busy cycles do the full micro-model update.
-        const std::uint64_t stall = segment_base_ - s.clock;
-        const std::uint64_t busy = end - segment_base_;
-        if (stall != 0) micro_.step_stall(stall);
-        if (busy != 0) micro_.step_busy(busy);
-      }
       s.busy_cycles += end - segment_base_;
       ++s.activations;
       s.total_ops += s.counter.counts;
@@ -234,8 +226,8 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
   }
 
   /// The SimResult of a finished run: `run` (as returned by the context's
-  /// finish()) plus the engine's makespan, trace, output items, tile stats
-  /// and step checksum.
+  /// finish()) plus the engine's makespan, trace, output items and tile
+  /// stats.
   [[nodiscard]] SimResult result(cgsim::RunResult run) const {
     SimResult res{};
     res.run = run;
@@ -244,7 +236,6 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
     res.trace = trace_;
     res.output_items = output_items_;
     res.tiles = tile_stats();
-    res.step_checksum = step_checksum();
     return res;
   }
 
@@ -296,12 +287,6 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
   }
 
   [[nodiscard]] std::uint64_t makespan() const { return makespan_; }
-
-  /// Checksum of the per-cycle pipeline stepping; consuming it keeps the
-  /// cycle-detail work observable.
-  [[nodiscard]] std::uint64_t step_checksum() const {
-    return micro_.checksum();
-  }
 
  private:
   struct TaskState {
@@ -355,7 +340,6 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
   std::uint64_t makespan_ = 0;
   std::uint64_t output_items_ = 0;
   Trace trace_;
-  TileMicroFast micro_;
 };
 
 /// Cycle-approximate simulation of a compute graph with positional data

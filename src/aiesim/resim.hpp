@@ -13,11 +13,11 @@
 // observable is bit-identical to a full run -- trace digest, makespan,
 // output items and data, per-tile busy cycles / final clock / iterations
 // -- enforced by differential tests. Scheduler-execution metadata
-// (TileStats::activations, RunResult::resumes, step_checksum) reflects the
-// partial run instead: a stamp-paced replay wakes its consumer once per
-// item where the original producer pushed a whole burst in one scheduler
-// segment, so segment *counts* are not reproducible without recording the
-// baseline's ring-occupancy history -- and they carry no timing meaning.
+// (TileStats::activations, RunResult::resumes) reflects the partial run
+// instead: a stamp-paced replay wakes its consumer once per item where the
+// original producer pushed a whole burst in one scheduler segment, so
+// segment *counts* are not reproducible without recording the baseline's
+// ring-occupancy history -- and they carry no timing meaning.
 //
 // Cone closure (fixpoint over the compiled adjacency):
 //   (A) k in C  =>  every kernel consumer of k's out-edges joins C
@@ -43,7 +43,7 @@
 //     backpressure the baseline never saw -- the run is discarded and
 //     re-executed in full;
 //   * skipped outputs need a byte-replayable baseline (tap or saved RTP
-//     value); DetailLevel::cycle cannot splice its global micro-model.
+//     value).
 #pragma once
 
 #include <algorithm>
@@ -238,7 +238,7 @@ class ResimSession {
         throw std::out_of_range{"dirty input index out of range"};
       }
     }
-    if (!base_valid_ || cfg_.detail == DetailLevel::cycle) {
+    if (!base_valid_) {
       return full_run_impl(attach_io);
     }
     compute_cone(dirty_inputs);
@@ -278,7 +278,7 @@ class ResimSession {
       rec.out_channels.assign(n_prod, ch);
       rec.task = graph_.edges[e].vtable().make_replay(
           ch, &taps_[e], &*engine_, &replay_blocked_);
-      ctx_->push_task(std::move(rec));
+      ctx_->tasks().push_back(std::move(rec));
     }
     engine_->bind(*ctx_, compiled_);
     ctx_->start_all();
@@ -623,7 +623,6 @@ class ResimSession {
               [](const TileStats& a, const TileStats& b) {
                 return a.kernel < b.kernel;
               });
-    out.step_checksum = engine_->step_checksum();
     return out;
   }
 

@@ -104,7 +104,6 @@ class RuntimeContext {
     std::vector<std::pair<ChannelBase*, int>> in_endpoints;
     Realm realm = Realm::noextract;
     int kernel_index = -1;  ///< -1 for source/sink tasks
-    int task_index = -1;    ///< dense id over all tasks (kernels + I/O)
     int shard = 0;          ///< coop_mt home shard
     bool finished = false;
     bool started = true;  ///< false: excluded from this run (resim skip set)
@@ -187,7 +186,7 @@ class RuntimeContext {
         skip.realm = k.realm;
         skip.kernel_index = static_cast<int>(ki);
         skip.started = false;
-        push_task(std::move(skip));
+        tasks_.push_back(std::move(skip));
         continue;
       }
       std::vector<PortBinding> bindings;
@@ -214,7 +213,7 @@ class RuntimeContext {
         rec.shard = partition_.kernel_shard[ki];
       }
       rec.task = k.thunk(KernelBinding{bindings.data(), bindings.size()});
-      push_task(std::move(rec));
+      tasks_.push_back(std::move(rec));
     }
   }
 
@@ -260,7 +259,7 @@ class RuntimeContext {
     rec.task = detail::stream_source<T>(KernelWritePort<T>{b}, data,
                                         repetitions,
                                         std::move(dma_transform));
-    push_task(std::move(rec));
+    tasks_.push_back(std::move(rec));
   }
 
   template <class T>
@@ -276,7 +275,7 @@ class RuntimeContext {
     rec.in_endpoints.emplace_back(ch, go.endpoint);
     rec.task = detail::stream_sink<T>(KernelReadPort<T>{b}, &out,
                                       std::move(dma_transform));
-    push_task(std::move(rec));
+    tasks_.push_back(std::move(rec));
   }
 
   template <class T>
@@ -290,7 +289,7 @@ class RuntimeContext {
     rec.shard = shard_for_edge(in.edge);
     rec.out_channels.push_back(ch);
     rec.task = detail::rtp_source<T>(KernelWritePort<T>{b}, std::move(value));
-    push_task(std::move(rec));
+    tasks_.push_back(std::move(rec));
   }
 
   /// A runtime-parameter sink has no coroutine: the final value is copied
@@ -385,11 +384,6 @@ class RuntimeContext {
   }
 
   [[nodiscard]] std::vector<TaskRecord>& tasks() { return tasks_; }
-  /// Registers a task record under the next dense task id.
-  void push_task(TaskRecord&& rec) {
-    rec.task_index = static_cast<int>(tasks_.size());
-    tasks_.push_back(std::move(rec));
-  }
   [[nodiscard]] const GraphView& graph() const { return graph_; }
   [[nodiscard]] Scheduler& scheduler() { return sched_; }
   /// coop_mt only: the shard assignment computed at construction.

@@ -4,18 +4,16 @@
 // the production engine has one variant. Like the engine, it uses the
 // binary-heap event queue (PriorityEventQueue, src/aiesim/event_queue.hpp)
 // and a handle-keyed task-state map. It keeps per-channel metadata in
-// pointer-keyed hash maps, one micro-model loop iteration per simulated
-// cycle (TileMicroRef), and string trace records. It derives placement,
+// pointer-keyed hash maps and string trace records. It derives placement,
 // edge flags, hop and port costs from the GraphView and the CostModel at
 // every bind and never reads a CompiledGraph, so differential tests and
-// the ablation benches check the compiled tables and the word-stepped
-// micro model. oracle::simulate() takes aiesim::simulate()'s arguments.
+// the ablation benches check the compiled tables. oracle::simulate() takes
+// aiesim::simulate()'s arguments.
 #pragma once
 
 #include <algorithm>
 #include <coroutine>
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -25,68 +23,6 @@
 #include "aiesim/engine.hpp"
 
 namespace aiesim::oracle {
-
-/// Reference implementation: one loop iteration per simulated cycle.
-class TileMicroRef {
- public:
-  void step_stall(std::uint64_t n) {
-    std::uint64_t lfsr = lfsr_;
-    for (std::uint64_t i = 0; i < n; ++i) lfsr = lfsr_step(lfsr);
-    lfsr_ = lfsr;
-  }
-
-  void step_busy(std::uint64_t n) {
-    std::uint64_t lfsr = lfsr_;
-    std::uint64_t sum = checksum_;
-    for (std::uint64_t i = 0; i < n; ++i) {
-      lfsr = lfsr_step(lfsr);
-      // Advance the VLIW pipeline (issue -> writeback).
-      for (int s = kPipeStages - 1; s > 0; --s) {
-        pipe_[s] = pipe_[s - 1] + (lfsr >> s & 1);
-      }
-      pipe_[0] = lfsr & 0xFF;
-      // Age the vector register scoreboard; retire ready entries.
-      for (auto& r : scoreboard_) {
-        r = r > 0 ? r - 1 : (lfsr >> 17) & 0x7;
-        sum += r;
-      }
-      // Stream FIFO occupancies (2 in + 2 out x 16-deep).
-      for (auto& f : fifo_) {
-        f = (f + ((lfsr >> 5) & 3)) & 0xF;
-        sum += f;
-      }
-      // Memory-bank arbitration round-robin state.
-      for (auto& b : banks_) {
-        b = (b + 1) & 7;
-        sum ^= b;
-      }
-      sum += pipe_[kPipeStages - 1];
-    }
-    lfsr_ = lfsr;
-    checksum_ = sum;
-  }
-
-  [[nodiscard]] std::uint64_t checksum() const { return checksum_; }
-
-  [[nodiscard]] MicroSnapshot snapshot() const {
-    MicroSnapshot s;
-    s.lfsr = lfsr_;
-    std::memcpy(s.pipe, pipe_, sizeof pipe_);
-    std::memcpy(s.scoreboard, scoreboard_, sizeof scoreboard_);
-    std::memcpy(s.fifo, fifo_, sizeof fifo_);
-    std::memcpy(s.banks, banks_, sizeof banks_);
-    s.checksum = checksum_;
-    return s;
-  }
-
- private:
-  std::uint64_t lfsr_ = kLfsrSeed;
-  std::uint64_t pipe_[kPipeStages]{};
-  std::uint64_t scoreboard_[kScoreboardEntries]{};
-  std::uint64_t fifo_[kStreamFifos]{};
-  std::uint64_t banks_[kMemoryBanks]{};
-  std::uint64_t checksum_ = 0;
-};
 
 /// The reference virtual-time executor: same observables as SimEngine.
 class ReferenceEngine final : public cgsim::Executor, public cgsim::SimHooks {
@@ -178,12 +114,6 @@ class ReferenceEngine final : public cgsim::Executor, public cgsim::SimHooks {
       const std::uint64_t end = segment_base_ +
                                 cfg_.cost.compute_cycles(s.counter.counts) +
                                 port_pending_;
-      if (cfg_.detail == DetailLevel::cycle) {
-        const std::uint64_t stall = segment_base_ - s.clock;
-        const std::uint64_t busy = end - segment_base_;
-        if (stall != 0) micro_.step_stall(stall);
-        if (busy != 0) micro_.step_busy(busy);
-      }
       s.busy_cycles += end - segment_base_;
       ++s.activations;
       s.total_ops += s.counter.counts;
@@ -219,7 +149,6 @@ class ReferenceEngine final : public cgsim::Executor, public cgsim::SimHooks {
     res.trace = trace_;
     res.output_items = output_items_;
     res.tiles = tile_stats();
-    res.step_checksum = micro_.checksum();
     return res;
   }
 
@@ -260,7 +189,6 @@ class ReferenceEngine final : public cgsim::Executor, public cgsim::SimHooks {
   std::uint64_t makespan_ = 0;
   std::uint64_t output_items_ = 0;
   Trace trace_;
-  TileMicroRef micro_;
 };
 
 /// aiesim::simulate() on the reference engine: same arguments, same

@@ -102,16 +102,31 @@ TEST(SimEngine, TraceRecordsOneEventPerOutputItem) {
 }
 
 TEST(SimEngine, CycleDetailMatchesEventTiming) {
-  // Per-cycle stepping is a fidelity knob, not a timing change.
+  // The engine ignores the detail level: both give the whole same result,
+  // and step_checksum is always 0.
   const auto in = some_input(32);
-  std::vector<float> out;
+  std::vector<float> out_e;
+  std::vector<float> out_c;
   aiesim::SimConfig ev;
-  const auto re = aiesim::simulate(se_graph.view(), ev, in, out);
-  out.clear();
+  const auto re = aiesim::simulate(se_graph.view(), ev, in, out_e);
   aiesim::SimConfig cy;
   cy.detail = aiesim::DetailLevel::cycle;
-  const auto rc = aiesim::simulate(se_graph.view(), cy, in, out);
+  const auto rc = aiesim::simulate(se_graph.view(), cy, in, out_c);
+  EXPECT_EQ(out_e, out_c);
   EXPECT_EQ(re.virtual_cycles, rc.virtual_cycles);
+  EXPECT_EQ(re.output_items, rc.output_items);
+  EXPECT_EQ(re.trace.digest(), rc.trace.digest());
+  ASSERT_EQ(re.tiles.size(), rc.tiles.size());
+  for (std::size_t i = 0; i < re.tiles.size(); ++i) {
+    EXPECT_EQ(re.tiles[i].kernel, rc.tiles[i].kernel);
+    EXPECT_EQ(re.tiles[i].busy_cycles, rc.tiles[i].busy_cycles);
+    EXPECT_EQ(re.tiles[i].final_clock, rc.tiles[i].final_clock);
+    EXPECT_EQ(re.tiles[i].activations, rc.tiles[i].activations);
+    EXPECT_EQ(re.tiles[i].ops, rc.tiles[i].ops);
+    EXPECT_EQ(re.tiles[i].iterations, rc.tiles[i].iterations);
+  }
+  EXPECT_EQ(re.step_checksum, 0u);
+  EXPECT_EQ(rc.step_checksum, 0u);
 }
 
 TEST(SimEngine, RepetitionsScaleWork) {

@@ -1,9 +1,8 @@
-// Engine-oracle equivalence: the engine (compiled edge tables, word-stepped
-// micro model, buffered trace) must reproduce the reference oracle in
-// oracle/reference_engine.hpp bit for bit on every observable: makespan,
-// step checksum, per-task busy cycles and the trace digest. Also covers the
-// bind-time name backfill and that the engine binds only from a
-// CompiledGraph.
+// Engine-oracle equivalence: the engine (compiled edge tables, buffered
+// trace) must reproduce the reference oracle in oracle/reference_engine.hpp
+// bit for bit on every observable: makespan, per-task busy cycles and the
+// trace digest. Also covers the bind-time name backfill and that the engine
+// binds only from a CompiledGraph.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -53,11 +52,9 @@ std::shared_ptr<const aiesim::CompiledGraph> compile_for(
 }
 
 /// Runs fp_graph on the engine, or on the reference oracle.
-aiesim::SimResult run_variant(bool oracle, aiesim::DetailLevel d,
-                              std::size_t n, std::vector<float>& out,
-                              int repetitions = 1) {
+aiesim::SimResult run_variant(bool oracle, std::size_t n,
+                              std::vector<float>& out, int repetitions = 1) {
   aiesim::SimConfig cfg;
-  cfg.detail = d;
   cfg.repetitions = repetitions;
   out.clear();
   return oracle ? aiesim::oracle::simulate(fp_graph.view(), cfg, ramp(n), out)
@@ -67,12 +64,10 @@ aiesim::SimResult run_variant(bool oracle, aiesim::DetailLevel d,
 TEST(EngineVariants, BitIdenticalObservables) {
   std::vector<float> out_f;
   std::vector<float> out_r;
-  const auto rf =
-      run_variant(false, aiesim::DetailLevel::cycle, 96, out_f, 3);
-  const auto rr = run_variant(true, aiesim::DetailLevel::cycle, 96, out_r, 3);
+  const auto rf = run_variant(false, 96, out_f, 3);
+  const auto rr = run_variant(true, 96, out_r, 3);
   EXPECT_EQ(out_f, out_r);
   EXPECT_EQ(rf.virtual_cycles, rr.virtual_cycles);
-  EXPECT_EQ(rf.step_checksum, rr.step_checksum);
   EXPECT_EQ(rf.output_items, rr.output_items);
   EXPECT_EQ(rf.trace.digest(), rr.trace.digest());
   ASSERT_EQ(rf.tiles.size(), rr.tiles.size());
@@ -87,8 +82,8 @@ TEST(EngineVariants, BitIdenticalObservables) {
 TEST(EngineVariants, BitIdenticalAtEventDetailToo) {
   std::vector<float> out_f;
   std::vector<float> out_r;
-  const auto rf = run_variant(false, aiesim::DetailLevel::event, 64, out_f);
-  const auto rr = run_variant(true, aiesim::DetailLevel::event, 64, out_r);
+  const auto rf = run_variant(false, 64, out_f);
+  const auto rr = run_variant(true, 64, out_r);
   EXPECT_EQ(out_f, out_r);
   EXPECT_EQ(rf.virtual_cycles, rr.virtual_cycles);
   EXPECT_EQ(rf.trace.digest(), rr.trace.digest());
@@ -96,10 +91,9 @@ TEST(EngineVariants, BitIdenticalAtEventDetailToo) {
 
 TEST(EngineVariants, DigestIsDeterministicAcrossRuns) {
   std::vector<float> out;
-  const auto r1 = run_variant(false, aiesim::DetailLevel::cycle, 48, out);
-  const auto r2 = run_variant(false, aiesim::DetailLevel::cycle, 48, out);
+  const auto r1 = run_variant(false, 48, out);
+  const auto r2 = run_variant(false, 48, out);
   EXPECT_EQ(r1.trace.digest(), r2.trace.digest());
-  EXPECT_EQ(r1.step_checksum, r2.step_checksum);
   EXPECT_EQ(r1.virtual_cycles, r2.virtual_cycles);
 }
 
@@ -108,7 +102,7 @@ TEST(EngineVariants, TracesNameEveryTask) {
   // up anonymous, on the engine or on the oracle.
   for (const bool oracle : {false, true}) {
     std::vector<float> out;
-    const auto res = run_variant(oracle, aiesim::DetailLevel::event, 16, out);
+    const auto res = run_variant(oracle, 16, out);
     ASSERT_FALSE(res.trace.events().empty());
     for (const auto& e : res.trace.events()) {
       EXPECT_EQ(e.kernel, "fp_offset");  // the output-writing kernel
