@@ -33,7 +33,7 @@ using namespace cgsim;
 
 class NullExec final : public Executor {
  public:
-  void make_ready(std::coroutine_handle<>, std::uint64_t) override {}
+  void make_ready(TaskHandle, std::uint64_t) override {}
 };
 
 /// Launders a channel pointer so the compiler cannot see the concrete type

@@ -12,6 +12,18 @@
 // A tile's busy and stall cycles follow from its activation times, so no
 // per-cycle state is ever stepped.
 //
+// Element stamps. An element pushed inside an activation is stamped with
+// the tile clock at the start of the activation plus the port costs
+// charged so far in it: it is stamped before that activation's compute is
+// charged, because the instrumented op counts merge into the tile counter
+// only when the activation ends (aie::ScopedCounterBatch).
+//
+// A kernel that ends on a closed stream is never resumed again
+// (src/core/task.hpp). One that finds its stream closed ends inside its
+// activation; one whose parked operation a channel completed as closed is
+// retired when its event comes up, as a zero-length activation at
+// max(tile clock, event time).
+//
 // The engine is checked bit for bit against the test-only oracle in
 // tests/aiesim/oracle/ by the differential suites, and timed against it by
 // bench_ablation_aiesim. Both share the binary-heap event queue, a
@@ -149,17 +161,16 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
   }
 
   // --- Executor ---
-  void make_ready(std::coroutine_handle<> h,
-                  std::uint64_t not_before) override {
+  void make_ready(cgsim::TaskHandle h, std::uint64_t not_before) override {
     TaskState& s = state_for(h);
     queue_.push(Event{std::max(s.clock, not_before), seq_++, h});
   }
 
   // --- SimHooks ---
+  /// Mid-activation time: compute is not part of it (see the header).
   [[nodiscard]] std::uint64_t now() const override {
     if (current_ == nullptr) return 0;
-    return segment_base_ + cfg_.cost.compute_cycles(current_->counter.counts) +
-           port_pending_;
+    return segment_base_ + port_pending_;
   }
 
   void charge_port_access(const cgsim::PortSettings& s,
@@ -203,11 +214,12 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
       current_ = &s;
       port_pending_ = 0;
       s.counter.reset();
+      bool finished = false;
       {
         // Batched: records accumulate into a stack-local OpCounts and merge
         // into the tile counter once per activation (same final counts).
         aie::ScopedCounterBatch scoped{&s.counter};
-        ev.h.resume();
+        finished = cgsim::resume_or_retire(ev.h);
       }
       ++r.resumes;
       const std::uint64_t end = segment_base_ +
@@ -219,7 +231,7 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
       s.clock = end;
       makespan_ = std::max(makespan_, end);
       current_ = nullptr;
-      if (ev.h.done()) ctx_->on_task_finished(ev.h);
+      if (finished) ctx_->on_task_finished(ev.h);
     }
     r.virtual_cycles = makespan_;
     return r;

@@ -11,10 +11,11 @@
 // of a plain heap.
 #pragma once
 
-#include <coroutine>
 #include <cstdint>
 #include <queue>
 #include <vector>
+
+#include "core/task.hpp"
 
 namespace aiesim {
 
@@ -22,7 +23,7 @@ namespace aiesim {
 struct Event {
   std::uint64_t time = 0;
   std::uint64_t seq = 0;  ///< FIFO among simultaneous events
-  std::coroutine_handle<> h;
+  cgsim::TaskHandle h;
 };
 
 /// Binary heap ordered by (time, seq).

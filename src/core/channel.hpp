@@ -9,7 +9,11 @@
 // frame, and the channel itself performs the transfer the moment it becomes
 // possible, then hands the coroutine back to the executor. This makes every
 // wake-up productive (no spurious retries), which is where cgsim's
-// near-zero synchronization overhead (paper Section 5.2) comes from.
+// near-zero synchronization overhead (paper Section 5.2) comes from. A
+// parked operation that can never complete (the stream closed for good)
+// ends its task: the channel marks it (mark_closed_parked(), task.hpp) and
+// its executor retires it without resuming it. Only a bulk pop that
+// already moved data resumes, to return its short count.
 //
 // Besides the per-element operations there is a bulk interface
 // (try_push_n / try_pop_n plus bulk waiter records) that moves a whole
@@ -168,13 +172,13 @@ class TypedChannel : public ChannelBase {
   struct PushWaiter {
     const T* value;
     ChanStatus* status;
-    std::coroutine_handle<> h;
+    TaskHandle h;
   };
   /// Pending pop registered by a suspending consumer.
   struct PopWaiter {
     T* out;
     ChanStatus* status;
-    std::coroutine_handle<> h;
+    TaskHandle h;
     int consumer;
   };
 
@@ -188,7 +192,7 @@ class TypedChannel : public ChannelBase {
     std::size_t done;
     std::size_t* moved;
     ChanStatus* status;
-    std::coroutine_handle<> h;
+    TaskHandle h;
   };
   /// Pending bulk pop: `dst[done..n)` still has to be filled. `max_stamp`
   /// tracks the newest virtual-time stamp consumed so the wake-up can be
@@ -199,7 +203,7 @@ class TypedChannel : public ChannelBase {
     std::size_t done;
     std::size_t* moved;
     ChanStatus* status;
-    std::coroutine_handle<> h;
+    TaskHandle h;
     int consumer;
     std::uint64_t max_stamp;
   };
@@ -231,6 +235,30 @@ class TypedChannel : public ChannelBase {
   // --- threaded (blocking; return false when closed) ---
   virtual bool blocking_push(const T& v) = 0;
   virtual bool blocking_pop(int consumer, T& out) = 0;
+
+ protected:
+  /// Completes a parked operation whose stream closed for good; the caller
+  /// then hands the task to its executor. The task ends there
+  /// (mark_closed_parked()), except a bulk pop that already moved data: it
+  /// resumes and returns its short count.
+  static void close_waiter(const PushWaiter& w) {
+    *w.status = ChanStatus::closed;
+    mark_closed_parked(w.h);
+  }
+  static void close_waiter(const PopWaiter& w) {
+    *w.status = ChanStatus::closed;
+    mark_closed_parked(w.h);
+  }
+  static void close_waiter(const BulkPushWaiter& w) {
+    if (w.moved != nullptr) *w.moved = w.done;
+    *w.status = ChanStatus::closed;
+    mark_closed_parked(w.h);
+  }
+  static void close_waiter(const BulkPopWaiter& w) {
+    *w.moved = w.done;
+    *w.status = ChanStatus::closed;
+    if (w.done == 0) mark_closed_parked(w.h);
+  }
 
  private:
   [[noreturn]] static void reject_bulk() {
@@ -293,7 +321,7 @@ class CoopChannel final : public TypedChannel<T> {
   void add_push_waiter(PushWaiter w) override {
     // Completion may already be possible (or impossible); check-then-park.
     if (this->consumers_total_ > 0 && this->consumers_open_ == 0) {
-      *w.status = ChanStatus::closed;
+      this->close_waiter(w);
       exec_->make_ready(w.h, now_or_zero());
       return;
     }
@@ -321,7 +349,7 @@ class CoopChannel final : public TypedChannel<T> {
       return;
     }
     if (this->push_closed()) {
-      *w.status = ChanStatus::closed;
+      this->close_waiter(w);
       exec_->make_ready(w.h, now_or_zero());
       return;
     }
@@ -391,8 +419,7 @@ class CoopChannel final : public TypedChannel<T> {
 
   void add_bulk_push_waiter(BulkPushWaiter w) override {
     if (this->consumers_total_ > 0 && this->consumers_open_ == 0) {
-      *w.moved = w.done;
-      *w.status = ChanStatus::closed;
+      this->close_waiter(w);
       exec_->make_ready(w.h, now_or_zero());
       return;
     }
@@ -432,8 +459,7 @@ class CoopChannel final : public TypedChannel<T> {
       *w.status = ChanStatus::ok;
       exec_->make_ready(w.h, w.max_stamp);
     } else if (this->push_closed() && cursors_[c] == head_) {
-      *w.moved = w.done;
-      *w.status = ChanStatus::closed;
+      this->close_waiter(w);
       exec_->make_ready(w.h, std::max(w.max_stamp, now_or_zero()));
     } else {
       bulk_pop_waiters_[c].push_back(w);
@@ -453,13 +479,12 @@ class CoopChannel final : public TypedChannel<T> {
         if (cursors_[c] != head_) continue;  // still has data to read
         parked_ -= pop_waiters_[c].size() + bulk_pop_waiters_[c].size();
         for (auto& w : pop_waiters_[c]) {
-          *w.status = ChanStatus::closed;
+          this->close_waiter(w);
           exec_->make_ready(w.h, now_or_zero());
         }
         pop_waiters_[c].clear();
         for (auto& w : bulk_pop_waiters_[c]) {
-          *w.moved = w.done;
-          *w.status = ChanStatus::closed;
+          this->close_waiter(w);
           exec_->make_ready(w.h, std::max(w.max_stamp, now_or_zero()));
         }
         bulk_pop_waiters_[c].clear();
@@ -475,13 +500,12 @@ class CoopChannel final : public TypedChannel<T> {
     if (this->consumers_open_ == 0) {
       parked_ -= push_waiters_.size() + bulk_push_waiters_.size();
       for (auto& w : push_waiters_) {
-        *w.status = ChanStatus::closed;
+        this->close_waiter(w);
         exec_->make_ready(w.h, now_or_zero());
       }
       push_waiters_.clear();
       for (auto& w : bulk_push_waiters_) {
-        *w.moved = w.done;
-        *w.status = ChanStatus::closed;
+        this->close_waiter(w);
         exec_->make_ready(w.h, now_or_zero());
       }
       bulk_push_waiters_.clear();
@@ -975,7 +999,7 @@ class ShardChannel final : public TypedChannel<T> {
     }
     if (this->producers_open_ == 0 && this->producers_total_ > 0) {
       parked_.fetch_sub(1, std::memory_order_relaxed);
-      *w.status = ChanStatus::closed;
+      this->close_waiter(w);
       exec_->make_ready(w.h, 0);
       return;
     }
@@ -1000,8 +1024,7 @@ class ShardChannel final : public TypedChannel<T> {
         head_.load(std::memory_order_acquire) ==
             cur.pos.load(std::memory_order_relaxed)) {
       parked_.fetch_sub(1, std::memory_order_relaxed);
-      *w.moved = w.done;
-      *w.status = ChanStatus::closed;
+      this->close_waiter(w);
       exec_->make_ready(w.h, 0);
       if (w.done > 0) service_waiters_locked();
       return;
@@ -1028,13 +1051,12 @@ class ShardChannel final : public TypedChannel<T> {
                                    bulk_pop_waiters_[c].size()),
           std::memory_order_relaxed);
       for (auto& w : pop_waiters_[c]) {
-        *w.status = ChanStatus::closed;
+        this->close_waiter(w);
         exec_->make_ready(w.h, 0);
       }
       pop_waiters_[c].clear();
       for (auto& w : bulk_pop_waiters_[c]) {
-        *w.moved = w.done;
-        *w.status = ChanStatus::closed;
+        this->close_waiter(w);
         exec_->make_ready(w.h, 0);
       }
       bulk_pop_waiters_[c].clear();
@@ -1053,13 +1075,12 @@ class ShardChannel final : public TypedChannel<T> {
       parked_.fetch_sub(scalar_push_waiters_.size() + push_waiters_.size(),
                         std::memory_order_relaxed);
       for (auto& w : scalar_push_waiters_) {
-        *w.status = ChanStatus::closed;
+        this->close_waiter(w);
         exec_->make_ready(w.h, 0);
       }
       scalar_push_waiters_.clear();
       for (auto& w : push_waiters_) {
-        if (w.moved != nullptr) *w.moved = w.done;
-        *w.status = ChanStatus::closed;
+        this->close_waiter(w);
         exec_->make_ready(w.h, 0);
       }
       push_waiters_.clear();
@@ -1178,8 +1199,7 @@ class ShardChannel final : public TypedChannel<T> {
   void add_push_waiter_common(BulkPushWaiter w, const PushWaiter* scalar) {
     std::unique_lock lk{m_};
     if (this->consumers_total_ > 0 && this->consumers_open_ == 0) {
-      if (w.moved != nullptr) *w.moved = w.done;
-      *w.status = ChanStatus::closed;
+      this->close_waiter(w);
       exec_->make_ready(w.h, 0);
       return;
     }
@@ -1361,8 +1381,13 @@ class RtpChannel final : public TypedChannel<T> {
     exec_->make_ready(w.h, 0);
   }
   void add_pop_waiter(PopWaiter w) override {
-    if (has_value_ || this->push_closed()) {
+    if (has_value_) {
       *w.status = try_pop(w.consumer, *w.out);
+      exec_->make_ready(w.h, 0);
+      return;
+    }
+    if (this->push_closed()) {
+      this->close_waiter(w);
       exec_->make_ready(w.h, 0);
       return;
     }
@@ -1398,7 +1423,7 @@ class RtpChannel final : public TypedChannel<T> {
     }
     if (--this->producers_open_ == 0 && !has_value_) {
       for (auto& w : pop_waiters_) {
-        *w.status = ChanStatus::closed;
+        this->close_waiter(w);
         exec_->make_ready(w.h, 0);
       }
       pop_waiters_.clear();
@@ -1486,16 +1511,15 @@ struct WaitUntil {
   Executor* exec;
   std::uint64_t when;
   [[nodiscard]] bool await_ready() const noexcept { return false; }
-  void await_suspend(std::coroutine_handle<> h) const {
-    exec->make_ready(h, when);
-  }
+  void await_suspend(TaskHandle h) const { exec->make_ready(h, when); }
   void await_resume() const noexcept {}
 };
 
 /// Push of one replayed element, bypassing the port layer so no access
 /// cost is charged (the original producer already paid it in the recorded
 /// stamps). Counts a park when the ring is full -- the signal that the
-/// replayed timeline diverged from the recording.
+/// replayed timeline diverged from the recording. A parked push that the
+/// channel completes as closed ends the replay task like any other.
 template <class T>
 struct ReplayPush {
   CoopChannel<T>* ch;
@@ -1507,7 +1531,7 @@ struct ReplayPush {
     status = ch->try_push(*value);
     return status != ChanStatus::blocked;
   }
-  void await_suspend(std::coroutine_handle<> h) {
+  void await_suspend(TaskHandle h) {
     ++*blocked;
     ch->add_push_waiter({value, &status, h});
   }

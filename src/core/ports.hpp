@@ -14,6 +14,12 @@
 // simulation hot loop binds statically and inlines into the coroutine
 // frame. The virtual TypedChannel interface remains in use only for the
 // threaded backend and for runtime-parameter (RTP) channels.
+//
+// End of stream: an operation that finds its stream closed for good marks
+// the task closed and leaves it suspended (mark_closed(), task.hpp), so a
+// `while (true)` kernel ends at that co_await without an exception; a
+// parked operation is marked by the channel that completes it. Only a
+// bulk read that already moved data completes, with a short count.
 #pragma once
 
 #include <coroutine>
@@ -56,6 +62,12 @@ template <class T>
   return static_cast<CoopChannel<T>*>(b.channel);
 }
 
+/// A retired task was resumed by hand: its executor must never do that.
+[[noreturn]] inline void resumed_after_close() {
+  throw std::logic_error{
+      "a kernel that ended on a closed stream was resumed"};
+}
+
 template <class T>
 struct [[nodiscard]] ReadAwaiter {
   TypedChannel<T>* ch;
@@ -70,25 +82,25 @@ struct [[nodiscard]] ReadAwaiter {
   bool await_ready() {
     if (coop != nullptr) {
       st = coop->try_pop(consumer, value);  // static, inlinable
-      return st != ChanStatus::blocked;
-    }
-    if (mode == ExecMode::threaded) {
+    } else if (mode == ExecMode::threaded) {
       st = ch->blocking_pop(consumer, value) ? ChanStatus::ok
                                              : ChanStatus::closed;
-      return true;
+    } else {
+      st = ch->try_pop(consumer, value);
     }
-    st = ch->try_pop(consumer, value);
-    return st != ChanStatus::blocked;
+    return st == ChanStatus::ok;
   }
-  void await_suspend(std::coroutine_handle<> h) {
-    if (coop != nullptr) {
+  void await_suspend(TaskHandle h) {
+    if (st == ChanStatus::closed) {
+      mark_closed(h);
+    } else if (coop != nullptr) {
       coop->add_pop_waiter({&value, &st, h, consumer});
-      return;
+    } else {
+      ch->add_pop_waiter({&value, &st, h, consumer});
     }
-    ch->add_pop_waiter({&value, &st, h, consumer});
   }
   T await_resume() {
-    if (st == ChanStatus::closed) throw StreamClosed{};
+    if (st == ChanStatus::closed) resumed_after_close();
     if (sim != nullptr) {
       sim->charge_port_access(settings, sizeof(T), /*is_read=*/true, ch);
     }
@@ -109,24 +121,24 @@ struct [[nodiscard]] WriteAwaiter {
   bool await_ready() {
     if (coop != nullptr) {
       st = coop->try_push(value);
-      return st != ChanStatus::blocked;
-    }
-    if (mode == ExecMode::threaded) {
+    } else if (mode == ExecMode::threaded) {
       st = ch->blocking_push(value) ? ChanStatus::ok : ChanStatus::closed;
-      return true;
+    } else {
+      st = ch->try_push(value);
     }
-    st = ch->try_push(value);
-    return st != ChanStatus::blocked;
+    return st == ChanStatus::ok;
   }
-  void await_suspend(std::coroutine_handle<> h) {
-    if (coop != nullptr) {
+  void await_suspend(TaskHandle h) {
+    if (st == ChanStatus::closed) {
+      mark_closed(h);
+    } else if (coop != nullptr) {
       coop->add_push_waiter({&value, &st, h});
-      return;
+    } else {
+      ch->add_push_waiter({&value, &st, h});
     }
-    ch->add_push_waiter({&value, &st, h});
   }
   void await_resume() {
-    if (st == ChanStatus::closed) throw StreamClosed{};
+    if (st == ChanStatus::closed) resumed_after_close();
     if (sim != nullptr) {
       sim->charge_port_access(settings, sizeof(T), /*is_read=*/false, ch);
     }
@@ -135,8 +147,9 @@ struct [[nodiscard]] WriteAwaiter {
 
 /// Bulk read: fills `dst[0..n)` with up to `n` stream elements, suspending
 /// at most once. Resumes with the number of elements transferred; a short
-/// count means the stream closed mid-batch (the next get/get_n raises
-/// StreamClosed). Observably equivalent to n scalar get() calls.
+/// count means the stream closed mid-batch (the next get/get_n ends the
+/// task). With nothing left to read the task ends here, like get().
+/// Observably equivalent to n scalar get() calls.
 template <class T>
 struct [[nodiscard]] BulkReadAwaiter {
   TypedChannel<T>* ch;
@@ -153,27 +166,29 @@ struct [[nodiscard]] BulkReadAwaiter {
   bool await_ready() {
     if (coop != nullptr) {
       got = coop->try_pop_n(consumer, dst, n, st);
-      return st != ChanStatus::blocked;
-    }
-    if (mode == ExecMode::threaded) {
+    } else if (mode == ExecMode::threaded) {
       while (got < n && ch->blocking_pop(consumer, dst[got])) ++got;
       st = got == n ? ChanStatus::ok : ChanStatus::closed;
-      return true;
+    } else {
+      got = ch->try_pop_n(consumer, dst, n, st);
     }
-    got = ch->try_pop_n(consumer, dst, n, st);
-    return st != ChanStatus::blocked;
+    return st == ChanStatus::ok || (st == ChanStatus::closed && got > 0);
   }
-  void await_suspend(std::coroutine_handle<> h) {
+  void await_suspend(TaskHandle h) {
+    if (st == ChanStatus::closed) {
+      mark_closed(h);
+      return;
+    }
     typename TypedChannel<T>::BulkPopWaiter w{
         dst, n, got, &got, &st, h, consumer, /*max_stamp=*/0};
     if (coop != nullptr) {
       coop->add_bulk_pop_waiter(w);
-      return;
+    } else {
+      ch->add_bulk_pop_waiter(w);
     }
-    ch->add_bulk_pop_waiter(w);
   }
   std::size_t await_resume() {
-    if (got == 0 && st == ChanStatus::closed) throw StreamClosed{};
+    if (got == 0 && st == ChanStatus::closed) resumed_after_close();
     if (sim != nullptr) {
       for (std::size_t i = 0; i < got; ++i) {
         sim->charge_port_access(settings, sizeof(T), /*is_read=*/true, ch);
@@ -185,8 +200,9 @@ struct [[nodiscard]] BulkReadAwaiter {
 
 /// Bulk write: moves `src[0..n)` into the channel, suspending at most once
 /// (the parked waiter streams through the ring incrementally, so `n` may
-/// exceed the channel capacity). Raises StreamClosed when every downstream
-/// consumer is gone. Observably equivalent to n scalar put() calls.
+/// exceed the channel capacity). Ends the task when every downstream
+/// consumer is gone, like put(). Observably equivalent to n scalar put()
+/// calls.
 template <class T>
 struct [[nodiscard]] BulkWriteAwaiter {
   TypedChannel<T>* ch;
@@ -202,32 +218,33 @@ struct [[nodiscard]] BulkWriteAwaiter {
   bool await_ready() {
     if (coop != nullptr) {
       done = coop->try_push_n(src, n, st);
-      return st != ChanStatus::blocked;
-    }
-    if (mode == ExecMode::threaded) {
-      while (done < n) {
+    } else if (mode == ExecMode::threaded) {
+      st = ChanStatus::ok;
+      for (; done < n; ++done) {
         if (!ch->blocking_push(src[done])) {
           st = ChanStatus::closed;
-          return true;
+          break;
         }
-        ++done;
       }
-      st = ChanStatus::ok;
-      return true;
+    } else {
+      done = ch->try_push_n(src, n, st);
     }
-    done = ch->try_push_n(src, n, st);
-    return st != ChanStatus::blocked;
+    return st == ChanStatus::ok;
   }
-  void await_suspend(std::coroutine_handle<> h) {
+  void await_suspend(TaskHandle h) {
+    if (st == ChanStatus::closed) {
+      mark_closed(h);
+      return;
+    }
     typename TypedChannel<T>::BulkPushWaiter w{src, n, done, &done, &st, h};
     if (coop != nullptr) {
       coop->add_bulk_push_waiter(w);
-      return;
+    } else {
+      ch->add_bulk_push_waiter(w);
     }
-    ch->add_bulk_push_waiter(w);
   }
   void await_resume() {
-    if (st == ChanStatus::closed) throw StreamClosed{};
+    if (st == ChanStatus::closed) resumed_after_close();
     if (sim != nullptr) {
       for (std::size_t i = 0; i < n; ++i) {
         sim->charge_port_access(settings, sizeof(T), /*is_read=*/false, ch);
@@ -265,8 +282,8 @@ class KernelReadPort {
         sim_(b.sim),
         rtp_(b.rtp) {}
 
-  /// Awaitable that yields the next stream element; raises StreamClosed
-  /// (terminating the kernel) once the stream is exhausted for good.
+  /// Awaitable that yields the next stream element. Once the stream is
+  /// exhausted for good, the kernel ends at this co_await.
   [[nodiscard]] detail::ReadAwaiter<T> get() const {
     return {ch_, coop_, consumer_, mode_, sim_, S};
   }
@@ -308,7 +325,8 @@ class KernelWritePort {
         rtp_(b.rtp) {}
 
   /// Awaitable that writes one element, suspending while the channel is
-  /// full; raises StreamClosed when every downstream consumer has finished.
+  /// full. Once every downstream consumer has finished, the kernel ends at
+  /// this co_await.
   [[nodiscard]] detail::WriteAwaiter<T> put(T v) const {
     return {ch_, coop_, mode_, sim_, S, std::move(v)};
   }

@@ -72,7 +72,7 @@ template <class T>
 KernelTask stream_sink(KernelReadPort<T> in, std::vector<T>* out,
                        dma::Transform<T> dma_transform) {
   while (true) {
-    T v = co_await in.get();  // terminates via StreamClosed
+    T v = co_await in.get();  // ends here once the stream closes
     if (dma_transform) {
       out->push_back(dma_transform(v));
     } else {

@@ -29,7 +29,7 @@
 
 namespace cgsim {
 
-/// Flat circular FIFO of coroutine handles. The ready queue never holds
+/// Flat circular FIFO of task handles. The ready queue never holds
 /// duplicates (channels complete each suspension exactly once), so its
 /// occupancy is bounded by the task count; a power-of-two vector with
 /// monotonic head/tail indices replaces std::deque's chunked allocation,
@@ -39,18 +39,18 @@ class ReadyQueue {
   [[nodiscard]] bool empty() const { return head_ == tail_; }
   [[nodiscard]] std::size_t size() const { return tail_ - head_; }
 
-  void push(std::coroutine_handle<> h) {
+  void push(TaskHandle h) {
     if (tail_ - head_ == buf_.size()) grow();
     buf_[tail_++ & mask_] = h;
   }
 
   /// Precondition: !empty().
-  std::coroutine_handle<> pop() { return buf_[head_++ & mask_]; }
+  TaskHandle pop() { return buf_[head_++ & mask_]; }
 
  private:
   void grow() {
     const std::size_t n = buf_.empty() ? 64 : buf_.size() * 2;
-    std::vector<std::coroutine_handle<>> nb(n);
+    std::vector<TaskHandle> nb(n);
     const std::size_t count = tail_ - head_;
     for (std::size_t i = 0; i < count; ++i) nb[i] = buf_[(head_ + i) & mask_];
     buf_ = std::move(nb);
@@ -59,7 +59,7 @@ class ReadyQueue {
     tail_ = count;
   }
 
-  std::vector<std::coroutine_handle<>> buf_;
+  std::vector<TaskHandle> buf_;
   std::size_t mask_ = 0;
   std::size_t head_ = 0;
   std::size_t tail_ = 0;
@@ -67,8 +67,7 @@ class ReadyQueue {
 
 class Scheduler final : public Executor {
  public:
-  void make_ready(std::coroutine_handle<> h,
-                  std::uint64_t not_before) override {
+  void make_ready(TaskHandle h, std::uint64_t not_before) override {
     // The plain cooperative scheduler has no notion of virtual time; a
     // nonzero lower bound here means a virtual-time backend is driving the
     // wrong executor and its schedule would silently degrade to FIFO.
@@ -79,16 +78,17 @@ class Scheduler final : public Executor {
   }
 
   /// Runs until quiescence. `on_finished(h)` is invoked once for every
-  /// coroutine that runs to completion, so the runtime can propagate
-  /// end-of-stream closure to its channels.
+  /// task that finishes -- returns, fails, or is retired on a closed
+  /// stream -- so the runtime can propagate end-of-stream closure to its
+  /// channels.
   template <class OnFinished>
   std::uint64_t run(OnFinished&& on_finished) {
     std::uint64_t resumes = 0;
     while (!ready_.empty()) {
-      std::coroutine_handle<> h = ready_.pop();
-      h.resume();
+      const TaskHandle h = ready_.pop();
+      const bool finished = resume_or_retire(h);
       ++resumes;
-      if (h.done()) on_finished(h);
+      if (finished) on_finished(h);
     }
     return resumes;
   }
@@ -114,13 +114,13 @@ class Scheduler final : public Executor {
     resume_seconds = 0.0;
     auto last = std::chrono::steady_clock::now();
     while (!ready_.empty()) {
-      std::coroutine_handle<> h = ready_.pop();
-      h.resume();
+      const TaskHandle h = ready_.pop();
+      const bool finished = resume_or_retire(h);
       const auto t = std::chrono::steady_clock::now();
       resume_seconds += std::chrono::duration<double>(t - last).count();
       last = t;
       ++resumes;
-      if (h.done()) on_finished(h);
+      if (finished) on_finished(h);
     }
     return resumes;
   }
@@ -171,8 +171,7 @@ class ShardExecutor final : public Executor {
  public:
   ShardExecutor(int shard, ShardQuiescence* q) : shard_(shard), q_(q) {}
 
-  void make_ready(std::coroutine_handle<> h,
-                  std::uint64_t not_before) override {
+  void make_ready(TaskHandle h, std::uint64_t not_before) override {
     assert(not_before == 0 &&
            "virtual-time make_ready routed to a shard executor");
     (void)not_before;
@@ -185,14 +184,15 @@ class ShardExecutor final : public Executor {
 
   /// Pre-run registration from the controlling thread (workers not started
   /// yet, so the local queue is safe to touch).
-  void seed(std::coroutine_handle<> h) { local_.push(h); }
+  void seed(TaskHandle h) { local_.push(h); }
 
   [[nodiscard]] int shard() const { return shard_; }
   /// Wall time spent sleeping on the condition variable during the last
   /// worker_loop; the pool subtracts it from wall time to get busy time.
   [[nodiscard]] double parked_seconds() const { return parked_s_; }
 
-  /// Worker body; returns the number of coroutine resumptions performed.
+  /// Worker body; returns the number of coroutine resumptions performed
+  /// (a retired task counts as one, like in Scheduler::run).
   template <class OnFinished>
   std::uint64_t worker_loop(OnFinished&& on_finished) {
     owner_ = std::this_thread::get_id();
@@ -200,10 +200,10 @@ class ShardExecutor final : public Executor {
     std::uint64_t resumes = 0;
     for (;;) {
       while (!local_.empty()) {
-        std::coroutine_handle<> h = local_.pop();
-        h.resume();
+        const TaskHandle h = local_.pop();
+        const bool finished = resume_or_retire(h);
         ++resumes;
-        if (h.done()) on_finished(h);
+        if (finished) on_finished(h);
       }
       if (drain_inbox()) continue;
       // Phase 1: announce idleness, then re-check the inbox under the lock
@@ -236,7 +236,7 @@ class ShardExecutor final : public Executor {
   }
 
  private:
-  void post_remote(std::coroutine_handle<> h) {
+  void post_remote(TaskHandle h) {
     std::lock_guard lk{m_};
     inbox_.push_back(h);
     if (parked_) {
@@ -252,7 +252,7 @@ class ShardExecutor final : public Executor {
   bool drain_inbox() {
     std::lock_guard lk{m_};
     if (inbox_.empty()) return false;
-    for (std::coroutine_handle<> h : inbox_) local_.push(h);
+    for (TaskHandle h : inbox_) local_.push(h);
     inbox_.clear();
     return true;
   }
@@ -282,7 +282,7 @@ class ShardExecutor final : public Executor {
   ReadyQueue local_;  // owner thread only
   std::thread::id owner_{};
   std::mutex m_;  // guards inbox_, parked_
-  std::vector<std::coroutine_handle<>> inbox_;
+  std::vector<TaskHandle> inbox_;
   bool parked_ = false;
   double parked_s_ = 0.0;
   std::condition_variable cv_;
@@ -296,8 +296,7 @@ class RouterExecutor final : public Executor {
  public:
   void add_route(void* frame, Executor* target) { routes_[frame] = target; }
 
-  void make_ready(std::coroutine_handle<> h,
-                  std::uint64_t not_before) override {
+  void make_ready(TaskHandle h, std::uint64_t not_before) override {
     auto it = routes_.find(h.address());
     assert(it != routes_.end() && "coroutine has no registered home shard");
     it->second->make_ready(h, not_before);
@@ -338,7 +337,7 @@ class ShardPool {
   }
 
   /// Registers a task with its home shard before the run starts.
-  void register_task(std::coroutine_handle<> h, int shard) {
+  void register_task(TaskHandle h, int shard) {
     router_.add_route(h.address(), &this->shard(shard));
     this->shard(shard).seed(h);
   }

@@ -86,17 +86,12 @@ class InteractiveSession {
   /// Drains up to `n` finished elements from global output `output_idx`.
   template <class T>
   std::size_t poll_n(std::size_t output_idx, T* dst, std::size_t n) {
-    const FlatGlobal& out = graph_.outputs[check_out(output_idx)];
-    auto* ch = static_cast<TypedChannel<T>*>(ctx_.channel(out.edge));
-    if (graph_.edges[static_cast<std::size_t>(out.edge)].type !=
-        type_id<T>()) {
-      throw TypeMismatchError{"session poll element type mismatch"};
-    }
+    auto* ch = output_channel<T>(output_idx);
+    const int consumer = graph_.outputs[output_idx].endpoint;
     std::size_t done = 0;
     while (done < n) {
       ChanStatus st{};
-      const std::size_t k =
-          ch->try_pop_n(out.endpoint, dst + done, n - done, st);
+      const std::size_t k = ch->try_pop_n(consumer, dst + done, n - done, st);
       done += k;
       const std::uint64_t before = resumes_;
       pump();  // popping may unblock producers, which may produce more
@@ -109,22 +104,16 @@ class InteractiveSession {
   /// or nullopt when the graph has not produced one yet.
   template <class T>
   [[nodiscard]] std::optional<T> poll(std::size_t output_idx) {
-    const FlatGlobal& out = graph_.outputs[check_out(output_idx)];
-    auto* ch =
-        static_cast<TypedChannel<T>*>(ctx_.channel(out.edge));
-    if (graph_.edges[static_cast<std::size_t>(out.edge)].type !=
-        type_id<T>()) {
-      throw TypeMismatchError{"session poll element type mismatch"};
-    }
+    auto* ch = output_channel<T>(output_idx);
     T v{};
-    const ChanStatus st = ch->try_pop(out.endpoint, v);
+    const ChanStatus st = ch->try_pop(graph_.outputs[output_idx].endpoint, v);
     pump();  // popping may unblock producers
     if (st == ChanStatus::ok) return v;
     return std::nullopt;
   }
 
   /// Signals end-of-stream on every input: kernels written as
-  /// `while (true)` terminate through StreamClosed once drained.
+  /// `while (true)` end at their next read once drained.
   void finish() {
     if (finished_) return;
     finished_ = true;
@@ -189,11 +178,19 @@ class InteractiveSession {
     return static_cast<TypedChannel<T>*>(ctx_.channel(in.edge));
   }
 
-  [[nodiscard]] std::size_t check_out(std::size_t idx) const {
-    if (idx >= graph_.outputs.size()) {
+  /// Checks the element type before the downcast: casting a channel to
+  /// the wrong TypedChannel<T> is undefined even if never used.
+  template <class T>
+  TypedChannel<T>* output_channel(std::size_t output_idx) {
+    if (output_idx >= graph_.outputs.size()) {
       throw std::out_of_range{"session output index out of range"};
     }
-    return idx;
+    const FlatGlobal& out = graph_.outputs[output_idx];
+    if (graph_.edges[static_cast<std::size_t>(out.edge)].type !=
+        type_id<T>()) {
+      throw TypeMismatchError{"session poll element type mismatch"};
+    }
+    return static_cast<TypedChannel<T>*>(ctx_.channel(out.edge));
   }
 
   RuntimeContext ctx_;

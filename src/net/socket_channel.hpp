@@ -156,8 +156,13 @@ class SocketChannel final : public TypedChannel<T> {
 
   void add_push_waiter(PushWaiter w) override {
     ChanStatus st{};
-    if (try_push_n(w.value, 1, st) == 1 || st == ChanStatus::closed) {
-      *w.status = st;
+    if (try_push_n(w.value, 1, st) == 1) {
+      *w.status = ChanStatus::ok;
+      ready(w.h);
+      return;
+    }
+    if (st == ChanStatus::closed) {
+      this->close_waiter(w);
       ready(w.h);
       return;
     }
@@ -173,7 +178,7 @@ class SocketChannel final : public TypedChannel<T> {
       return;
     }
     if (pop_closed()) {
-      *w.status = ChanStatus::closed;
+      this->close_waiter(w);
       ready(w.h);
       return;
     }
@@ -187,8 +192,7 @@ class SocketChannel final : public TypedChannel<T> {
       *w.status = ChanStatus::ok;
       ready(w.h);
     } else if (peer_consumer_closed_ || io_error_) {
-      *w.moved = w.done;
-      *w.status = ChanStatus::closed;
+      this->close_waiter(w);
       ready(w.h);
     } else {
       bulk_push_waiters_.push_back(w);
@@ -203,8 +207,7 @@ class SocketChannel final : public TypedChannel<T> {
       *w.status = ChanStatus::ok;
       ready(w.h);
     } else if (pop_closed()) {
-      *w.moved = w.done;
-      *w.status = ChanStatus::closed;
+      this->close_waiter(w);
       ready(w.h);
     } else {
       bulk_pop_waiters_.push_back(w);
@@ -354,7 +357,7 @@ class SocketChannel final : public TypedChannel<T> {
     return true;
   }
 
-  void ready(std::coroutine_handle<> h) {
+  void ready(TaskHandle h) {
     assert(exec_ != nullptr &&
            "cooperative ops on a SocketChannel require an executor");
     exec_->make_ready(h, 0);
@@ -494,7 +497,7 @@ class SocketChannel final : public TypedChannel<T> {
         take(w.consumer, w.out, 1);
         *w.status = ChanStatus::ok;
       } else {
-        *w.status = ChanStatus::closed;
+        this->close_waiter(w);
       }
       ready(w.h);
     }
@@ -502,9 +505,13 @@ class SocketChannel final : public TypedChannel<T> {
            (!rx_.empty() || pop_closed())) {
       BulkPopWaiter& w = bulk_pop_waiters_.front();
       advance_bulk_pop(w);
-      if (w.done == w.n || pop_closed()) {
-        *w.moved = w.done;
-        *w.status = w.done == w.n ? ChanStatus::ok : ChanStatus::closed;
+      if (w.done == w.n) {
+        *w.moved = w.n;
+        *w.status = ChanStatus::ok;
+        ready(w.h);
+        bulk_pop_waiters_.pop_front();
+      } else if (pop_closed()) {
+        this->close_waiter(w);
         ready(w.h);
         bulk_pop_waiters_.pop_front();
       } else {
@@ -520,7 +527,7 @@ class SocketChannel final : public TypedChannel<T> {
       if (try_push_n(w.value, 1, st) == 1) {
         *w.status = ChanStatus::ok;
       } else {
-        *w.status = ChanStatus::closed;
+        this->close_waiter(w);
       }
       ready(w.h);
     }
@@ -535,8 +542,7 @@ class SocketChannel final : public TypedChannel<T> {
         ready(w.h);
         bulk_push_waiters_.pop_front();
       } else if (peer_consumer_closed_ || io_error_) {
-        *w.moved = w.done;
-        *w.status = ChanStatus::closed;
+        this->close_waiter(w);
         ready(w.h);
         bulk_push_waiters_.pop_front();
       } else {

@@ -66,8 +66,7 @@ class ReferenceEngine final : public cgsim::Executor, public cgsim::SimHooks {
   }
 
   // --- Executor ---
-  void make_ready(std::coroutine_handle<> h,
-                  std::uint64_t not_before) override {
+  void make_ready(cgsim::TaskHandle h, std::uint64_t not_before) override {
     TaskState& s = state_for(h);
     heap_.push(Event{std::max(s.clock, not_before), seq_++, h});
   }
@@ -106,9 +105,10 @@ class ReferenceEngine final : public cgsim::Executor, public cgsim::SimHooks {
       current_ = &s;
       port_pending_ = 0;
       s.counter.reset();
+      bool finished = false;
       {
         aie::ScopedCounterBatch scoped{&s.counter};
-        ev.h.resume();
+        finished = cgsim::resume_or_retire(ev.h);
       }
       ++r.resumes;
       const std::uint64_t end = segment_base_ +
@@ -120,7 +120,7 @@ class ReferenceEngine final : public cgsim::Executor, public cgsim::SimHooks {
       s.clock = end;
       makespan_ = std::max(makespan_, end);
       current_ = nullptr;
-      if (ev.h.done()) ctx_->on_task_finished(ev.h);
+      if (finished) ctx_->on_task_finished(ev.h);
     }
     r.virtual_cycles = makespan_;
     return r;

@@ -20,9 +20,10 @@ using aiesim::Event;
 using aiesim::PriorityEventQueue;
 
 // Coroutine handles are only compared by address in these tests; the queue
-// never resumes them, so tagging events with small fake frames is safe.
-std::coroutine_handle<> handle_tag(std::uintptr_t i) {
-  return std::coroutine_handle<>::from_address(
+// never resumes them or reaches their promises, so tagging events with
+// small fake frames is safe.
+cgsim::TaskHandle handle_tag(std::uintptr_t i) {
+  return cgsim::TaskHandle::from_address(
       reinterpret_cast<void*>((i + 1) << 4));
 }
 

@@ -18,7 +18,7 @@ using namespace cgsim;
 /// Executor stub recording wakes.
 class StubExec final : public Executor {
  public:
-  void make_ready(std::coroutine_handle<> h, std::uint64_t nb) override {
+  void make_ready(TaskHandle h, std::uint64_t nb) override {
     wakes.emplace_back(h, nb);
   }
   std::vector<std::pair<std::coroutine_handle<>, std::uint64_t>> wakes;
@@ -319,7 +319,7 @@ TEST(CoopChannelBulk, ParkedPopCompletesPartiallyAtClose) {
   std::size_t moved = 0;
   ChanStatus st = ChanStatus::blocked;
   ch.add_bulk_pop_waiter({dst.data(), dst.size(), 0, &moved, &st,
-                          std::coroutine_handle<>{}, 0, 0});
+                          TaskHandle{}, 0, 0});
   EXPECT_EQ(st, ChanStatus::blocked);  // parked: nothing buffered yet
   ASSERT_EQ(ch.try_push(1), ChanStatus::ok);
   ASSERT_EQ(ch.try_push(2), ChanStatus::ok);
@@ -368,7 +368,7 @@ TEST(CoopChannelBulk, ParkedPushStreamsThroughSmallRing) {
   std::size_t moved = 0;
   ChanStatus st = ChanStatus::blocked;
   ch.add_bulk_push_waiter(
-      {src.data(), src.size(), 0, &moved, &st, std::coroutine_handle<>{}});
+      {src.data(), src.size(), 0, &moved, &st, TaskHandle{}});
   EXPECT_EQ(st, ChanStatus::blocked);  // 2 in the ring, 4 still pending
   std::vector<int> got;
   int v = 0;
@@ -407,10 +407,10 @@ TEST(RtpChannel, BulkOpsAreRejected) {
   EXPECT_THROW(ch.try_pop_n(0, &v, 1, st), std::logic_error);
   std::size_t moved = 0;
   EXPECT_THROW(ch.add_bulk_push_waiter(
-                   {&v, 1, 0, &moved, &st, std::coroutine_handle<>{}}),
+                   {&v, 1, 0, &moved, &st, TaskHandle{}}),
                std::logic_error);
   EXPECT_THROW(ch.add_bulk_pop_waiter(
-                   {&v, 1, 0, &moved, &st, std::coroutine_handle<>{}, 0, 0}),
+                   {&v, 1, 0, &moved, &st, TaskHandle{}, 0, 0}),
                std::logic_error);
 }
 

@@ -15,7 +15,7 @@ using namespace cgsim;
 
 class NullExec final : public Executor {
  public:
-  void make_ready(std::coroutine_handle<>, std::uint64_t) override {}
+  void make_ready(TaskHandle, std::uint64_t) override {}
 };
 
 /// Oracle: every consumer sees the full pushed sequence in order; the ring

@@ -129,7 +129,7 @@ TEST(Runtime, PairwiseConsumptionAndStarvationTermination) {
   std::vector<int> out;
   const RunResult r = pairs_graph(in, out);
   EXPECT_EQ(out, (std::vector<int>{3, 7}));
-  EXPECT_FALSE(r.deadlocked);  // StreamClosed unwind is clean termination
+  EXPECT_FALSE(r.deadlocked);  // ending on a closed stream is clean
 }
 
 // --- runtime parameters (paper Section 3.7) ---

@@ -20,7 +20,7 @@ using namespace cgsim;
 /// non-blocking paths and never actually park a coroutine.
 class CollectingExecutor final : public Executor {
  public:
-  void make_ready(std::coroutine_handle<> h, std::uint64_t) override {
+  void make_ready(TaskHandle h, std::uint64_t) override {
     std::lock_guard lk{m_};
     ready_.push_back(h);
   }
