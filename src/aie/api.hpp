@@ -17,6 +17,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <type_traits>
 #include <utility>
@@ -261,10 +262,12 @@ template <class B = simd::backend, unsigned N>
 /// hand-optimized AIE FIR/Farrow kernels.
 ///
 /// When successive lanes read contiguous data (DataStepY == 1) and no index
-/// wraps, each tap executes as one broadcast-MAC over the whole lane vector
-/// (`Points` vector MACs total); otherwise the generic per-lane form runs.
-/// Both paths accumulate taps in the same order, so results are bit-exact
-/// across paths and backends.
+/// wraps, the taps run over whole lane vectors: one backend mac_window call
+/// where the backend has a window form for the shape (it widens the data
+/// once for all taps), else one broadcast-MAC per tap (`Points` vector MACs
+/// total). Otherwise the generic per-lane form runs. Every path accumulates
+/// taps in the same order, so results are bit-exact across paths and
+/// backends.
 template <unsigned Lanes, unsigned Points, int CoeffStep = 1,
           int DataStepX = 1, int DataStepY = 1, class B = simd::backend>
 struct sliding_mul_ops {
@@ -306,15 +309,25 @@ struct sliding_mul_ops {
                          const vector<D, ND>& data, unsigned dstart) {
     using A = detail::acc_elem_for<D>;
     if (contiguous_in_bounds<ND>(dstart)) {
+      std::array<C, Points> c;  // tap coefficients, in tap order
       for (unsigned p = 0; p < Points; ++p) {
         const auto ci =
             static_cast<unsigned>(static_cast<int>(cstart) +
                                   static_cast<int>(p) * CoeffStep) % NC;
+        c[p] = coeff.get(ci);
+      }
+      if constexpr (B::vectorized) {
+        if (B::template mac_window<A, C, D, ND, Lanes, Points, DataStepX>(
+                acc.data().data(), c.data(), data.data().data(), dstart)) {
+          return;
+        }
+      }
+      for (unsigned p = 0; p < Points; ++p) {
         const int di0 = static_cast<int>(dstart) +
                         static_cast<int>(p) * DataStepX;
         B::template mac_bcast<A, D, Lanes>(
             acc.data().data(), data.data().data() + di0,
-            static_cast<A>(coeff.get(ci)));
+            static_cast<A>(c[p]));
       }
       return;
     }

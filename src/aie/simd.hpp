@@ -42,6 +42,14 @@ namespace aie::simd {
 #define CGSIM_SIMD_HAVE_NATIVE 0
 #endif
 
+// GCC's own x86 builtins for the 512-bit forms native_backend needs (see
+// its kZmm).
+#if defined(__GNUC__) && !defined(__clang__) && defined(__AVX512F__)
+#define CGSIM_SIMD_ZMM_BUILTINS 1
+#else
+#define CGSIM_SIMD_ZMM_BUILTINS 0
+#endif
+
 // Pins the scalar backend's loops to per-lane code on GCC so that a
 // "scalar" measurement means scalar execution (see header comment). This
 // does not change results, only codegen.
@@ -522,17 +530,101 @@ struct native_backend {
     std::memcpy(p, &r, sizeof r);
   }
 
-  /// Lane-type conversion. GCC lowers a direct `__builtin_convertvector`
-  /// between integer lanes whose widths differ by more than 2x to per-lane
-  /// scalar code (byte extracts + shifts); stepping through the
-  /// intermediate widths keeps every hop a packed convert. Value-identical
-  /// to the one-step convert: sign/zero extension composes hop by hop
-  /// (intermediate signedness follows the source), and integer narrowing
-  /// truncates modulo the destination width either way.
+  // Target features that pick a one-instruction form in the private helpers
+  // below. GCC 12 does not derive these forms from vector-extension code
+  // (docs/PERF.md, "Generic-vector codegen pitfalls"):
+  //  * kSlpBytes: the widest vector GCC's SLP vectorizer forms, its
+  //    preferred width (256 bits on AVX2 and AVX-512 tunings). Up to it, a
+  //    lane-wise constructor of converted lanes becomes one vpmovsx/vpmovzx.
+  //  * kZmm: 512-bit widening moves and the signed 32x32->64 multiply
+  //    (vpmuldq), called through GCC's own x86 builtins -- the ones
+  //    <immintrin.h> wraps -- so no intrinsics header is parsed.
+  //  Every other target keeps the plain vector-extension code.
+#if defined(__AVX2__)
+  static constexpr unsigned kSlpBytes = 32;
+#else
+  static constexpr unsigned kSlpBytes = 16;
+#endif
+  static constexpr bool kZmm = CGSIM_SIMD_ZMM_BUILTINS;
+#if defined(__AVX512BW__)
+  static constexpr bool kZmmBytes = kZmm;
+#else
+  static constexpr bool kZmmBytes = false;
+#endif
+
+  /// True when widening T lanes to A lanes takes one instruction: the
+  /// result fits the SLP width, or fills one zmm for which a vpmovsx/vpmovzx
+  /// exists (bytes to words needs AVX512BW; bytes to quadwords, which
+  /// would need a half-register source, hops through words instead).
+  template <class A, class T, unsigned N>
+  static constexpr bool kOneStepWiden =
+      std::is_integral_v<A> && std::is_integral_v<T> &&
+      sizeof(A) > sizeof(T) &&
+      (N * sizeof(A) <= kSlpBytes ||
+       (kZmm && N * sizeof(A) == 64 && !(sizeof(T) == 1 && sizeof(A) == 8) &&
+        (kZmmBytes || !(sizeof(T) == 1 && sizeof(A) == 2))));
+
+  /// Integer widening in one instruction (see kOneStepWiden).
+  template <class A, class T, unsigned N>
+  static v<A, N> widen(const v<T, N>& x) {
+#if CGSIM_SIMD_ZMM_BUILTINS
+    if constexpr (N * sizeof(A) > kSlpBytes) {
+      typedef char b16 __attribute__((vector_size(16)));
+      typedef char b32 __attribute__((vector_size(32)));
+      typedef short h16 __attribute__((vector_size(16)));
+      typedef short h32 __attribute__((vector_size(32)));
+      typedef short h64 __attribute__((vector_size(64)));
+      typedef int s32 __attribute__((vector_size(32)));
+      typedef int s64 __attribute__((vector_size(64)));
+      typedef long long q64 __attribute__((vector_size(64)));
+      constexpr bool sx = std::is_signed_v<T>;
+      if constexpr (sizeof(T) == 1 && sizeof(A) == 2) {
+        const h64 r = sx ? __builtin_ia32_pmovsxbw512_mask((b32)x, h64{}, ~0u)
+                         : __builtin_ia32_pmovzxbw512_mask((b32)x, h64{}, ~0u);
+        return (v<A, N>)r;
+      } else if constexpr (sizeof(T) == 1 && sizeof(A) == 4) {
+        const s64 r =
+            sx ? __builtin_ia32_pmovsxbd512_mask((b16)x, s64{}, 0xffff)
+               : __builtin_ia32_pmovzxbd512_mask((b16)x, s64{}, 0xffff);
+        return (v<A, N>)r;
+      } else if constexpr (sizeof(T) == 2 && sizeof(A) == 4) {
+        const s64 r =
+            sx ? __builtin_ia32_pmovsxwd512_mask((h32)x, s64{}, 0xffff)
+               : __builtin_ia32_pmovzxwd512_mask((h32)x, s64{}, 0xffff);
+        return (v<A, N>)r;
+      } else if constexpr (sizeof(T) == 2 && sizeof(A) == 8) {
+        const q64 r = sx ? __builtin_ia32_pmovsxwq512_mask((h16)x, q64{}, 0xff)
+                         : __builtin_ia32_pmovzxwq512_mask((h16)x, q64{}, 0xff);
+        return (v<A, N>)r;
+      } else {
+        static_assert(sizeof(T) == 4 && sizeof(A) == 8);
+        const q64 r = sx ? __builtin_ia32_pmovsxdq512_mask((s32)x, q64{}, 0xff)
+                         : __builtin_ia32_pmovzxdq512_mask((s32)x, q64{}, 0xff);
+        return (v<A, N>)r;
+      }
+    }
+#endif
+    return [&]<std::size_t... I>(std::index_sequence<I...>) {
+      return v<A, N>{static_cast<A>(x[I])...};
+    }(std::make_index_sequence<N>{});
+  }
+
+  /// Lane-type conversion. Integer widening runs in one instruction where
+  /// the target has it (kOneStepWiden). Elsewhere GCC 12 lowers a 2x
+  /// widening `__builtin_convertvector` to an unpack pair plus an insert,
+  /// and a conversion between integer lanes whose widths differ by more
+  /// than 2x can fall to per-lane scalar code (byte extracts + shifts), so
+  /// such a conversion steps through the intermediate widths, each hop a
+  /// packed convert. Value-identical to the one-step convert: sign/zero
+  /// extension composes hop by hop (intermediate signedness follows the
+  /// source), and integer narrowing truncates modulo the destination width
+  /// either way.
   template <class A, class T, unsigned N>
   static v<A, N> cvt(const v<T, N>& x) {
     if constexpr (std::is_same_v<A, T>) {
       return x;
+    } else if constexpr (kOneStepWiden<A, T, N>) {
+      return widen<A, T, N>(x);
     } else if constexpr (std::is_integral_v<A> && std::is_integral_v<T> &&
                          sizeof(A) > 2 * sizeof(T)) {
       using MidS = detail::int_of_t<2 * sizeof(T)>;
@@ -560,11 +652,17 @@ struct native_backend {
     return r;  // constant-folded at -O2
   }
 
+  /// x in every lane, as one broadcast instruction up to one machine
+  /// register. GCC 12 builds a lane-by-lane fill wider than 256 bits from
+  /// 256-bit halves stored to the stack and reloaded, a failed
+  /// store-to-load forward on every use; a constructor with x in each lane
+  /// becomes one vpbroadcast. It copies the bit pattern (-0.0 and NaN
+  /// payloads included).
   template <class T, unsigned N>
   static v<T, N> splat(T x) {
-    v<T, N> r;
-    for (unsigned i = 0; i < N; ++i) r[i] = x;
-    return r;
+    return [&]<std::size_t... I>(std::index_sequence<I...>) {
+      return v<T, N>{((void)I, x)...};
+    }(std::make_index_sequence<N>{});
   }
 
   // `__builtin_shuffle` (runtime mask) is a GCC extension; Clang only has
@@ -668,18 +766,19 @@ struct native_backend {
   /// True when T x T products provably fit in int32 lanes: then the
   /// int64-accumulator multiply can run as a packed 32-bit multiply (the
   /// host has no packed 64-bit multiply below AVX-512) and widen after.
-  /// Exact either way, so bit-identical to the full-width form.
+  /// Exact either way, so bit-identical to the full-width form. uint16 is
+  /// out: 65535 * 65535 exceeds int32.
   template <class A, class T>
-  static constexpr bool kNarrowMul = std::is_integral_v<A> &&
-                                     std::is_integral_v<T> && sizeof(A) == 8 &&
-                                     sizeof(T) <= 2;
+  static constexpr bool kNarrowMul =
+      std::is_integral_v<A> && std::is_integral_v<T> && sizeof(A) == 8 &&
+      (sizeof(T) == 1 || (sizeof(T) == 2 && std::is_signed_v<T>));
 
   /// a[i] * b[i] widened into A lanes, via int32 lanes when exact.
   template <class A, class T, unsigned N>
   static v<A, N> wmul(const T* a, const T* b) {
     if constexpr (kNarrowMul<A, T>) {
-      return __builtin_convertvector(
-          ldw<std::int32_t, T, N>(a) * ldw<std::int32_t, T, N>(b), v<A, N>);
+      return cvt<A, std::int32_t, N>(ldw<std::int32_t, T, N>(a) *
+                                     ldw<std::int32_t, T, N>(b));
     } else {
       return ldw<A, T, N>(a) * ldw<A, T, N>(b);
     }
@@ -720,7 +819,7 @@ struct native_backend {
       if (c >= -32768 && c <= 32767) {
         const auto p = splat<std::int32_t, N>(static_cast<std::int32_t>(c)) *
                        ldw<std::int32_t, D, N>(data);
-        st<A, N>(acc, ld<A, N>(acc) + __builtin_convertvector(p, v<A, N>));
+        st<A, N>(acc, ld<A, N>(acc) + cvt<A, std::int32_t, N>(p));
         return;
       }
     }
@@ -737,13 +836,76 @@ struct native_backend {
         const auto vc = splat<std::int32_t, N>(static_cast<std::int32_t>(c));
         const auto p1 = vc * ldw<std::int32_t, D, N>(d1);
         const auto p2 = vc * ldw<std::int32_t, D, N>(d2);
-        st<A, N>(acc, ld<A, N>(acc) + __builtin_convertvector(p1, v<A, N>) +
-                          __builtin_convertvector(p2, v<A, N>));
+        st<A, N>(acc, ld<A, N>(acc) + cvt<A, std::int32_t, N>(p1) +
+                          cvt<A, std::int32_t, N>(p2));
         return;
       }
     }
     st<A, N>(acc, ld<A, N>(acc) +
                       splat<A, N>(c) * (ldw<A, D, N>(d1) + ldw<A, D, N>(d2)));
+  }
+
+ private:
+  /// Integer lanes whose every value fits int32.
+  template <class T>
+  static constexpr bool kFitsI32 =
+      std::is_integral_v<T> &&
+      (sizeof(T) < 4 || (sizeof(T) == 4 && std::is_signed_v<T>));
+
+  /// The shapes mac_window runs: int64 lanes filling one zmm, a data
+  /// vector of two such chunks, and data and coefficients that fit int32
+  /// (the factors vpmuldq multiplies).
+  template <class A, class C, class D, unsigned ND, unsigned L>
+  static constexpr bool kWindowMac =
+      kZmm && std::is_same_v<A, std::int64_t> && L * sizeof(A) == 64 &&
+      ND == 2 * L && kFitsI32<C> && kFitsI32<D>;
+
+#if CGSIM_SIMD_ZMM_BUILTINS
+  /// x * c for int64 lanes whose values, like c, fit int32: one vpmuldq
+  /// (it multiplies the low dwords), where GCC 12 emits the 3-uop vpmullq
+  /// for the int64 `*`.
+  static v<std::int64_t, 8> mul_i32(const v<std::int64_t, 8>& x,
+                                    std::int32_t c) {
+    typedef int s64 __attribute__((vector_size(64)));
+    typedef long long q64 __attribute__((vector_size(64)));
+    return (v<std::int64_t, 8>)__builtin_ia32_pmuldq512_mask(
+        (s64)x, splat<std::int32_t, 16>(c), q64{}, 0xff);
+  }
+#endif
+
+ public:
+  /// The contiguous sliding multiply in one call: for p = 0 .. P-1 in turn,
+  /// acc[l] += c[p] * data[dstart + p*S + l] for every lane l < L, where
+  /// every such index lies in [0, ND). For the shapes kWindowMac admits it
+  /// widens the data vector once (one vpmovsx per L lanes) and forms each
+  /// tap from it with one two-source permute (vpermt2q) and one vpmuldq.
+  /// Returns false, touching nothing, for any other shape; the caller then
+  /// runs one mac_bcast per tap, which widens its L lanes itself.
+  template <class A, class C, class D, unsigned ND, unsigned L, unsigned P,
+            int S>
+  static bool mac_window(A* acc, const C* c, const D* data, unsigned dstart) {
+#if CGSIM_SIMD_ZMM_BUILTINS
+    if constexpr (kWindowMac<A, C, D, ND, L>) {
+      // The data widened once, one zmm per half.
+      const auto lo = ldw<A, D, L>(data);
+      const auto hi = ldw<A, D, L>(data + L);
+      auto sum = ld<A, L>(acc);
+      [&]<std::size_t... p>(std::index_sequence<p...>) {
+        ((sum += mul_i32(
+              __builtin_shuffle(
+                  lo, hi,
+                  lane_iota<A, L>() +
+                      static_cast<std::int64_t>(static_cast<int>(dstart) +
+                                                static_cast<int>(p) * S)),
+              static_cast<std::int32_t>(c[p]))),
+         ...);
+      }(std::make_index_sequence<P>{});
+      st<A, L>(acc, sum);
+      return true;
+    }
+#endif
+    (void)acc, (void)c, (void)data, (void)dstart;
+    return false;
   }
 
   // ---- accumulator <-> vector moves (srs / ups) ----
@@ -906,8 +1068,8 @@ struct native_backend {
     // Widen to int64 lanes so the rounding bias cannot overflow, then the
     // int64 srs path (bit-identical to the scalar formula).
     alignas(32) std::int64_t wide[N];
-    st<std::int64_t, N>(wide, __builtin_convertvector(
-                                  ld<std::int32_t, N>(acc), v<std::int64_t, N>));
+    st<std::int64_t, N>(
+        wide, cvt<std::int64_t, std::int32_t, N>(ld<std::int32_t, N>(acc)));
     srs<T, N>(r, wide, shift);
   }
 
@@ -932,9 +1094,8 @@ struct native_backend {
 
   template <unsigned N>
   static void bf16_to_f32(float* r, const std::uint16_t* a) {
-    const auto wide = __builtin_convertvector(ld<std::uint16_t, N>(a),
-                                              v<std::uint32_t, N>)
-                      << 16;
+    const auto wide =
+        cvt<std::uint32_t, std::uint16_t, N>(ld<std::uint16_t, N>(a)) << 16;
     v<float, N> f;
     std::memcpy(&f, &wide, sizeof f);
     st<float, N>(r, f);
@@ -1003,7 +1164,9 @@ struct native_backend {
     std::memcpy(mp, &narrow, N);
   }
 
-  /// Loads a bool mask as a 0 / nonzero T-sized integer vector.
+  /// Loads a bool mask as a 0 / nonzero T-sized integer vector: one
+  /// vpmovsx from the bytes where cvt has the one-step form (16 float
+  /// lanes: one vpmovsxbd).
   template <class T, unsigned N>
   static m<T, N> ld_mask(const bool* mp) {
     static_assert(sizeof(bool) == 1);

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -192,6 +193,57 @@ void check_elementwise(unsigned seed) {
   }
 }
 
+/// A broadcast copies the bit pattern into every lane on both backends.
+template <class T, unsigned N>
+void check_broadcast_bits(T s) {
+  SCOPED_TRACE(::testing::Message() << "T=" << typeid(T).name() << " N=" << N);
+  const auto want = aie::broadcast<T, N, Scalar>(s);
+  const auto got = aie::broadcast<T, N, Native>(s);
+  EXPECT_TRUE(bits_eq(want, got));
+  for (unsigned i = 0; i < N; ++i) {
+    EXPECT_EQ(0, std::memcmp(&got.data()[i], &s, sizeof(T))) << "lane " << i;
+  }
+}
+
+template <class T>
+void check_broadcast_bits_all_widths(T s) {
+  check_broadcast_bits<T, 8>(s);
+  check_broadcast_bits<T, 16>(s);
+  check_broadcast_bits<T, 32>(s);
+  check_broadcast_bits<T, 64>(s);
+}
+
+/// select against its definition: all 256 masks at N = 8, random masks at
+/// wider N.
+template <class T, unsigned N>
+void check_select_masks(unsigned seed) {
+  SCOPED_TRACE(::testing::Message() << "T=" << typeid(T).name() << " N=" << N);
+  std::mt19937 rng(seed);
+  const auto a = random_vector<T, N>(rng);
+  const auto b = random_vector<T, N>(rng);
+  const unsigned rounds = N == 8 ? 256 : 64;
+  for (unsigned r = 0; r < rounds; ++r) {
+    aie::mask<N> m;
+    for (unsigned i = 0; i < N; ++i) {
+      m.set(i, N == 8 ? ((r >> i) & 1u) != 0 : (rng() & 1u) != 0);
+    }
+    const auto want = aie::select<Scalar>(a, b, m);
+    EXPECT_TRUE(bits_eq(want, aie::select<Native>(a, b, m))) << "mask " << r;
+    for (unsigned i = 0; i < N; ++i) {
+      const T& pick = m.get(i) ? a.data()[i] : b.data()[i];
+      EXPECT_EQ(0, std::memcmp(&want.data()[i], &pick, sizeof(T)));
+    }
+  }
+}
+
+template <class T>
+void check_select_masks_all_widths(unsigned seed) {
+  check_select_masks<T, 8>(seed);
+  check_select_masks<T, 16>(seed + 1);
+  check_select_masks<T, 32>(seed + 2);
+  check_select_masks<T, 64>(seed + 3);
+}
+
 TEST(SimdBackend, ElementwiseEquivalenceAllTypes) {
   check_elementwise<std::int8_t, 8>(11);
   check_elementwise<std::int8_t, 16>(12);
@@ -205,6 +257,24 @@ TEST(SimdBackend, ElementwiseEquivalenceAllTypes) {
   check_elementwise<float, 8>(41);
   check_elementwise<float, 16>(42);
   check_elementwise<float, 32>(43);
+
+  // Broadcasts of patterns a lossy splat would change: -0.0, NaNs with
+  // payloads (quiet and signalling), denormals, and integer minima.
+  for (const std::uint32_t bits :
+       {0x80000000u, 0x7fc12345u, 0xff812345u, 0x00000001u, 0x807fffffu}) {
+    check_broadcast_bits_all_widths(std::bit_cast<float>(bits));
+  }
+  check_broadcast_bits_all_widths(std::numeric_limits<std::int8_t>::min());
+  check_broadcast_bits_all_widths(std::numeric_limits<std::int16_t>::min());
+  check_broadcast_bits_all_widths(std::numeric_limits<std::int32_t>::min());
+  check_broadcast_bits_all_widths(std::numeric_limits<std::int64_t>::min());
+
+  // select at every lane width.
+  check_select_masks_all_widths<std::int8_t>(14);
+  check_select_masks_all_widths<std::int16_t>(24);
+  check_select_masks_all_widths<std::int32_t>(34);
+  check_select_masks_all_widths<std::int64_t>(54);
+  check_select_masks_all_widths<float>(44);
 }
 
 // ---------------------------------------------------------------------------
@@ -259,6 +329,53 @@ void check_mul_mac(unsigned seed) {
   }
 }
 
+/// Lanes cycling through T's extremes and their neighbours, with a
+/// rotation so that two such vectors pair different extremes.
+template <class T, unsigned N>
+aie::vector<T, N> extreme_vector(unsigned rotate) {
+  constexpr T lo = std::numeric_limits<T>::min();
+  constexpr T hi = std::numeric_limits<T>::max();
+  constexpr T near_zero = std::is_signed_v<T> ? T(-1) : T(1);
+  const std::array<T, 6> pattern = {lo, hi, static_cast<T>(lo + 1),
+                                    static_cast<T>(hi - 1), T{0}, near_zero};
+  aie::vector<T, N> v;
+  for (unsigned i = 0; i < N; ++i) {
+    v.set(i, pattern[(i + rotate) % pattern.size()]);
+  }
+  return v;
+}
+
+/// The widening MACs with 8/16-bit lanes at their extremes: exact in the
+/// accumulator lanes on both backends (the 32-bit product shortcuts must
+/// not overflow).
+template <class T, unsigned N>
+void check_mac_extremes() {
+  SCOPED_TRACE(::testing::Message() << "T=" << typeid(T).name() << " N=" << N);
+  for (unsigned r = 0; r < 6; ++r) {
+    const auto a = extreme_vector<T, N>(0);
+    const auto b = extreme_vector<T, N>(r);
+    const auto acc_s = aie::mul<Scalar>(a, b);
+    const auto acc_n = aie::mul<Native>(a, b);
+    EXPECT_TRUE(bits_eq(acc_s, acc_n)) << "rotation " << r;
+    for (unsigned i = 0; i < N; ++i) {
+      EXPECT_EQ(acc_s.get(i), std::int64_t{a.get(i)} * std::int64_t{b.get(i)});
+    }
+    EXPECT_TRUE(bits_eq(aie::mac<Scalar>(acc_s, a, b),
+                        aie::mac<Native>(acc_n, a, b)));
+    EXPECT_TRUE(bits_eq(aie::msc<Scalar>(acc_s, a, b),
+                        aie::msc<Native>(acc_n, a, b)));
+    const T s = b.get(0);
+    EXPECT_TRUE(bits_eq(aie::mul<Scalar>(a, s), aie::mul<Native>(a, s)));
+    EXPECT_TRUE(bits_eq(aie::mac<Scalar>(acc_s, a, s),
+                        aie::mac<Native>(acc_n, a, s)));
+    // Broadcast-scalar MAC into int32 lanes (products kept inside int32).
+    for (const std::int32_t c : {-1, 1, 3}) {
+      EXPECT_TRUE(bits_eq(aie::mac<Scalar>(aie::acc32<N>{}, a, c),
+                          aie::mac<Native>(aie::acc32<N>{}, a, c)));
+    }
+  }
+}
+
 TEST(SimdBackend, MulMacEquivalence) {
   check_mul_mac<std::int8_t, 16>(61);
   check_mul_mac<std::int16_t, 8>(62);
@@ -266,6 +383,19 @@ TEST(SimdBackend, MulMacEquivalence) {
   check_mul_mac<std::int32_t, 8>(64);
   check_mul_mac<float, 8>(65);
   check_mul_mac<float, 16>(66);
+
+  check_mac_extremes<std::int8_t, 8>();
+  check_mac_extremes<std::int8_t, 16>();
+  check_mac_extremes<std::int8_t, 32>();
+  check_mac_extremes<std::uint8_t, 8>();
+  check_mac_extremes<std::uint8_t, 16>();
+  check_mac_extremes<std::uint8_t, 32>();
+  check_mac_extremes<std::int16_t, 8>();
+  check_mac_extremes<std::int16_t, 16>();
+  check_mac_extremes<std::int16_t, 32>();
+  check_mac_extremes<std::uint16_t, 8>();
+  check_mac_extremes<std::uint16_t, 16>();
+  check_mac_extremes<std::uint16_t, 32>();
 }
 
 // The narrow-product fast path: int16 extremes whose products overflow
@@ -348,7 +478,62 @@ TEST(SimdBackend, SrsSaturationBoundaries) {
   check_srs_boundaries<std::int32_t>();
 }
 
+/// unpack to To when it widens T.
+template <class To, class T, unsigned N>
+void check_unpack_to(const aie::vector<T, N>& v) {
+  if constexpr (sizeof(To) > sizeof(T)) {
+    SCOPED_TRACE(::testing::Message() << "To=" << typeid(To).name());
+    const auto want = aie::unpack<To, Scalar>(v);
+    EXPECT_TRUE(bits_eq(want, aie::unpack<To, Native>(v)));
+    for (unsigned i = 0; i < N; ++i) {
+      EXPECT_EQ(want.get(i), static_cast<To>(v.get(i)));
+    }
+  }
+}
+
+/// unpack to every wider lane type and ups into 48- and 32-bit
+/// accumulators, with lanes at T's extremes.
+template <class T, unsigned N>
+void check_widen_extremes() {
+  SCOPED_TRACE(::testing::Message() << "T=" << typeid(T).name() << " N=" << N);
+  const auto v = extreme_vector<T, N>(0);
+  check_unpack_to<std::int16_t>(v);
+  check_unpack_to<std::int32_t>(v);
+  check_unpack_to<std::int64_t>(v);
+  check_unpack_to<std::uint16_t>(v);
+  check_unpack_to<std::uint32_t>(v);
+  check_unpack_to<std::uint64_t>(v);
+  for (int shift : {0, 1, 14}) {
+    const auto want = aie::ups<aie::acc48_tag, Scalar>(v, shift);
+    EXPECT_TRUE(bits_eq(want, aie::ups<aie::acc48_tag, Native>(v, shift)));
+    EXPECT_EQ(want.get(0), std::int64_t{v.get(0)} * (std::int64_t{1} << shift));
+    if constexpr (sizeof(T) <= 2) {
+      EXPECT_TRUE(bits_eq(aie::ups<aie::acc32_tag, Scalar>(v, shift),
+                          aie::ups<aie::acc32_tag, Native>(v, shift)));
+    }
+  }
+}
+
 TEST(SimdBackend, UpsAndFloatAccumMoves) {
+  check_widen_extremes<std::int8_t, 8>();
+  check_widen_extremes<std::int8_t, 16>();
+  check_widen_extremes<std::int8_t, 32>();
+  check_widen_extremes<std::uint8_t, 8>();
+  check_widen_extremes<std::uint8_t, 16>();
+  check_widen_extremes<std::uint8_t, 32>();
+  check_widen_extremes<std::int16_t, 8>();
+  check_widen_extremes<std::int16_t, 16>();
+  check_widen_extremes<std::int16_t, 32>();
+  check_widen_extremes<std::uint16_t, 8>();
+  check_widen_extremes<std::uint16_t, 16>();
+  check_widen_extremes<std::uint16_t, 32>();
+  check_widen_extremes<std::int32_t, 8>();
+  check_widen_extremes<std::int32_t, 16>();
+  check_widen_extremes<std::int32_t, 32>();
+  check_widen_extremes<std::uint32_t, 8>();
+  check_widen_extremes<std::uint32_t, 16>();
+  check_widen_extremes<std::uint32_t, 32>();
+
   std::mt19937 rng(71);
   constexpr unsigned N = 16;
   const auto v16 = random_vector<std::int16_t, N>(rng);
@@ -392,7 +577,60 @@ aie::acc48<Lanes> sliding_ref(const aie::vector<C, NC>& coeff, unsigned cstart,
   return acc;
 }
 
+/// Every dstart in [0, ND) -- contiguous windows and wrapping ones -- and
+/// two cstarts, for mul and mac, against the definition; the data mixes
+/// random lanes with D's extremes and the coefficients include int16's.
+template <unsigned Lanes, unsigned Points, int CoeffStep, int DataStepX,
+          class D>
+void check_sliding_all_starts(unsigned seed) {
+  SCOPED_TRACE(::testing::Message()
+               << "Lanes=" << Lanes << " Points=" << Points << " CoeffStep="
+               << CoeffStep << " DataStepX=" << DataStepX
+               << " D=" << typeid(D).name());
+  using Ops = aie::sliding_mul_ops<Lanes, Points, CoeffStep, DataStepX, 1,
+                                   Scalar>;
+  using OpsN = aie::sliding_mul_ops<Lanes, Points, CoeffStep, DataStepX, 1,
+                                    Native>;
+  std::mt19937 rng(seed);
+  auto coeff = random_vector<std::int16_t, 8>(rng);
+  coeff.set(1, std::numeric_limits<std::int16_t>::min());
+  coeff.set(4, std::numeric_limits<std::int16_t>::max());
+  auto data = random_vector<D, 16>(rng);
+  for (unsigned i = 0; i < 16; i += 3) {
+    data.set(i, i % 2 ? std::numeric_limits<D>::max()
+                      : std::numeric_limits<D>::min());
+  }
+  for (unsigned cstart : {0u, 3u}) {
+    for (unsigned dstart = 0; dstart < 16; ++dstart) {
+      const auto want = sliding_ref<Lanes, Points, CoeffStep, DataStepX, 1>(
+          coeff, cstart, data, dstart);
+      const auto got_s = Ops::mul(coeff, cstart, data, dstart);
+      EXPECT_TRUE(bits_eq(want, got_s)) << "cstart=" << cstart
+                                        << " dstart=" << dstart;
+      EXPECT_TRUE(bits_eq(got_s, OpsN::mul(coeff, cstart, data, dstart)))
+          << "cstart=" << cstart << " dstart=" << dstart;
+      EXPECT_TRUE(bits_eq(Ops::mac(want, coeff, cstart, data, dstart),
+                          OpsN::mac(want, coeff, cstart, data, dstart)))
+          << "cstart=" << cstart << " dstart=" << dstart;
+    }
+  }
+}
+
+template <unsigned Lanes, unsigned Points, class D>
+void check_sliding_steps(unsigned seed) {
+  check_sliding_all_starts<Lanes, Points, 1, 1, D>(seed);
+  check_sliding_all_starts<Lanes, Points, 1, 2, D>(seed + 1);
+  check_sliding_all_starts<Lanes, Points, 2, 1, D>(seed + 2);
+  check_sliding_all_starts<Lanes, Points, 2, 2, D>(seed + 3);
+}
+
 TEST(SimdBackend, SlidingMulFastAndGenericPaths) {
+  check_sliding_steps<8, 8, std::int16_t>(810);
+  check_sliding_steps<8, 4, std::int16_t>(820);
+  check_sliding_steps<4, 4, std::int16_t>(830);
+  check_sliding_steps<8, 8, std::uint16_t>(840);
+  check_sliding_steps<8, 4, std::uint16_t>(850);
+
   std::mt19937 rng(81);
   const auto coeff = random_vector<std::int16_t, 8>(rng);
   const auto data = random_vector<std::int16_t, 16>(rng);
