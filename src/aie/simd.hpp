@@ -910,26 +910,49 @@ struct native_backend {
 
   // ---- accumulator <-> vector moves (srs / ups) ----
 
+ private:
+  /// srs to int16 in 8-lane pieces, each narrowed from one zmm by one
+  /// vpmovqw, where cvt's hop-by-hop narrowing takes two cross-lane
+  /// permutes against a zeroed register. int8 and int32 targets keep cvt.
+  template <class T, unsigned N>
+  static constexpr bool kZmmNarrow16 =
+      kZmm && std::is_same_v<T, std::int16_t> && N % 8 == 0;
+
+ public:
   template <class T, unsigned N>
   static void srs(T* r, const std::int64_t* acc, int shift) {
-    auto va = ld<std::int64_t, N>(acc);
-    if (shift <= 0) {
-      va <<= -shift;
+    if constexpr (kZmmNarrow16<T, N> && N > 8) {
+      for (unsigned i = 0; i < N; i += 8) srs<T, 8>(r + i, acc + i, shift);
     } else {
-      va = (va + splat<std::int64_t, N>(std::int64_t{1} << (shift - 1))) >>
-           shift;
+      auto va = ld<std::int64_t, N>(acc);
+      if (shift <= 0) {
+        va <<= -shift;
+      } else {
+        va = (va + splat<std::int64_t, N>(std::int64_t{1} << (shift - 1))) >>
+             shift;
+      }
+      const auto vlo =
+          splat<std::int64_t, N>(std::numeric_limits<T>::min());
+      const auto vhi =
+          splat<std::int64_t, N>(std::numeric_limits<T>::max());
+      // Saturate with two canonical min/max ternaries: GCC folds each into
+      // a packed MIN_EXPR/MAX_EXPR at any width, where the equivalent
+      // nested select scalarizes to per-lane cmovs once the vector spans
+      // more than a couple of registers.
+      va = (va > vhi) ? vhi : va;
+      va = (va < vlo) ? vlo : va;
+#if CGSIM_SIMD_ZMM_BUILTINS
+      if constexpr (kZmmNarrow16<T, N>) {
+        // The lanes are clamped, so vpmovqw's truncation is exact.
+        typedef short h16 __attribute__((vector_size(16)));
+        typedef long long q64 __attribute__((vector_size(64)));
+        const h16 n = __builtin_ia32_pmovqw512_mask((q64)va, h16{}, 0xff);
+        std::memcpy(r, &n, sizeof n);
+        return;
+      }
+#endif
+      st<T, N>(r, cvt<T, std::int64_t, N>(va));
     }
-    const auto vlo =
-        splat<std::int64_t, N>(std::numeric_limits<T>::min());
-    const auto vhi =
-        splat<std::int64_t, N>(std::numeric_limits<T>::max());
-    // Saturate with two canonical min/max ternaries: GCC folds each into a
-    // packed MIN_EXPR/MAX_EXPR at any width, where the equivalent nested
-    // select scalarizes to per-lane cmovs once the vector spans more than
-    // a couple of registers.
-    va = (va > vhi) ? vhi : va;
-    va = (va < vlo) ? vlo : va;
-    st<T, N>(r, cvt<T, std::int64_t, N>(va));
   }
 
   template <class T, unsigned N>

@@ -22,7 +22,7 @@
 // batch larger than the ring capacity still completes (the transfer streams
 // through the ring in capacity-sized pieces).
 //
-// Three backends share one interface:
+// Four backends share one interface:
 //   * CoopChannel     -- completion-based, single-threaded; also serves the
 //                        cycle-approximate backend via per-item virtual-time
 //                        stamps (SimHooks). Declared `final` so ports that
@@ -38,10 +38,15 @@
 //                        parking and closure, and a Dekker-style fence
 //                        handshake so a publishing side never misses a
 //                        parked peer.
+//
+// CoopChannel, ThreadedChannel and ShardChannel store their elements in one
+// Ring: a power-of-two slot array addressed by masking the channel's 64-bit
+// positions. The channel's logical capacity alone decides when it is full.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <condition_variable>
 #include <coroutine>
 #include <cstdint>
@@ -267,6 +272,60 @@ class TypedChannel : public ChannelBase {
   }
 };
 
+/// Slot storage of the ring channels (and of CoopChannel's virtual-time
+/// stamps). Positions are the channel's monotonically increasing 64-bit
+/// head and cursors; the ring holds `std::bit_ceil(capacity)` slots, so a
+/// position maps to its slot by a mask instead of a division. The owner
+/// keeps the logical capacity and checks fullness against it, so at most
+/// `capacity` slots are live and the spare ones only pad the array (the
+/// largest capacity a wire spec may ask for, kMaxEdgeCapacity, is a power
+/// of two, so the largest ring does not grow).
+template <class T>
+class Ring {
+ public:
+  Ring() = default;
+  explicit Ring(std::size_t capacity)
+      : slots_(std::bit_ceil(capacity)), mask_(slots_.size() - 1) {}
+
+  [[nodiscard]] std::size_t slots() const { return slots_.size(); }
+  [[nodiscard]] T& operator[](std::uint64_t pos) {
+    return slots_[static_cast<std::size_t>(pos) & mask_];
+  }
+  [[nodiscard]] const T& operator[](std::uint64_t pos) const {
+    return slots_[static_cast<std::size_t>(pos) & mask_];
+  }
+
+  /// Copies `k` (at most slots()) elements to positions [pos, pos + k):
+  /// one element by assignment, more as at most two contiguous copies
+  /// (a memmove for trivially copyable T), split at the physical wrap.
+  void write(std::uint64_t pos, const T* src, std::size_t k) {
+    if (k == 1) {
+      (*this)[pos] = *src;
+      return;
+    }
+    const std::size_t p = static_cast<std::size_t>(pos) & mask_;
+    const std::size_t first = std::min(k, slots_.size() - p);
+    std::copy_n(src, first, slots_.data() + p);
+    std::copy_n(src + first, k - first, slots_.data());
+  }
+
+  /// Copies the `k` elements at positions [pos, pos + k) to `dst`.
+  void read(std::uint64_t pos, T* dst, std::size_t k) const {
+    if (k == 1) {
+      *dst = (*this)[pos];
+      return;
+    }
+    const std::size_t p = static_cast<std::size_t>(pos) & mask_;
+    const std::size_t first = std::min(k, slots_.size() - p);
+    std::copy_n(slots_.data() + p, first, dst);
+    std::copy_n(slots_.data(), k - first, dst + first);
+  }
+
+ private:
+  std::vector<T> slots_;
+  std::size_t mask_ = 0;
+};
+
 /// Cooperative broadcast ring buffer. Single-threaded by construction; no
 /// locks, no atomics. `final`: ports bound in a cooperative mode call these
 /// methods through a concrete CoopChannel<T>*, so every call in the
@@ -282,7 +341,7 @@ class CoopChannel final : public TypedChannel<T> {
   CoopChannel(int consumers, int capacity, Executor* exec)
       : TypedChannel<T>(consumers),
         capacity_(static_cast<std::size_t>(std::max(capacity, 1))),
-        slots_(capacity_),
+        ring_(capacity_),
         cursors_(static_cast<std::size_t>(consumers), 0),
         consumer_active_(static_cast<std::size_t>(consumers), 1),
         pop_waiters_(static_cast<std::size_t>(consumers)),
@@ -307,7 +366,7 @@ class CoopChannel final : public TypedChannel<T> {
     if (cursors_[c] == head_) {
       return this->push_closed() ? ChanStatus::closed : ChanStatus::blocked;
     }
-    if (sim_ != nullptr && stamps_[cursors_[c] % capacity_] > sim_->now()) {
+    if (sim_ != nullptr && stamps_[cursors_[c]] > sim_->now()) {
       // The element exists but has not yet arrived in virtual time; the
       // caller suspends and the completion path schedules the wake at the
       // element's stamp.
@@ -340,8 +399,7 @@ class CoopChannel final : public TypedChannel<T> {
   void add_pop_waiter(PopWaiter w) override {
     const auto c = static_cast<std::size_t>(w.consumer);
     if (cursors_[c] != head_) {
-      const std::uint64_t stamp =
-          sim_ != nullptr ? stamps_[cursors_[c] % capacity_] : 0;
+      const std::uint64_t stamp = sim_ != nullptr ? stamps_[cursors_[c]] : 0;
       raw_read(c, w.out, 1);
       *w.status = ChanStatus::ok;
       exec_->make_ready(w.h, stamp);
@@ -396,8 +454,7 @@ class CoopChannel final : public TypedChannel<T> {
       // in virtual time.
       const std::uint64_t now = sim_->now();
       std::size_t ready = 0;
-      while (ready < avail &&
-             stamps_[(cursors_[c] + ready) % capacity_] <= now) {
+      while (ready < avail && stamps_[cursors_[c] + ready] <= now) {
         ++ready;
       }
       avail = ready;
@@ -518,7 +575,9 @@ class CoopChannel final : public TypedChannel<T> {
   void attach_sim_hooks(SimHooks* hooks) override {
     sim_ = hooks;
     // Stamp storage is paid for only when a virtual-time engine attaches.
-    if (stamps_.size() != capacity_) stamps_.assign(capacity_, 0);
+    if (stamps_.slots() != ring_.slots()) {
+      stamps_ = Ring<std::uint64_t>{capacity_};
+    }
   }
 
   [[nodiscard]] std::uint64_t push_parks() const override {
@@ -598,26 +657,16 @@ class CoopChannel final : public TypedChannel<T> {
     min_cursor_ = m;
   }
 
-  /// Copies `k` elements into the ring at `head_`, split at the wrap point.
-  /// `k` must not exceed the free space (or capacity when unconsumed).
+  /// Copies `k` elements into the ring at `head_`. `k` must not exceed
+  /// the free space (or capacity when unconsumed).
   void raw_write(const T* src, std::size_t k) {
-    const std::size_t pos = static_cast<std::size_t>(head_ % capacity_);
-    const std::size_t first = std::min(k, capacity_ - pos);
-    if constexpr (std::is_trivially_copyable_v<T>) {
-      std::memcpy(slots_.data() + pos, src, first * sizeof(T));
-      std::memcpy(slots_.data(), src + first, (k - first) * sizeof(T));
-    } else {
-      std::copy_n(src, first, slots_.begin() + static_cast<std::ptrdiff_t>(pos));
-      std::copy_n(src + first, k - first, slots_.begin());
-    }
+    ring_.write(head_, src, k);
     if (sim_ != nullptr) {
       // A replay task re-pushing a recorded element carries the recording's
       // stamp instead of its own (zero-cost) clock.
       const std::uint64_t t =
           has_forced_stamp_ ? forced_stamp_ : sim_->now();
-      for (std::size_t i = 0; i < k; ++i) {
-        stamps_[static_cast<std::size_t>((head_ + i) % capacity_)] = t;
-      }
+      for (std::size_t i = 0; i < k; ++i) stamps_[head_ + i] = t;
       if constexpr (std::is_trivially_copyable_v<T>) {
         if (tap_ != nullptr) {
           const auto* bytes = reinterpret_cast<const std::byte*>(src);
@@ -633,20 +682,18 @@ class CoopChannel final : public TypedChannel<T> {
   /// Copies `k` buffered elements (which must be available) to `dst` and
   /// advances consumer `c`, maintaining the cached minimum cursor.
   void raw_read(std::size_t c, T* dst, std::size_t k) {
-    const std::size_t pos = static_cast<std::size_t>(cursors_[c] % capacity_);
-    const std::size_t first = std::min(k, capacity_ - pos);
-    if constexpr (std::is_trivially_copyable_v<T>) {
-      std::memcpy(dst, slots_.data() + pos, first * sizeof(T));
-      std::memcpy(dst + first, slots_.data(), (k - first) * sizeof(T));
-    } else {
-      std::copy_n(slots_.begin() + static_cast<std::ptrdiff_t>(pos), first,
-                  dst);
-      std::copy_n(slots_.begin(), k - first, dst + first);
-    }
+    ring_.read(cursors_[c], dst, k);
     const std::uint64_t old = cursors_[c];
     cursors_[c] += k;
     this->popped_[c] += k;
-    if (old == min_cursor_) recompute_min_cursor();
+    if (old == min_cursor_) {
+      // A lone consumer's cursor is the minimum; no scan needed.
+      if (this->consumers_total_ == 1) {
+        min_cursor_ = cursors_[c];
+      } else {
+        recompute_min_cursor();
+      }
+    }
   }
 
   /// Moves buffered data into a bulk pop waiter, advancing its progress and
@@ -658,9 +705,7 @@ class CoopChannel final : public TypedChannel<T> {
     if (k == 0) return;
     if (sim_ != nullptr) {
       for (std::size_t i = 0; i < k; ++i) {
-        w.max_stamp = std::max(
-            w.max_stamp,
-            stamps_[static_cast<std::size_t>((cursors_[c] + i) % capacity_)]);
+        w.max_stamp = std::max(w.max_stamp, stamps_[cursors_[c] + i]);
       }
     }
     raw_read(c, w.dst + w.done, k);
@@ -683,7 +728,7 @@ class CoopChannel final : public TypedChannel<T> {
           pop_waiters_[c].pop_front();
           --parked_;
           const std::uint64_t stamp =
-              sim_ != nullptr ? stamps_[cursors_[c] % capacity_] : 0;
+              sim_ != nullptr ? stamps_[cursors_[c]] : 0;
           raw_read(c, w.out, 1);
           *w.status = ChanStatus::ok;
           exec_->make_ready(w.h, stamp);
@@ -734,14 +779,14 @@ class CoopChannel final : public TypedChannel<T> {
     }
   }
 
-  std::size_t capacity_;
-  std::vector<T> slots_;
-  std::vector<std::uint64_t> stamps_;  // allocated only with SimHooks
+  std::size_t capacity_;  ///< logical capacity: every full/free check
+  Ring<T> ring_;
+  Ring<std::uint64_t> stamps_;  // allocated only with SimHooks
   std::uint64_t head_ = 0;
   std::vector<std::uint64_t> cursors_;
   /// Cached minimum over active consumer cursors (== head_ when none).
   /// Only a pop by the lagging consumer or a consumer retiring can change
-  /// it; both trigger recompute_min_cursor().
+  /// it; both update it (a lone consumer without a scan).
   std::uint64_t min_cursor_ = 0;
   std::vector<std::uint8_t> consumer_active_;
   std::vector<std::deque<PopWaiter>> pop_waiters_;
@@ -770,7 +815,7 @@ class ThreadedChannel final : public TypedChannel<T> {
   ThreadedChannel(int consumers, int capacity)
       : TypedChannel<T>(consumers),
         capacity_(static_cast<std::size_t>(std::max(capacity, 1))),
-        slots_(capacity_),
+        ring_(capacity_),
         cursors_(static_cast<std::size_t>(consumers), 0),
         consumer_active_(static_cast<std::size_t>(consumers), 1) {
     this->popped_.assign(static_cast<std::size_t>(consumers), 0);
@@ -786,7 +831,7 @@ class ThreadedChannel final : public TypedChannel<T> {
     if (this->consumers_total_ > 0 && this->consumers_open_ == 0) {
       return false;
     }
-    slots_[head_ % capacity_] = v;
+    ring_[head_] = v;
     ++head_;
     ++this->pushed_;
     // One new element: with a single consumer endpoint only one waiter can
@@ -806,7 +851,7 @@ class ThreadedChannel final : public TypedChannel<T> {
     not_empty_.wait(lk,
                     [&] { return cursors_[c] != head_ || this->push_closed(); });
     if (cursors_[c] == head_) return false;  // closed and drained
-    out = slots_[cursors_[c] % capacity_];
+    out = ring_[cursors_[c]];
     ++cursors_[c];
     ++this->popped_[c];
     // A pop frees at most one ring slot (none unless this consumer was the
@@ -853,7 +898,7 @@ class ThreadedChannel final : public TypedChannel<T> {
   }
 
   std::size_t capacity_;
-  std::vector<T> slots_;
+  Ring<T> ring_;
   std::uint64_t head_ = 0;
   std::vector<std::uint64_t> cursors_;
   std::vector<std::uint8_t> consumer_active_;
@@ -896,7 +941,7 @@ class ShardChannel final : public TypedChannel<T> {
   ShardChannel(int consumers, int capacity, Executor* exec)
       : TypedChannel<T>(consumers),
         capacity_(static_cast<std::size_t>(std::max(capacity, 1))),
-        slots_(capacity_),
+        ring_(capacity_),
         cursors_(static_cast<std::size_t>(consumers)),
         pop_waiters_(static_cast<std::size_t>(consumers)),
         bulk_pop_waiters_(static_cast<std::size_t>(consumers)),
@@ -952,7 +997,7 @@ class ShardChannel final : public TypedChannel<T> {
     const std::uint64_t head = head_.load(std::memory_order_acquire);
     const std::size_t k = std::min(n, static_cast<std::size_t>(head - pos));
     if (k > 0) {
-      read_ring(pos, dst, k);
+      ring_.read(pos, dst, k);
       cur.pos.store(pos + k, std::memory_order_release);
       this->popped_[static_cast<std::size_t>(consumer)] += k;
       wake_if_parked();
@@ -989,7 +1034,7 @@ class ShardChannel final : public TypedChannel<T> {
     const std::uint64_t pos = cur.pos.load(std::memory_order_relaxed);
     if (head_.load(std::memory_order_acquire) != pos) {
       parked_.fetch_sub(1, std::memory_order_relaxed);
-      read_ring(pos, w.out, 1);
+      ring_.read(pos, w.out, 1);
       cur.pos.store(pos + 1, std::memory_order_release);
       ++this->popped_[static_cast<std::size_t>(w.consumer)];
       *w.status = ChanStatus::ok;
@@ -1139,32 +1184,6 @@ class ShardChannel final : public TypedChannel<T> {
     return m;
   }
 
-  void write_ring(std::uint64_t head, const T* src, std::size_t k) {
-    const std::size_t pos = static_cast<std::size_t>(head % capacity_);
-    const std::size_t first = std::min(k, capacity_ - pos);
-    if constexpr (std::is_trivially_copyable_v<T>) {
-      std::memcpy(slots_.data() + pos, src, first * sizeof(T));
-      std::memcpy(slots_.data(), src + first, (k - first) * sizeof(T));
-    } else {
-      std::copy_n(src, first,
-                  slots_.begin() + static_cast<std::ptrdiff_t>(pos));
-      std::copy_n(src + first, k - first, slots_.begin());
-    }
-  }
-
-  void read_ring(std::uint64_t cursor, T* dst, std::size_t k) {
-    const std::size_t pos = static_cast<std::size_t>(cursor % capacity_);
-    const std::size_t first = std::min(k, capacity_ - pos);
-    if constexpr (std::is_trivially_copyable_v<T>) {
-      std::memcpy(dst, slots_.data() + pos, first * sizeof(T));
-      std::memcpy(dst + first, slots_.data(), (k - first) * sizeof(T));
-    } else {
-      std::copy_n(slots_.begin() + static_cast<std::ptrdiff_t>(pos), first,
-                  dst);
-      std::copy_n(slots_.begin(), k - first, dst + first);
-    }
-  }
-
   /// Moves up to `n` elements from `src` into the ring, publishing `head_`
   /// once. Serializes on `push_m_` only for multi-producer edges; with one
   /// producer the single in-flight push (running or parked, never both)
@@ -1176,7 +1195,7 @@ class ShardChannel final : public TypedChannel<T> {
         capacity_ - static_cast<std::size_t>(head - min_cursor(head));
     const std::size_t k = std::min(n, free);
     if (k > 0) {
-      write_ring(head, src, k);
+      ring_.write(head, src, k);
       head_.store(head + k, std::memory_order_release);
       this->pushed_ += k;
     }
@@ -1240,7 +1259,7 @@ class ShardChannel final : public TypedChannel<T> {
     const std::size_t k =
         std::min(w.n - w.done, static_cast<std::size_t>(head - pos));
     if (k == 0) return;
-    read_ring(pos, w.dst + w.done, k);
+    ring_.read(pos, w.dst + w.done, k);
     cur.pos.store(pos + k, std::memory_order_release);
     this->popped_[static_cast<std::size_t>(w.consumer)] += k;
     w.done += k;
@@ -1262,7 +1281,7 @@ class ShardChannel final : public TypedChannel<T> {
           PopWaiter w = pop_waiters_[c].front();
           pop_waiters_[c].pop_front();
           parked_.fetch_sub(1, std::memory_order_relaxed);
-          read_ring(pos, w.out, 1);
+          ring_.read(pos, w.out, 1);
           cur.pos.store(pos + 1, std::memory_order_release);
           ++this->popped_[c];
           *w.status = ChanStatus::ok;
@@ -1316,7 +1335,7 @@ class ShardChannel final : public TypedChannel<T> {
   }
 
   std::size_t capacity_;
-  std::vector<T> slots_;
+  Ring<T> ring_;
   std::atomic<std::uint64_t> head_{0};
   std::vector<Cursor> cursors_;
   std::atomic<int> producers_open_a_{0};

@@ -427,13 +427,12 @@ TEST(SimdBackend, MacSignedOverflowWideAccumulation) {
 // srs / ups: saturation boundaries and round-half-up edges
 // ---------------------------------------------------------------------------
 
-template <class T>
+template <class T, unsigned N = 8>
 void check_srs_boundaries() {
-  SCOPED_TRACE(typeid(T).name());
-  constexpr unsigned N = 8;
+  SCOPED_TRACE(::testing::Message() << typeid(T).name() << " N=" << N);
   const std::int64_t kMin = std::numeric_limits<T>::min();
   const std::int64_t kMax = std::numeric_limits<T>::max();
-  const std::array<std::int64_t, N> lanes = {
+  const std::array<std::int64_t, 8> lanes = {
       std::int64_t{1} << 47,     // saturates high through any small shift
       -(std::int64_t{1} << 47),  // saturates low
       kMax,                      // representable boundary
@@ -443,8 +442,9 @@ void check_srs_boundaries() {
       1,             // (1+1)>>1 == 1
       3,             // shift 2: (3+2)>>2 == 1
   };
+  // Past 8 lanes each group of 8 rotates the pattern by one more lane.
   aie::acc48<N> acc;
-  for (unsigned i = 0; i < N; ++i) acc.set(i, lanes[i]);
+  for (unsigned i = 0; i < N; ++i) acc.set(i, lanes[(i + i / 8) % 8]);
 
   for (int shift : {0, 1, 2, 14, 40}) {
     const auto s = aie::srs<T, Scalar>(acc, shift);
@@ -476,6 +476,9 @@ TEST(SimdBackend, SrsSaturationBoundaries) {
   check_srs_boundaries<std::int8_t>();
   check_srs_boundaries<std::int16_t>();
   check_srs_boundaries<std::int32_t>();
+  // The int16 target narrows one zmm at a time on AVX-512 (simd.hpp).
+  check_srs_boundaries<std::int16_t, 16>();
+  check_srs_boundaries<std::int16_t, 32>();
 }
 
 /// unpack to To when it widens T.

@@ -2,8 +2,12 @@
 // propagation, the generated-I/O penalty and the execution trace.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <numeric>
+#include <span>
 
+#include "aie/aie.hpp"
 #include "aiesim/engine.hpp"
 #include "core/cgsim.hpp"
 
@@ -158,6 +162,135 @@ TEST(SimEngine, NsPerIterationUsesClock) {
   const auto res = aiesim::simulate(se_graph.view(), cfg, in, out);
   const double d = res.trace.mean_iteration_delta(2);
   EXPECT_NEAR(res.ns_per_iteration(cfg.aie_mhz, 2), d * 1e3 / 1250.0, 1e-9);
+}
+
+// --- rings whose capacity is not a power of two -------------------------
+
+/// Vector work per element, so the chain's stages run at different rates.
+template <int Work>
+int npot_work(int v) {
+  auto vec = aie::broadcast<std::int32_t, 8>(v);
+  auto acc = aie::mul(vec, vec);
+  for (int i = 0; i < Work; ++i) acc = aie::mac(acc, vec, vec);
+  return v + aie::reduce_add(aie::srs<std::int32_t>(acc, 0));
+}
+
+COMPUTE_KERNEL(aie, npot_burst,
+               KernelReadPort<int> in,
+               KernelWritePort<int> out) {
+  // One element in, four out in one put_n: the fourth waits for space in
+  // the capacity-3 ring.
+  while (true) {
+    const int v = npot_work<2>(co_await in.get());
+    const std::array<int, 4> burst{v, v + 1, v + 2, v + 3};
+    co_await out.put_n(std::span<const int>{burst});
+  }
+}
+
+COMPUTE_KERNEL(aie, npot_pair,
+               KernelReadPort<int> in,
+               KernelWritePort<int> out) {
+  std::array<int, 2> buf{};
+  while (true) {
+    const std::size_t n = co_await in.get_n(std::span{buf});
+    co_await out.put(npot_work<10>(buf[0] - buf[1]));
+    if (n < buf.size()) (void)co_await in.get();
+  }
+}
+
+COMPUTE_KERNEL(aie, npot_gather,
+               KernelReadPort<int> in,
+               KernelWritePort<int> out) {
+  // One get and one get_n of two from the capacity-5 ring; both wrap it.
+  std::array<int, 3> buf{};
+  while (true) {
+    buf[0] = co_await in.get();
+    const std::size_t n = 1 + co_await in.get_n(std::span{buf}.subspan(1));
+    std::uint32_t s = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      s = s * 31u + static_cast<std::uint32_t>(npot_work<1>(buf[i]));
+    }
+    co_await out.put(static_cast<int>(s));
+    if (n < buf.size()) (void)co_await in.get();
+  }
+}
+
+TEST(SimEngine, NonPowerOfTwoRingsKeepRecordedTiming) {
+  // A 3-kernel chain over rings of capacity 5, 3, 5 and 1, so most rings
+  // have spare slots (the ring rounds its slot count up to a power of
+  // two) and the stages fill them in bursts and drain them with scalar
+  // and bulk reads. The engine's observables below were recorded with
+  // the earlier modulo-indexed rings; every one of them moves if the
+  // physical slot count drives backpressure or a stamp is read from the
+  // wrong slot.
+  struct Tile {
+    const char* kernel;
+    std::uint64_t busy_cycles, final_clock, activations;
+  };
+  struct Golden {
+    bool generated_io;
+    std::uint64_t virtual_cycles, trace_digest;
+    std::array<Tile, 3> tiles;
+  };
+  const Golden golden[] = {
+      {false, 8150, 5806360358117819664ull,
+       {{{"npot_burst", 6027, 8012, 43},
+         {"npot_pair", 8124, 8150, 23},
+         {"npot_gather", 3888, 8109, 37}}}},
+      {true, 8151, 2515656343066366074ull,
+       {{{"npot_burst", 6068, 8013, 43},
+         {"npot_pair", 8124, 8151, 23},
+         {"npot_gather", 3915, 8111, 37}}}},
+  };
+
+  rt::DynamicGraphBuilder b;
+  const int e_in = b.add_edge<int>(5);
+  const int e1 = b.add_edge<int>(3);
+  const int e2 = b.add_edge<int>(5);
+  const int e_out = b.add_edge<int>(1);
+  b.add_input(e_in);
+  b.add_kernel(npot_burst, {e_in, e1});
+  b.add_kernel(npot_pair, {e1, e2});
+  b.add_kernel(npot_gather, {e2, e_out});
+  b.add_output(e_out);
+  const GraphView view = b.view();
+  std::vector<int> in(41);
+  for (int i = 0; i < 41; ++i) in[static_cast<std::size_t>(i)] = 7 * i - 100;
+
+  std::vector<int> coop_out;
+  {
+    RuntimeContext ctx{view, ExecMode::coop};
+    ctx.add_stream_source<int>(0, std::span<const int>{in});
+    ctx.add_stream_sink<int>(0, coop_out);
+    ctx.run_coop();
+  }
+  ASSERT_EQ(coop_out.size(), 27u);
+  std::uint64_t out_hash = 1469598103934665603ull;  // FNV-1a
+  for (const int v : coop_out) {
+    out_hash = (out_hash ^ static_cast<std::uint32_t>(v)) * 1099511628211ull;
+  }
+  EXPECT_EQ(out_hash, 5500272739549752490ull);
+
+  for (const Golden& g : golden) {
+    SCOPED_TRACE(::testing::Message() << "generated_io " << g.generated_io);
+    aiesim::SimConfig cfg;
+    cfg.generated_io = g.generated_io;
+    std::vector<int> out;
+    const auto res = aiesim::simulate(view, cfg, in, out);
+    EXPECT_EQ(out, coop_out);
+    EXPECT_EQ(res.virtual_cycles, g.virtual_cycles);
+    EXPECT_EQ(res.trace.digest(), g.trace_digest);
+    ASSERT_EQ(res.tiles.size(), g.tiles.size());
+    for (const Tile& want : g.tiles) {
+      const auto it = std::find_if(
+          res.tiles.begin(), res.tiles.end(),
+          [&](const aiesim::TileStats& t) { return t.kernel == want.kernel; });
+      ASSERT_NE(it, res.tiles.end()) << want.kernel;
+      EXPECT_EQ(it->busy_cycles, want.busy_cycles) << want.kernel;
+      EXPECT_EQ(it->final_clock, want.final_clock) << want.kernel;
+      EXPECT_EQ(it->activations, want.activations) << want.kernel;
+    }
+  }
 }
 
 TEST(Trace, DumpFormat) {

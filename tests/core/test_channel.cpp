@@ -48,6 +48,26 @@ TEST(CoopChannel, CapacityBlocksProducer) {
   int v = 0;
   ASSERT_EQ(ch.try_pop(0, v), ChanStatus::ok);
   EXPECT_EQ(ch.try_push(3), ChanStatus::ok);
+
+  // Capacity 3 rounds the ring up to 4 slots; the logical capacity still
+  // refuses the 4th push, and a parked 4th push counts as a push park.
+  CoopChannel<int> odd{1, 3, &ex};
+  odd.set_producers(1);
+  for (int i = 0; i < 3; ++i) ASSERT_EQ(odd.try_push(i), ChanStatus::ok);
+  EXPECT_EQ(odd.try_push(3), ChanStatus::blocked);
+  EXPECT_EQ(odd.push_parks(), 0u);
+  const int fourth = 3;
+  ChanStatus st = ChanStatus::blocked;
+  odd.add_push_waiter({&fourth, &st, TaskHandle{}});
+  EXPECT_EQ(st, ChanStatus::blocked);
+  EXPECT_EQ(odd.push_parks(), 1u);
+  EXPECT_EQ(odd.occupancy(0), 3u);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_EQ(odd.try_pop(0, v), ChanStatus::ok);
+    EXPECT_EQ(v, i);
+  }
+  EXPECT_EQ(st, ChanStatus::ok);  // the pop made room for the parked push
+  EXPECT_EQ(odd.try_pop(0, v), ChanStatus::blocked);
 }
 
 TEST(CoopChannel, BroadcastEveryConsumerSeesEverything) {
@@ -145,18 +165,24 @@ TEST(CoopChannel, BlockingOpsAreRejected) {
 // --- threaded channel ---
 
 TEST(ThreadedChannel, BlockingRoundTrip) {
-  ThreadedChannel<int> ch{1, 4};
-  ch.set_producers(1);
-  std::thread producer([&] {
-    for (int i = 0; i < 100; ++i) ASSERT_TRUE(ch.blocking_push(i));
-    ch.producer_done();
-  });
-  std::vector<int> got;
-  int v = 0;
-  while (ch.blocking_pop(0, v)) got.push_back(v);
-  producer.join();
-  ASSERT_EQ(got.size(), 100u);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(got[static_cast<std::size_t>(i)], i);
+  // Capacity 3 leaves the ring one spare slot.
+  for (const int capacity : {4, 3}) {
+    SCOPED_TRACE(::testing::Message() << "capacity " << capacity);
+    ThreadedChannel<int> ch{1, capacity};
+    ch.set_producers(1);
+    std::thread producer([&] {
+      for (int i = 0; i < 100; ++i) ASSERT_TRUE(ch.blocking_push(i));
+      ch.producer_done();
+    });
+    std::vector<int> got;
+    int v = 0;
+    while (ch.blocking_pop(0, v)) got.push_back(v);
+    producer.join();
+    ASSERT_EQ(got.size(), 100u);
+    for (int i = 0; i < 100; ++i) {
+      EXPECT_EQ(got[static_cast<std::size_t>(i)], i);
+    }
+  }
 }
 
 TEST(ThreadedChannel, BroadcastTwoConsumers) {

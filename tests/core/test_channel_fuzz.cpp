@@ -92,7 +92,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(FuzzCase{1, 1, 1}, FuzzCase{2, 1, 7},
                       FuzzCase{3, 2, 1}, FuzzCase{4, 2, 16},
                       FuzzCase{5, 3, 4}, FuzzCase{6, 4, 64},
-                      FuzzCase{7, 3, 2}, FuzzCase{8, 2, 3}));
+                      FuzzCase{7, 3, 2}, FuzzCase{8, 2, 3},
+                      // Capacities below the ring's power-of-two slot count.
+                      FuzzCase{9, 1, 5}, FuzzCase{10, 3, 65},
+                      FuzzCase{19, 2, 100}));
 
 /// Same oracle, but scalar and bulk operations (random batch lengths up to
 /// twice the capacity) are randomly interleaved: the bulk path must be
@@ -212,6 +215,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(FuzzCase{11, 1, 1}, FuzzCase{12, 1, 7},
                       FuzzCase{13, 2, 1}, FuzzCase{14, 2, 16},
                       FuzzCase{15, 3, 4}, FuzzCase{16, 4, 64},
-                      FuzzCase{17, 3, 2}, FuzzCase{18, 2, 3}));
+                      FuzzCase{17, 3, 2}, FuzzCase{18, 2, 3},
+                      FuzzCase{20, 1, 5}, FuzzCase{21, 3, 65},
+                      FuzzCase{22, 2, 100}));
 
 }  // namespace

@@ -34,9 +34,10 @@ class CollectingExecutor final : public Executor {
   std::vector<std::coroutine_handle<>> ready_;
 };
 
-TEST(ShardChannel, SpscOrderPreservedAcrossThreads) {
+void spsc_order_preserved(int capacity) {
+  SCOPED_TRACE(::testing::Message() << "capacity " << capacity);
   CollectingExecutor exec;
-  ShardChannel<int> ch{/*consumers=*/1, /*capacity=*/8, &exec};
+  ShardChannel<int> ch{/*consumers=*/1, capacity, &exec};
   ch.set_producers(1);
   constexpr int kN = 20000;
 
@@ -68,12 +69,19 @@ TEST(ShardChannel, SpscOrderPreservedAcrossThreads) {
   }
 }
 
-TEST(ShardChannel, BulkTransfersAmortizeAcrossTheRing) {
+// Capacities 7 and 65 leave the ring spare slots (8 and 128 of them).
+TEST(ShardChannel, SpscOrderPreservedAcrossThreads) {
+  for (const int capacity : {8, 7, 65}) spsc_order_preserved(capacity);
+}
+
+void bulk_transfers_amortize(int capacity) {
+  SCOPED_TRACE(::testing::Message() << "capacity " << capacity);
   CollectingExecutor exec;
-  ShardChannel<int> ch{1, /*capacity=*/16, &exec};
+  ShardChannel<int> ch{1, capacity, &exec};
   ch.set_producers(1);
   constexpr int kN = 4096;
-  constexpr std::size_t kBatch = 24;  // exceeds capacity: forces wrap+partial
+  // Exceeds capacities 16 and 7: forces wrap+partial.
+  constexpr std::size_t kBatch = 24;
 
   std::thread producer{[&] {
     std::vector<int> batch(kBatch);
@@ -111,6 +119,10 @@ TEST(ShardChannel, BulkTransfersAmortizeAcrossTheRing) {
   for (int i = 0; i < kN; ++i) {
     ASSERT_EQ(got[static_cast<std::size_t>(i)], i);
   }
+}
+
+TEST(ShardChannel, BulkTransfersAmortizeAcrossTheRing) {
+  for (const int capacity : {16, 7, 65}) bulk_transfers_amortize(capacity);
 }
 
 TEST(ShardChannel, CloseDeliversPartialBatchThenClosed) {

@@ -366,12 +366,21 @@ COMPUTE_KERNEL(aie, mt_dyn_split,
 
 /// Random DAG over open edges: every kernel consumes previously produced
 /// edges and opens new ones, so the construction order is a topological
-/// order and the graph is acyclic by construction.
+/// order and the graph is acyclic by construction. With `cap_rng`, each
+/// edge's capacity is drawn from it (rings with and without spare slots);
+/// `rng` alone shapes the graph either way.
 void build_random_dag(rt::DynamicGraphBuilder& b, std::mt19937& rng,
-                      int n_inputs, int n_kernels) {
+                      int n_inputs, int n_kernels,
+                      std::mt19937* cap_rng = nullptr) {
+  const auto add_edge = [&] {
+    if (cap_rng == nullptr) return b.add_edge<int>();
+    static constexpr std::array<int, 4> kCaps{3, 5, 64, 100};
+    std::uniform_int_distribution<std::size_t> pick{0, kCaps.size() - 1};
+    return b.add_edge<int>(kCaps[pick(*cap_rng)]);
+  };
   std::vector<int> open;
   for (int i = 0; i < n_inputs; ++i) {
-    const int e = b.add_edge<int>();
+    const int e = add_edge();
     b.add_input(e);
     open.push_back(e);
   }
@@ -380,13 +389,13 @@ void build_random_dag(rt::DynamicGraphBuilder& b, std::mt19937& rng,
     std::shuffle(open.begin(), open.end(), rng);
     switch (open.size() >= 2 ? op(rng) : 0) {
       case 0: {  // inc: 1 -> 1
-        const int o = b.add_edge<int>();
+        const int o = add_edge();
         b.add_kernel(mt_dyn_inc, {open.back(), o});
         open.back() = o;
         break;
       }
       case 1: {  // add: 2 -> 1 (narrows the frontier)
-        const int o = b.add_edge<int>();
+        const int o = add_edge();
         const int x = open.back();
         open.pop_back();
         b.add_kernel(mt_dyn_add, {x, open.back(), o});
@@ -394,8 +403,8 @@ void build_random_dag(rt::DynamicGraphBuilder& b, std::mt19937& rng,
         break;
       }
       default: {  // split: 1 -> 2 (widens the frontier)
-        const int lo = b.add_edge<int>();
-        const int hi = b.add_edge<int>();
+        const int lo = add_edge();
+        const int hi = add_edge();
         b.add_kernel(mt_dyn_split, {open.back(), lo, hi});
         open.back() = lo;
         open.push_back(hi);
@@ -408,12 +417,18 @@ void build_random_dag(rt::DynamicGraphBuilder& b, std::mt19937& rng,
 }
 
 TEST(CoopMt, RandomizedDagsMatchCoop) {
+  bool draw_caps = false;
   for (const unsigned seed : {11u, 23u, 37u, 41u, 59u, 67u, 83u, 97u, 109u,
                               127u}) {
     std::mt19937 rng{seed};
+    // Every other seed also draws its edge capacities, from an RNG of its
+    // own, so the other seeds keep their graphs and inputs.
+    draw_caps = !draw_caps;
+    std::mt19937 cap_rng{seed + 1000u};
     rt::DynamicGraphBuilder b;
     std::uniform_int_distribution<int> ni{2, 4}, nk{6, 18};
-    build_random_dag(b, rng, ni(rng), nk(rng));
+    build_random_dag(b, rng, ni(rng), nk(rng),
+                     draw_caps ? &cap_rng : nullptr);
     const GraphView view = b.view();
 
     // All global inputs/outputs are int streams; drive them generically.
