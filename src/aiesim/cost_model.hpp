@@ -64,12 +64,17 @@ struct CostModel {
   double gmio_bytes_per_cycle = 8.0;   ///< ~10 GB/s per GMIO port @ 1.25 GHz
 
   /// Converts a kernel activation's instrumentation into compute cycles.
+  /// An activation that recorded no ops costs nothing and returns before
+  /// any division.
   [[nodiscard]] std::uint64_t compute_cycles(const aie::OpCounts& c) const {
-    const double vec =
-        static_cast<double>(c[aie::OpClass::vector_mac] +
-                            c[aie::OpClass::vector_alu] +
-                            c[aie::OpClass::vector_shift]) /
-        vector_slots;
+    const std::uint64_t vec_ops = c[aie::OpClass::vector_mac] +
+                                  c[aie::OpClass::vector_alu] +
+                                  c[aie::OpClass::vector_shift];
+    if ((vec_ops | c[aie::OpClass::shuffle] | c[aie::OpClass::load] |
+         c[aie::OpClass::store] | c[aie::OpClass::scalar]) == 0) {
+      return 0;
+    }
+    const double vec = static_cast<double>(vec_ops) / vector_slots;
     const double shuf =
         static_cast<double>(c[aie::OpClass::shuffle]) / shuffle_slots;
     const double ld = static_cast<double>(c[aie::OpClass::load]) / load_slots;
@@ -77,7 +82,8 @@ struct CostModel {
         static_cast<double>(c[aie::OpClass::store]) / store_slots;
     const double sc =
         static_cast<double>(c[aie::OpClass::scalar]) / scalar_slots;
-    const double cyc = std::max({vec, shuf, ld, st, sc});
+    const double cyc =
+        std::max(std::max(std::max(vec, shuf), std::max(ld, st)), sc);
     if (cyc == 0.0) return 0;
     return static_cast<std::uint64_t>(cyc + activation_ramp + 0.5);
   }

@@ -24,23 +24,31 @@
 // retired when its event comes up, as a zero-length activation at
 // max(tile clock, event time).
 //
+// Per-event bookkeeping. Everything fixed for a run is derived once: the
+// engine reaches a task's state through the task's executor slot
+// (cgsim::ExecutorSlot, src/core/task.hpp), resolves each port's charge
+// (CostModel::port_cycles(), routing hops and whether the access records
+// an output iteration) at the port's first access and adds the stored
+// integer from then on (cgsim::PortCharge), and skips the cost model for
+// activations that recorded no ops.
+//
 // The engine is checked bit for bit against the test-only oracle in
 // tests/aiesim/oracle/ by the differential suites, and timed against it by
-// bench_ablation_aiesim. Both share the binary-heap event queue, a
-// handle-keyed task-state map and CostModel::port_cycles() at every port
-// access. The engine reads per-edge global/output flags and hop costs in
-// place from the CompiledGraph artifact, where the oracle derives them
-// from the graph, and buffers trace records with interned names.
+// bench_ablation_aiesim. Both share the binary-heap event queue. Only the
+// oracle keeps a handle-keyed task-state map and CostModel::port_cycles()
+// at every port access, so the suites compare two separate derivations.
+// The engine reads per-edge global/output flags and hop costs in place
+// from the CompiledGraph artifact, where the oracle derives them from the
+// graph, and buffers trace records with interned names.
 #pragma once
 
 #include <algorithm>
-#include <coroutine>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "aie/cycle_model.hpp"
@@ -129,6 +137,9 @@ struct SimResult {
 class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
  public:
   explicit SimEngine(const SimConfig& cfg) : cfg_(cfg) {}
+  // Task slots point into states_ under this engine's id.
+  SimEngine(const SimEngine&) = delete;
+  SimEngine& operator=(const SimEngine&) = delete;
 
   /// Collects per-task metadata; call after all sources/sinks are
   /// attached. Names are backfilled into any task states created before
@@ -152,11 +163,11 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
     edge_hop_ = compiled_->edge_hop;
     trace_.reserve(ctx.tasks().size(), 4096);
     for (auto& rec : ctx.tasks()) {
-      void* addr = rec.task.handle().address();
-      if (addr == nullptr) continue;  // kernel skipped by a resim mask
+      const cgsim::TaskHandle h = rec.task.handle();
+      if (!h) continue;  // kernel skipped by a resim mask
       // Backfill: the state may predate the context (engine driven
       // manually before bind); it must not stay anonymous.
-      name_state(states_[addr], rec);
+      name_state(state_for(h), rec);
     }
   }
 
@@ -175,27 +186,14 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
 
   void charge_port_access(const cgsim::PortSettings& s,
                           std::size_t elem_bytes, bool is_read,
-                          const cgsim::ChannelBase* ch) override {
+                          const cgsim::ChannelBase* ch,
+                          cgsim::PortCharge& charge) override {
     if (current_ == nullptr) return;
-    const bool generated = cfg_.generated_io && current_->is_kernel;
-    const int e = ch->edge_id();
-    if (e < 0 || static_cast<std::size_t>(e) >= edge_flags_.size()) {
-      // Channel from outside the bound graph: no global/hop metadata.
-      port_pending_ += cfg_.cost.port_cycles(s, elem_bytes, false, generated);
-      return;
+    if (!charge.resolved) [[unlikely]] {
+      resolve(charge, s, elem_bytes, is_read, ch);
     }
-    const std::uint8_t flags = edge_flags_[static_cast<std::size_t>(e)];
-    // The port's own settings, not the edge's: the two sides of an edge
-    // may access it differently (a stream_source writes with default
-    // settings into a window-read kernel port).
-    port_pending_ += cfg_.cost.port_cycles(
-        s, elem_bytes, (flags & kEdgeGlobal) != 0, generated);
-    if (is_read) {
-      // Stream-switch routing latency, charged once per element on the
-      // consuming side (0 for co-located or global endpoints).
-      port_pending_ += edge_hop_[static_cast<std::size_t>(e)];
-    }
-    if (!is_read && current_->is_kernel && (flags & kEdgeGlobalOut) != 0) {
+    port_pending_ += charge.cycles;
+    if (charge.records_output) {
       if (current_->trace_name == Trace::kNoName) {
         current_->trace_name = trace_.intern(current_->name);
       }
@@ -209,7 +207,9 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
     cgsim::RunResult r{};
     Event ev;
     while (queue_.pop(ev)) {
-      TaskState& s = state_for(ev.h);
+      // Queued by make_ready(), which wrote the task's slot.
+      TaskState& s =
+          *static_cast<TaskState*>(ev.h.promise().executor_slot.state);
       segment_base_ = std::max(s.clock, ev.time);
       current_ = &s;
       port_pending_ = 0;
@@ -255,11 +255,11 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
 
   /// Per-kernel tile statistics, ordered by kernel name. The sort starts
   /// from kernel-id order, as ResimSession's splice does, so kernels that
-  /// share a name come out in one order from both, whatever the order of
-  /// the state map.
+  /// share a name come out in one order from both, whatever order the
+  /// engine first saw the tasks in.
   [[nodiscard]] std::vector<TileStats> tile_stats() const {
     std::vector<const TaskState*> kernels;
-    for (const auto& [addr, s] : states_) {
+    for (const TaskState& s : states_) {
       if (s.is_kernel) kernels.push_back(&s);
     }
     std::sort(kernels.begin(), kernels.end(),
@@ -282,7 +282,7 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
   [[nodiscard]] std::vector<TileStats> tile_stats_by_kernel(
       std::size_t n_kernels) const {
     std::vector<TileStats> out(n_kernels);
-    for (const auto& [addr, s] : states_) {
+    for (const TaskState& s : states_) {
       if (s.kernel_index >= 0 &&
           static_cast<std::size_t>(s.kernel_index) < n_kernels) {
         out[static_cast<std::size_t>(s.kernel_index)] = tile(s);
@@ -293,9 +293,10 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
 
   /// Final tile clock of the task behind `h`; 0 when the engine never
   /// scheduled it. Read-only: never creates a state.
-  [[nodiscard]] std::uint64_t task_clock(std::coroutine_handle<> h) const {
-    const auto it = states_.find(h.address());
-    return it == states_.end() ? 0 : it->second.clock;
+  [[nodiscard]] std::uint64_t task_clock(cgsim::TaskHandle h) const {
+    const cgsim::ExecutorSlot& slot = h.promise().executor_slot;
+    return slot.owner == id_ ? static_cast<const TaskState*>(slot.state)->clock
+                             : 0;
   }
 
   [[nodiscard]] std::uint64_t makespan() const { return makespan_; }
@@ -326,20 +327,63 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
     s.trace_name = trace_.intern(rec.name);
   }
 
-  TaskState& state_for(std::coroutine_handle<> h) {
-    auto [it, inserted] = states_.try_emplace(h.address());
-    if (inserted && ctx_ != nullptr) {
-      if (const auto* rec = ctx_->record_for(h)) name_state(it->second, *rec);
+  /// The state of the task behind `h`, created at the engine's first
+  /// sight of the task (its slot then carries another engine's id or none).
+  TaskState& state_for(cgsim::TaskHandle h) {
+    const cgsim::ExecutorSlot& slot = h.promise().executor_slot;
+    if (slot.owner != id_) [[unlikely]] {
+      return adopt(h);
     }
-    return it->second;
+    return *static_cast<TaskState*>(slot.state);
+  }
+
+  TaskState& adopt(cgsim::TaskHandle h) {
+    TaskState& s = states_.emplace_back();
+    h.promise().executor_slot = cgsim::ExecutorSlot{&s, id_};
+    if (ctx_ != nullptr) {
+      if (const auto* rec = ctx_->record_for(h)) name_state(s, *rec);
+    }
+    return s;
+  }
+
+  /// Derives a port's charge at its first access in the run. The port's
+  /// own settings count, not the edge's: the two sides of an edge may
+  /// access it differently (a stream_source writes with default settings
+  /// into a window-read kernel port). The port belongs to the running
+  /// task, so the task's generated-I/O and output-recording status hold
+  /// for every later access too.
+  void resolve(cgsim::PortCharge& charge, const cgsim::PortSettings& s,
+               std::size_t elem_bytes, bool is_read,
+               const cgsim::ChannelBase* ch) const {
+    const bool generated = cfg_.generated_io && current_->is_kernel;
+    const int e = ch->edge_id();
+    // A channel from outside the bound graph has no global/hop metadata.
+    const bool in_graph =
+        e >= 0 && static_cast<std::size_t>(e) < edge_flags_.size();
+    const std::uint8_t flags =
+        in_graph ? edge_flags_[static_cast<std::size_t>(e)] : 0;
+    charge.cycles = cfg_.cost.port_cycles(s, elem_bytes,
+                                          (flags & kEdgeGlobal) != 0,
+                                          generated);
+    if (is_read && in_graph) {
+      // Stream-switch routing latency, charged once per element on the
+      // consuming side (0 for co-located or global endpoints).
+      charge.cycles += edge_hop_[static_cast<std::size_t>(e)];
+    }
+    charge.records_output =
+        !is_read && current_->is_kernel && (flags & kEdgeGlobalOut) != 0;
+    charge.resolved = true;
   }
 
   SimConfig cfg_;
+  /// This engine's ExecutorSlot::owner id.
+  const std::uint64_t id_ = cgsim::new_executor_id();
   cgsim::RuntimeContext* ctx_ = nullptr;
   PriorityEventQueue queue_;
-  /// Node-based: a TaskState's address survives rehashes, so current_
-  /// stays valid while a resumed task makes other tasks ready.
-  std::unordered_map<void*, TaskState> states_;
+  /// A deque: a TaskState keeps its address while others are added, so
+  /// task slots and current_ stay valid while a resumed task makes other
+  /// tasks ready.
+  std::deque<TaskState> states_;
   /// The bound artifact; edge_flags_ and edge_hop_ are spans into it.
   std::shared_ptr<const CompiledGraph> compiled_;
   std::span<const std::uint8_t> edge_flags_;

@@ -53,11 +53,12 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "engine.hpp"
@@ -80,6 +81,13 @@ class ResimSession {
     compiled_ = CompiledGraphCache::instance().get_or_compile(
         graph_, cfg_.cost, cfg_.generated_io, cfg_.placement,
         cfg_.array_columns);
+    name_rep_.resize(graph_.kernels.size());
+    for (std::size_t k = 0; k < graph_.kernels.size(); ++k) {
+      name_rep_[k] = kernel_by_name_
+                         .try_emplace(graph_.kernels[k].name,
+                                      static_cast<int>(k))
+                         .first->second;
+    }
   }
 
   ResimSession(const ResimSession&) = delete;
@@ -346,6 +354,12 @@ class ResimSession {
     }
     base_result_ = res;
     base_valid_ = !res.run.deadlocked;
+    const Trace& bt = base_result_.trace;
+    base_name_kernel_.assign(bt.name_count(), -1);
+    for (std::uint32_t i = 0; i < bt.name_count(); ++i) {
+      const auto it = kernel_by_name_.find(bt.name(i));
+      if (it != kernel_by_name_.end()) base_name_kernel_[i] = it->second;
+    }
   }
 
   // --- cone analysis ---
@@ -436,13 +450,10 @@ class ResimSession {
     }
     // Trace records are spliced by kernel *name*; a name shared between a
     // cone kernel and a skipped kernel would splice ambiguously.
-    std::set<std::string_view> cone_names;
-    std::set<std::string_view> skip_names;
     for (std::size_t k = 0; k < graph_.kernels.size(); ++k) {
-      (in_cone_[k] != 0 ? cone_names : skip_names).insert(graph_.kernels[k].name);
-    }
-    for (std::string_view n : cone_names) {
-      if (skip_names.contains(n)) return false;
+      if (in_cone_[k] != in_cone_[static_cast<std::size_t>(name_rep_[k])]) {
+        return false;
+      }
     }
     return true;
   }
@@ -576,16 +587,15 @@ class ResimSession {
     // matches a full run's digest bit for bit. The merge works on interned
     // records -- each source's name table is remapped into the output trace
     // once up front, so no strings are copied or re-interned per record
-    // (the baseline trace dominates splice cost on wide graphs).
-    std::set<std::string_view> skipped_names;
-    for (std::size_t k = 0; k < n_kernels; ++k) {
-      if (in_cone_[k] == 0) skipped_names.insert(graph_.kernels[k].name);
-    }
+    // (the baseline trace dominates splice cost on wide graphs). Every
+    // kernel of a name is on one side of the cone (checked before the
+    // run), so a name's representative kernel tells whether it is skipped.
     const Trace& bt = base_result_.trace;
     const Trace& pt = engine_->trace();
     std::vector<std::uint32_t> bmap(bt.name_count(), Trace::kNoName);
     for (std::uint32_t i = 0; i < bmap.size(); ++i) {
-      if (skipped_names.contains(bt.name(i))) {
+      const int k = base_name_kernel_[i];
+      if (k >= 0 && in_cone_[static_cast<std::size_t>(k)] == 0) {
         bmap[i] = out.trace.intern(bt.name(i));
       }
     }
@@ -629,6 +639,9 @@ class ResimSession {
   cgsim::GraphView graph_;
   SimConfig cfg_;
   std::shared_ptr<const CompiledGraph> compiled_;
+  // Kernel-name groups, fixed for the session.
+  std::unordered_map<std::string_view, int> kernel_by_name_;  ///< first kernel
+  std::vector<int> name_rep_;  ///< per kernel: first kernel of its name
   // Engine before context: the context's channels hold pointers INTO the
   // engine (executor + sim hooks), and `emplace` reconstructs the engine
   // at the same address so those stay valid across reruns.
@@ -645,6 +658,7 @@ class ResimSession {
   std::vector<char> tappable_;
   std::vector<std::uint64_t> edge_parks_;
   std::map<std::size_t, std::vector<std::byte>> saved_rtp_;
+  std::vector<int> base_name_kernel_;  ///< per baseline trace name; -1: none
 
   // Per-call scratch.
   Phase phase_ = Phase::baseline;

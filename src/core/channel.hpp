@@ -65,6 +65,26 @@
 
 namespace cgsim {
 
+/// The per-element cost of one port, resolved by the cycle engine at the
+/// port's first access in a run and reused for every later access. A port
+/// lives in its kernel's coroutine frame, which lasts one run, so a
+/// resolved charge never outlives the cost model and placement it was
+/// derived from.
+struct PortCharge {
+  std::uint64_t cycles = 0;     ///< port cost plus routing hops
+  bool resolved = false;
+  bool records_output = false;  ///< a kernel's write to a global output
+};
+
+class SimHooks;
+
+/// What a sim-mode port keeps for the cycle engine: the hooks (null in
+/// every other mode) and the port's charge. Awaiters hold a pointer to it.
+struct PortSim {
+  SimHooks* hooks = nullptr;
+  PortCharge charge{};
+};
+
 /// Virtual-time hooks for the cycle-approximate backend. The engine knows
 /// which kernel is currently executing and what its tile clock reads.
 class SimHooks {
@@ -74,10 +94,13 @@ class SimHooks {
   [[nodiscard]] virtual std::uint64_t now() const = 0;
   /// Charges stream/buffer access cost for one element of `elem_bytes`
   /// moved through the port bound to `ch` with the given settings to the
-  /// currently running kernel.
+  /// currently running kernel. `charge` is that port's slot: a hook may
+  /// resolve it once and reuse it, or ignore it and derive the cost from
+  /// the other arguments every time.
   virtual void charge_port_access(const PortSettings& s,
                                   std::size_t elem_bytes, bool is_read,
-                                  const ChannelBase* ch) = 0;
+                                  const ChannelBase* ch,
+                                  PortCharge& charge) = 0;
 };
 
 /// Outcome of a non-blocking channel operation.
@@ -212,6 +235,17 @@ class TypedChannel : public ChannelBase {
     int consumer;
     std::uint64_t max_stamp;
   };
+  /// The parked pop of one consumer endpoint, in the ring channels. One
+  /// task owns an endpoint and parks at most one operation at a time, so
+  /// an endpoint has at most one parked pop, scalar or bulk. A parked
+  /// waiter always has a status to write, so a null one marks an empty
+  /// field.
+  struct ParkedPop {
+    PopWaiter pop{};
+    BulkPopWaiter bulk{};
+    [[nodiscard]] bool has_pop() const { return pop.status != nullptr; }
+    [[nodiscard]] bool has_bulk() const { return bulk.status != nullptr; }
+  };
 
   // --- cooperative (non-blocking fast path + completion registration) ---
   virtual ChanStatus try_push(const T& v) = 0;
@@ -263,6 +297,17 @@ class TypedChannel : public ChannelBase {
     *w.moved = w.done;
     *w.status = ChanStatus::closed;
     if (w.done == 0) mark_closed_parked(w.h);
+  }
+
+  /// `p`, checked to be empty before a pop parks in it: a second parked
+  /// pop means two tasks share the endpoint or one task parked twice.
+  static ParkedPop& vacant(ParkedPop& p) {
+    if (p.has_pop() || p.has_bulk()) {
+      throw std::logic_error{
+          "a second pop parked on one consumer endpoint; an endpoint "
+          "belongs to one task"};
+    }
+    return p;
   }
 
  private:
@@ -336,6 +381,7 @@ class CoopChannel final : public TypedChannel<T> {
   using typename TypedChannel<T>::PopWaiter;
   using typename TypedChannel<T>::BulkPushWaiter;
   using typename TypedChannel<T>::BulkPopWaiter;
+  using typename TypedChannel<T>::ParkedPop;
 
  public:
   CoopChannel(int consumers, int capacity, Executor* exec)
@@ -344,8 +390,7 @@ class CoopChannel final : public TypedChannel<T> {
         ring_(capacity_),
         cursors_(static_cast<std::size_t>(consumers), 0),
         consumer_active_(static_cast<std::size_t>(consumers), 1),
-        pop_waiters_(static_cast<std::size_t>(consumers)),
-        bulk_pop_waiters_(static_cast<std::size_t>(consumers)),
+        parked_pops_(static_cast<std::size_t>(consumers)),
         exec_(exec) {
     this->popped_.assign(static_cast<std::size_t>(consumers), 0);
     this->consumers_open_ = consumers;
@@ -411,7 +456,7 @@ class CoopChannel final : public TypedChannel<T> {
       exec_->make_ready(w.h, now_or_zero());
       return;
     }
-    pop_waiters_[c].push_back(w);
+    this->vacant(parked_pops_[c]).pop = w;
     ++parked_;
   }
 
@@ -519,7 +564,7 @@ class CoopChannel final : public TypedChannel<T> {
       this->close_waiter(w);
       exec_->make_ready(w.h, std::max(w.max_stamp, now_or_zero()));
     } else {
-      bulk_pop_waiters_[c].push_back(w);
+      this->vacant(parked_pops_[c]).bulk = w;
       ++parked_;
     }
     service_waiters();
@@ -531,20 +576,22 @@ class CoopChannel final : public TypedChannel<T> {
   void producer_done() override {
     if (--this->producers_open_ == 0) {
       // Consumers that already drained everything observe end-of-stream;
-      // parked bulk pops complete with whatever partial batch they hold.
-      for (std::size_t c = 0; c < pop_waiters_.size(); ++c) {
+      // a parked bulk pop completes with whatever partial batch it holds.
+      for (std::size_t c = 0; c < parked_pops_.size(); ++c) {
         if (cursors_[c] != head_) continue;  // still has data to read
-        parked_ -= pop_waiters_[c].size() + bulk_pop_waiters_[c].size();
-        for (auto& w : pop_waiters_[c]) {
+        ParkedPop& p = parked_pops_[c];
+        if (p.has_pop()) {
+          const PopWaiter w = std::exchange(p.pop, PopWaiter{});
+          --parked_;
           this->close_waiter(w);
           exec_->make_ready(w.h, now_or_zero());
         }
-        pop_waiters_[c].clear();
-        for (auto& w : bulk_pop_waiters_[c]) {
+        if (p.has_bulk()) {
+          const BulkPopWaiter w = std::exchange(p.bulk, BulkPopWaiter{});
+          --parked_;
           this->close_waiter(w);
           exec_->make_ready(w.h, std::max(w.max_stamp, now_or_zero()));
         }
-        bulk_pop_waiters_[c].clear();
       }
     }
   }
@@ -590,8 +637,7 @@ class CoopChannel final : public TypedChannel<T> {
     std::fill(cursors_.begin(), cursors_.end(), 0);
     min_cursor_ = 0;
     std::fill(consumer_active_.begin(), consumer_active_.end(), 1);
-    for (auto& q : pop_waiters_) q.clear();
-    for (auto& q : bulk_pop_waiters_) q.clear();
+    std::fill(parked_pops_.begin(), parked_pops_.end(), ParkedPop{});
     push_waiters_.clear();
     bulk_push_waiters_.clear();
     parked_ = 0;
@@ -722,10 +768,10 @@ class CoopChannel final : public TypedChannel<T> {
     bool progress = true;
     while (progress) {
       progress = false;
-      for (std::size_t c = 0; c < pop_waiters_.size(); ++c) {
-        while (!pop_waiters_[c].empty() && cursors_[c] != head_) {
-          PopWaiter w = pop_waiters_[c].front();
-          pop_waiters_[c].pop_front();
+      for (std::size_t c = 0; c < parked_pops_.size(); ++c) {
+        ParkedPop& p = parked_pops_[c];
+        if (p.has_pop() && cursors_[c] != head_) {
+          const PopWaiter w = std::exchange(p.pop, PopWaiter{});
           --parked_;
           const std::uint64_t stamp =
               sim_ != nullptr ? stamps_[cursors_[c]] : 0;
@@ -734,19 +780,16 @@ class CoopChannel final : public TypedChannel<T> {
           exec_->make_ready(w.h, stamp);
           progress = true;
         }
-        while (!bulk_pop_waiters_[c].empty() && cursors_[c] != head_) {
-          BulkPopWaiter& w = bulk_pop_waiters_[c].front();
-          drain_into(w);
+        if (p.has_bulk() && cursors_[c] != head_) {
+          drain_into(p.bulk);
           progress = true;
-          if (w.done == w.n) {
-            BulkPopWaiter fin = w;
-            bulk_pop_waiters_[c].pop_front();
+          // A short batch means the ring is drained: it waits for more.
+          if (p.bulk.done == p.bulk.n) {
+            const BulkPopWaiter fin = std::exchange(p.bulk, BulkPopWaiter{});
             --parked_;
             *fin.moved = fin.n;
             *fin.status = ChanStatus::ok;
             exec_->make_ready(fin.h, fin.max_stamp);
-          } else {
-            break;  // ring drained; wait for more data
           }
         }
       }
@@ -789,11 +832,10 @@ class CoopChannel final : public TypedChannel<T> {
   /// it; both update it (a lone consumer without a scan).
   std::uint64_t min_cursor_ = 0;
   std::vector<std::uint8_t> consumer_active_;
-  std::vector<std::deque<PopWaiter>> pop_waiters_;
-  std::vector<std::deque<BulkPopWaiter>> bulk_pop_waiters_;
+  std::vector<ParkedPop> parked_pops_;  ///< one slot per consumer
   std::deque<PushWaiter> push_waiters_;
   std::deque<BulkPushWaiter> bulk_push_waiters_;
-  std::size_t parked_ = 0;  ///< total waiters across all four queues
+  std::size_t parked_ = 0;  ///< parked pops plus both push queues
   std::uint64_t push_parks_ = 0;  ///< pushes that ever hit a full ring
   EdgeTap* tap_ = nullptr;        ///< recording target (sim runs only)
   std::uint64_t forced_stamp_ = 0;
@@ -936,6 +978,7 @@ class ShardChannel final : public TypedChannel<T> {
   using typename TypedChannel<T>::PopWaiter;
   using typename TypedChannel<T>::BulkPushWaiter;
   using typename TypedChannel<T>::BulkPopWaiter;
+  using typename TypedChannel<T>::ParkedPop;
 
  public:
   ShardChannel(int consumers, int capacity, Executor* exec)
@@ -943,8 +986,7 @@ class ShardChannel final : public TypedChannel<T> {
         capacity_(static_cast<std::size_t>(std::max(capacity, 1))),
         ring_(capacity_),
         cursors_(static_cast<std::size_t>(consumers)),
-        pop_waiters_(static_cast<std::size_t>(consumers)),
-        bulk_pop_waiters_(static_cast<std::size_t>(consumers)),
+        parked_pops_(static_cast<std::size_t>(consumers)),
         exec_(exec) {
     this->popped_.assign(static_cast<std::size_t>(consumers), 0);
     this->consumers_open_ = consumers;
@@ -1026,6 +1068,8 @@ class ShardChannel final : public TypedChannel<T> {
 
   void add_pop_waiter(PopWaiter w) override {
     std::unique_lock lk{m_};
+    ParkedPop& slot =
+        this->vacant(parked_pops_[static_cast<std::size_t>(w.consumer)]);
     auto& cur = cursors_[static_cast<std::size_t>(w.consumer)];
     // Park-intent first, fence, then re-check: pairs with the producer's
     // publish-fence-check in wake_if_parked.
@@ -1048,11 +1092,13 @@ class ShardChannel final : public TypedChannel<T> {
       exec_->make_ready(w.h, 0);
       return;
     }
-    pop_waiters_[static_cast<std::size_t>(w.consumer)].push_back(w);
+    slot.pop = w;
   }
 
   void add_bulk_pop_waiter(BulkPopWaiter w) override {
     std::unique_lock lk{m_};
+    ParkedPop& slot =
+        this->vacant(parked_pops_[static_cast<std::size_t>(w.consumer)]);
     parked_.fetch_add(1, std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_seq_cst);
     drain_into_locked(w);
@@ -1074,7 +1120,7 @@ class ShardChannel final : public TypedChannel<T> {
       if (w.done > 0) service_waiters_locked();
       return;
     }
-    bulk_pop_waiters_[static_cast<std::size_t>(w.consumer)].push_back(w);
+    slot.bulk = w;
     if (w.done > 0) service_waiters_locked();
   }
 
@@ -1090,21 +1136,19 @@ class ShardChannel final : public TypedChannel<T> {
     // Flush completable data first, then end-of-stream the rest: a parked
     // pop that still has buffered elements must receive them, not closed.
     service_waiters_locked();
-    for (std::size_t c = 0; c < pop_waiters_.size(); ++c) {
-      parked_.fetch_sub(
-          static_cast<std::size_t>(pop_waiters_[c].size() +
-                                   bulk_pop_waiters_[c].size()),
-          std::memory_order_relaxed);
-      for (auto& w : pop_waiters_[c]) {
+    for (ParkedPop& p : parked_pops_) {
+      if (p.has_pop()) {
+        const PopWaiter w = std::exchange(p.pop, PopWaiter{});
+        parked_.fetch_sub(1, std::memory_order_relaxed);
         this->close_waiter(w);
         exec_->make_ready(w.h, 0);
       }
-      pop_waiters_[c].clear();
-      for (auto& w : bulk_pop_waiters_[c]) {
+      if (p.has_bulk()) {
+        const BulkPopWaiter w = std::exchange(p.bulk, BulkPopWaiter{});
+        parked_.fetch_sub(1, std::memory_order_relaxed);
         this->close_waiter(w);
         exec_->make_ready(w.h, 0);
       }
-      bulk_pop_waiters_[c].clear();
     }
   }
 
@@ -1273,13 +1317,12 @@ class ShardChannel final : public TypedChannel<T> {
     bool progress = true;
     while (progress) {
       progress = false;
-      for (std::size_t c = 0; c < pop_waiters_.size(); ++c) {
+      for (std::size_t c = 0; c < parked_pops_.size(); ++c) {
         auto& cur = cursors_[c];
-        while (!pop_waiters_[c].empty()) {
-          const std::uint64_t pos = cur.pos.load(std::memory_order_relaxed);
-          if (head_.load(std::memory_order_acquire) == pos) break;
-          PopWaiter w = pop_waiters_[c].front();
-          pop_waiters_[c].pop_front();
+        ParkedPop& p = parked_pops_[c];
+        const std::uint64_t pos = cur.pos.load(std::memory_order_relaxed);
+        if (p.has_pop() && head_.load(std::memory_order_acquire) != pos) {
+          const PopWaiter w = std::exchange(p.pop, PopWaiter{});
           parked_.fetch_sub(1, std::memory_order_relaxed);
           ring_.read(pos, w.out, 1);
           cur.pos.store(pos + 1, std::memory_order_release);
@@ -1288,20 +1331,17 @@ class ShardChannel final : public TypedChannel<T> {
           exec_->make_ready(w.h, 0);
           progress = true;
         }
-        while (!bulk_pop_waiters_[c].empty()) {
-          BulkPopWaiter& w = bulk_pop_waiters_[c].front();
-          const std::size_t before = w.done;
-          drain_into_locked(w);
-          if (w.done != before) progress = true;
-          if (w.done == w.n) {
-            BulkPopWaiter fin = w;
-            bulk_pop_waiters_[c].pop_front();
+        if (p.has_bulk()) {
+          const std::size_t before = p.bulk.done;
+          drain_into_locked(p.bulk);
+          if (p.bulk.done != before) progress = true;
+          // A short batch means the ring is drained: it waits for more.
+          if (p.bulk.done == p.bulk.n) {
+            const BulkPopWaiter fin = std::exchange(p.bulk, BulkPopWaiter{});
             parked_.fetch_sub(1, std::memory_order_relaxed);
             *fin.moved = fin.n;
             *fin.status = ChanStatus::ok;
             exec_->make_ready(fin.h, 0);
-          } else {
-            break;  // ring drained; wait for more data
           }
         }
       }
@@ -1344,8 +1384,7 @@ class ShardChannel final : public TypedChannel<T> {
   bool multi_producer_ = false;
   std::mutex m_;       ///< control plane: waiters + closure
   std::mutex push_m_;  ///< multi-producer data-plane serialization
-  std::vector<std::deque<PopWaiter>> pop_waiters_;
-  std::vector<std::deque<BulkPopWaiter>> bulk_pop_waiters_;
+  std::vector<ParkedPop> parked_pops_;  ///< one slot per consumer
   std::deque<PushWaiter> scalar_push_waiters_;
   std::deque<BulkPushWaiter> push_waiters_;
   Executor* exec_;

@@ -15,6 +15,10 @@
 // frame. The virtual TypedChannel interface remains in use only for the
 // threaded backend and for runtime-parameter (RTP) channels.
 //
+// Sim mode: a port keeps a PortSim, the engine's hooks plus the port's
+// access charge, and its awaiters carry a pointer to it, so the cycle
+// engine resolves a port's cost once per run (channel.hpp, PortCharge).
+//
 // End of stream: an operation that finds its stream closed for good marks
 // the task closed and leaves it suspended (mark_closed(), task.hpp), so a
 // `while (true)` kernel ends at that co_await without an exception; a
@@ -74,7 +78,7 @@ struct [[nodiscard]] ReadAwaiter {
   CoopChannel<T>* coop;  ///< non-null => devirtualized cooperative path
   int consumer;
   ExecMode mode;
-  SimHooks* sim;
+  PortSim* sim;  ///< the port's; sim->hooks is null outside sim mode
   PortSettings settings;
   T value{};
   ChanStatus st = ChanStatus::blocked;
@@ -101,8 +105,9 @@ struct [[nodiscard]] ReadAwaiter {
   }
   T await_resume() {
     if (st == ChanStatus::closed) resumed_after_close();
-    if (sim != nullptr) {
-      sim->charge_port_access(settings, sizeof(T), /*is_read=*/true, ch);
+    if (sim->hooks != nullptr) {
+      sim->hooks->charge_port_access(settings, sizeof(T), /*is_read=*/true,
+                                     ch, sim->charge);
     }
     return std::move(value);
   }
@@ -113,7 +118,7 @@ struct [[nodiscard]] WriteAwaiter {
   TypedChannel<T>* ch;
   CoopChannel<T>* coop;
   ExecMode mode;
-  SimHooks* sim;
+  PortSim* sim;
   PortSettings settings;
   T value;
   ChanStatus st = ChanStatus::blocked;
@@ -139,8 +144,9 @@ struct [[nodiscard]] WriteAwaiter {
   }
   void await_resume() {
     if (st == ChanStatus::closed) resumed_after_close();
-    if (sim != nullptr) {
-      sim->charge_port_access(settings, sizeof(T), /*is_read=*/false, ch);
+    if (sim->hooks != nullptr) {
+      sim->hooks->charge_port_access(settings, sizeof(T), /*is_read=*/false,
+                                     ch, sim->charge);
     }
   }
 };
@@ -156,7 +162,7 @@ struct [[nodiscard]] BulkReadAwaiter {
   CoopChannel<T>* coop;
   int consumer;
   ExecMode mode;
-  SimHooks* sim;
+  PortSim* sim;
   PortSettings settings;
   T* dst;
   std::size_t n;
@@ -189,9 +195,10 @@ struct [[nodiscard]] BulkReadAwaiter {
   }
   std::size_t await_resume() {
     if (got == 0 && st == ChanStatus::closed) resumed_after_close();
-    if (sim != nullptr) {
+    if (sim->hooks != nullptr) {
       for (std::size_t i = 0; i < got; ++i) {
-        sim->charge_port_access(settings, sizeof(T), /*is_read=*/true, ch);
+        sim->hooks->charge_port_access(settings, sizeof(T), /*is_read=*/true,
+                                       ch, sim->charge);
       }
     }
     return got;
@@ -208,7 +215,7 @@ struct [[nodiscard]] BulkWriteAwaiter {
   TypedChannel<T>* ch;
   CoopChannel<T>* coop;
   ExecMode mode;
-  SimHooks* sim;
+  PortSim* sim;
   PortSettings settings;
   const T* src;
   std::size_t n;
@@ -245,9 +252,10 @@ struct [[nodiscard]] BulkWriteAwaiter {
   }
   void await_resume() {
     if (st == ChanStatus::closed) resumed_after_close();
-    if (sim != nullptr) {
+    if (sim->hooks != nullptr) {
       for (std::size_t i = 0; i < n; ++i) {
-        sim->charge_port_access(settings, sizeof(T), /*is_read=*/false, ch);
+        sim->hooks->charge_port_access(settings, sizeof(T),
+                                       /*is_read=*/false, ch, sim->charge);
       }
     }
   }
@@ -279,13 +287,13 @@ class KernelReadPort {
         coop_(detail::coop_fast_path<T>(b)),
         consumer_(b.consumer),
         mode_(b.mode),
-        sim_(b.sim),
+        sim_{b.sim},
         rtp_(b.rtp) {}
 
   /// Awaitable that yields the next stream element. Once the stream is
   /// exhausted for good, the kernel ends at this co_await.
   [[nodiscard]] detail::ReadAwaiter<T> get() const {
-    return {ch_, coop_, consumer_, mode_, sim_, S};
+    return {ch_, coop_, consumer_, mode_, &sim_, S};
   }
 
   /// Awaitable that fills `out` with up to `out.size()` elements in one
@@ -293,7 +301,7 @@ class KernelReadPort {
   /// stream closed mid-batch. Not available on RTP ports.
   [[nodiscard]] detail::BulkReadAwaiter<T> get_n(std::span<T> out) const {
     if (rtp_) detail::reject_rtp_bulk();
-    return {ch_, coop_, consumer_, mode_, sim_, S, out.data(), out.size()};
+    return {ch_, coop_, consumer_, mode_, &sim_, S, out.data(), out.size()};
   }
 
   [[nodiscard]] TypedChannel<T>* channel() const { return ch_; }
@@ -304,7 +312,8 @@ class KernelReadPort {
   CoopChannel<T>* coop_ = nullptr;
   int consumer_ = -1;
   ExecMode mode_ = ExecMode::coop;
-  SimHooks* sim_ = nullptr;
+  /// Mutable: the engine resolves the port's charge at its first access.
+  mutable PortSim sim_{};
   bool rtp_ = false;
 };
 
@@ -321,14 +330,14 @@ class KernelWritePort {
       : ch_(static_cast<TypedChannel<T>*>(b.channel)),
         coop_(detail::coop_fast_path<T>(b)),
         mode_(b.mode),
-        sim_(b.sim),
+        sim_{b.sim},
         rtp_(b.rtp) {}
 
   /// Awaitable that writes one element, suspending while the channel is
   /// full. Once every downstream consumer has finished, the kernel ends at
   /// this co_await.
   [[nodiscard]] detail::WriteAwaiter<T> put(T v) const {
-    return {ch_, coop_, mode_, sim_, S, std::move(v)};
+    return {ch_, coop_, mode_, &sim_, S, std::move(v)};
   }
 
   /// Awaitable that writes all of `in` in one suspension (the transfer
@@ -337,7 +346,7 @@ class KernelWritePort {
   [[nodiscard]] detail::BulkWriteAwaiter<T> put_n(
       std::span<const T> in) const {
     if (rtp_) detail::reject_rtp_bulk();
-    return {ch_, coop_, mode_, sim_, S, in.data(), in.size()};
+    return {ch_, coop_, mode_, &sim_, S, in.data(), in.size()};
   }
 
   [[nodiscard]] TypedChannel<T>* channel() const { return ch_; }
@@ -346,7 +355,7 @@ class KernelWritePort {
   TypedChannel<T>* ch_ = nullptr;
   CoopChannel<T>* coop_ = nullptr;
   ExecMode mode_ = ExecMode::coop;
-  SimHooks* sim_ = nullptr;
+  mutable PortSim sim_{};
   bool rtp_ = false;
 };
 

@@ -23,6 +23,7 @@
 // port operation then fails the task with std::logic_error.
 #pragma once
 
+#include <atomic>
 #include <coroutine>
 #include <cstdint>
 #include <exception>
@@ -36,6 +37,29 @@ namespace cgsim {
 /// than failed, mirroring how real AIE kernels stop when their input
 /// windows stop arriving.
 struct StreamClosed {};
+
+/// A task's slot for the executor that runs it, so the executor reaches
+/// its own per-task state without a lookup (the cycle engine keeps its
+/// task clock and accounting there).
+///
+/// Lifetime rule: `state` is valid only for the executor instance whose id
+/// is in `owner`. An executor takes one id from new_executor_id() when it
+/// is constructed, writes `state` and `owner` together, and treats a slot
+/// that carries any other id as empty. Ids are never reused in a process,
+/// so a slot written by an earlier executor is never trusted, even when a
+/// later one is constructed at the same address (ResimSession re-creates
+/// its engine in place for every run) and even after the earlier one and
+/// the state it pointed to are gone.
+struct ExecutorSlot {
+  void* state = nullptr;
+  std::uint64_t owner = 0;  ///< 0: no executor has written the slot
+};
+
+/// A fresh, nonzero executor id for ExecutorSlot::owner.
+[[nodiscard]] inline std::uint64_t new_executor_id() noexcept {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
 
 /// Move-only handle to a suspended kernel coroutine.
 ///
@@ -55,6 +79,8 @@ class [[nodiscard]] KernelTask {
     /// task from its ready queue. A separate flag, so that an executor
     /// checking closed_normally after a resume never races such a write.
     bool closed_while_parked = false;
+    /// See ExecutorSlot for who may read it.
+    ExecutorSlot executor_slot{};
 
     KernelTask get_return_object() {
       return KernelTask{

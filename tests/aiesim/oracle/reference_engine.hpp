@@ -2,9 +2,11 @@
 //
 // ReferenceEngine is the engine's original executor, kept outside src/ so
 // the production engine has one variant. Like the engine, it uses the
-// binary-heap event queue (PriorityEventQueue, src/aiesim/event_queue.hpp)
-// and a handle-keyed task-state map. It keeps per-channel metadata in
-// pointer-keyed hash maps and string trace records. It derives placement,
+// binary-heap event queue (PriorityEventQueue, src/aiesim/event_queue.hpp).
+// Unlike it, it keeps a handle-keyed task-state map, computes
+// CostModel::port_cycles() at every port access (ignoring the port's
+// charge slot), and keeps per-channel metadata in pointer-keyed hash maps
+// and string trace records. It derives placement,
 // edge flags, hop and port costs from the GraphView and the CostModel at
 // every bind and never reads a CompiledGraph, so differential tests and
 // the ablation benches check the compiled tables. oracle::simulate() takes
@@ -78,9 +80,12 @@ class ReferenceEngine final : public cgsim::Executor, public cgsim::SimHooks {
            port_pending_;
   }
 
+  /// Ignores the port's charge slot and derives the cost at every access,
+  /// so the differential suites check the engine's resolved charges.
   void charge_port_access(const cgsim::PortSettings& s,
                           std::size_t elem_bytes, bool is_read,
-                          const cgsim::ChannelBase* ch) override {
+                          const cgsim::ChannelBase* ch,
+                          cgsim::PortCharge& /*charge*/) override {
     if (current_ == nullptr) return;
     const bool generated = cfg_.generated_io && current_->is_kernel;
     port_pending_ += cfg_.cost.port_cycles(s, elem_bytes, global_.contains(ch),

@@ -302,6 +302,53 @@ TEST(Resim, CostModelChangeRerunsFullAndMatchesReference) {
   expect_same_observables(rs, rr);
 }
 
+/// One kernel handle used twice, so two kernels share the name tc_scale:
+/// a -> tc_inc -> tc_scale(f1) -> z1 and b -> tc_scale(f2) -> z2.
+constexpr auto tc_twin_graph = make_compute_graph_v<[](
+    IoConnector<int> a, IoConnector<int> f1, IoConnector<int> b,
+    IoConnector<int> f2) {
+  IoConnector<int> m, z1, z2;
+  tc_inc(a, m);
+  tc_scale(m, f1, z1);
+  tc_scale(b, f2, z2);
+  return std::make_tuple(z1, z2);
+}>;
+
+TEST(Resim, SharedKernelNameAcrossConeFallsBack) {
+  // The splice takes a skipped kernel's trace records from the baseline
+  // by name, so a cone that holds one tc_scale and skips the other must
+  // fall back to a full rerun; with both copies in the cone the names
+  // split cleanly and the run stays incremental.
+  aiesim::SimConfig cfg;
+  aiesim::ResimSession s{tc_twin_graph.view(), cfg};
+  const auto a = iota_vec(12);
+  const auto b = iota_vec(12, 50);
+  std::vector<int> z1;
+  std::vector<int> z2;
+  (void)s.run(a, 2, b, 3, z1, z2);
+  {
+    std::vector<int> o1, o2, r1, r2;
+    const auto ri = s.resimulate({1}, a, 5, b, 3, o1, o2);
+    EXPECT_FALSE(s.last_was_incremental());
+    const auto rr =
+        aiesim::oracle::simulate(tc_twin_graph.view(), cfg, a, 5, b, 3, r1, r2);
+    EXPECT_EQ(o1, r1);
+    EXPECT_EQ(o2, r2);
+    expect_same_observables(ri, rr);
+  }
+  {
+    std::vector<int> o1, o2, r1, r2;
+    const auto ri = s.resimulate({1, 3}, a, 7, b, -2, o1, o2);
+    EXPECT_TRUE(s.last_was_incremental());
+    EXPECT_EQ(s.last_cone_size(), 2u);  // both tc_scale; tc_inc is replayed
+    const auto rr = aiesim::oracle::simulate(tc_twin_graph.view(), cfg, a, 7,
+                                             b, -2, r1, r2);
+    EXPECT_EQ(o1, r1);
+    EXPECT_EQ(o2, r2);
+    expect_same_observables(ri, rr);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Differential fuzz: random DAGs, random dirty sets, pop-for-pop equality
 // against a cold oracle run of the same arguments.

@@ -1,5 +1,6 @@
 // Cycle-approximate engine tests: virtual-time ordering, dependency
-// propagation, the generated-I/O penalty and the execution trace.
+// propagation, the generated-I/O penalty, per-port access charges and
+// the execution trace.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +11,7 @@
 #include "aie/aie.hpp"
 #include "aiesim/engine.hpp"
 #include "core/cgsim.hpp"
+#include "oracle/reference_engine.hpp"
 
 namespace {
 
@@ -289,6 +291,125 @@ TEST(SimEngine, NonPowerOfTwoRingsKeepRecordedTiming) {
       EXPECT_EQ(it->busy_cycles, want.busy_cycles) << want.kernel;
       EXPECT_EQ(it->final_clock, want.final_clock) << want.kernel;
       EXPECT_EQ(it->activations, want.activations) << want.kernel;
+    }
+  }
+}
+
+// --- port charges: each side of an edge pays its own port -----------------
+
+inline constexpr PortSettings pc_window{.buffer = BufferMode::window,
+                                        .window_size = 4};
+inline constexpr PortSettings pc_pingpong{.buffer = BufferMode::pingpong,
+                                          .window_size = 4};
+inline constexpr PortSettings pc_wide{.beat_bits = 64};
+inline constexpr PortSettings pc_gmio{.io = IoKind::gmio};
+
+COMPUTE_KERNEL(aie, pc_win,
+               KernelReadPort<float, pc_window> in,
+               KernelWritePort<float, pc_pingpong> out) {
+  std::array<float, 4> buf{};
+  while (true) {
+    const std::size_t n = co_await in.get_n(std::span{buf});
+    for (std::size_t i = 0; i < n; ++i) co_await out.put(0.5f * buf[i]);
+    if (n < buf.size()) (void)co_await in.get();
+  }
+}
+
+COMPUTE_KERNEL(aie, pc_mix,
+               KernelReadPort<float, pc_pingpong> in,
+               KernelReadPort<float, pc_gmio> side,
+               KernelWritePort<double, pc_wide> out) {
+  while (true) {
+    const float v = co_await in.get();
+    co_await out.put(static_cast<double>(v) + co_await side.get());
+  }
+}
+
+COMPUTE_KERNEL(aie, pc_out,
+               KernelReadPort<double, pc_wide> in,
+               KernelWritePort<float> out) {
+  while (true) {
+    co_await out.put(static_cast<float>(3.0 * co_await in.get()));
+  }
+}
+
+/// A default-settings stream source feeds pc_win's window port, a GMIO
+/// input feeds pc_mix, pc_win -> pc_mix is a ping-pong edge and
+/// pc_mix -> pc_out a 64-bit-beat stream of doubles.
+constexpr auto pc_graph = make_compute_graph_v<[](IoConnector<float> a,
+                                                  IoConnector<float> g) {
+  IoConnector<float> b;
+  IoConnector<double> c;
+  IoConnector<float> z;
+  pc_win(a, b);
+  pc_mix(b, g, c);
+  pc_out(c, z);
+  return std::make_tuple(z);
+}>;
+
+TEST(SimEngine, PortChargesFollowEachPort) {
+  // The two sides of most edges here are charged differently: the source
+  // writes a stream while pc_win reads a window, the GMIO side input is
+  // written as a PLIO stream, the consuming side alone pays the routing
+  // hops, and only pc_out's writes are output iterations. The engine
+  // resolves a port's charge once; the oracle recomputes it at every
+  // access. The golden values were recorded before the engine cached
+  // port charges.
+  struct Tile {
+    const char* kernel;
+    std::uint64_t busy_cycles, final_clock;
+  };
+  struct Golden {
+    bool generated_io;
+    std::uint64_t virtual_cycles, trace_digest;
+    std::array<Tile, 3> tiles;
+  };
+  const Golden golden[] = {
+      {false, 6280, 6422700600158013163ull,
+       {{{"pc_win", 2496, 5340}, {"pc_mix", 5980, 6250},
+         {"pc_out", 1430, 6280}}}},
+      {true, 6281, 5866165962941284183ull,
+       {{{"pc_win", 2496, 5340}, {"pc_mix", 5980, 6250},
+         {"pc_out", 1456, 6281}}}},
+  };
+  std::vector<float> a(26);
+  std::vector<float> g(26);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    a[i] = static_cast<float>(i) - 7.0f;
+    g[i] = 0.25f * static_cast<float>(i);
+  }
+  for (const Golden& want : golden) {
+    SCOPED_TRACE(::testing::Message() << "generated_io " << want.generated_io);
+    aiesim::SimConfig cfg;
+    cfg.generated_io = want.generated_io;
+    cfg.placement = {{"pc_win", {0, 0}}, {"pc_mix", {3, 0}},
+                     {"pc_out", {3, 2}}};
+    std::vector<float> out;
+    std::vector<float> ref_out;
+    const auto res = aiesim::simulate(pc_graph.view(), cfg, a, g, out);
+    const auto ref = aiesim::oracle::simulate(pc_graph.view(), cfg, a, g,
+                                              ref_out);
+    ASSERT_EQ(out.size(), 26u);
+    EXPECT_EQ(out, ref_out);
+    EXPECT_EQ(res.virtual_cycles, ref.virtual_cycles);
+    EXPECT_EQ(res.output_items, ref.output_items);
+    EXPECT_EQ(res.trace.digest(), ref.trace.digest());
+    ASSERT_EQ(res.tiles.size(), ref.tiles.size());
+    for (std::size_t i = 0; i < res.tiles.size(); ++i) {
+      EXPECT_EQ(res.tiles[i].kernel, ref.tiles[i].kernel);
+      EXPECT_EQ(res.tiles[i].busy_cycles, ref.tiles[i].busy_cycles);
+      EXPECT_EQ(res.tiles[i].final_clock, ref.tiles[i].final_clock);
+      EXPECT_EQ(res.tiles[i].activations, ref.tiles[i].activations);
+    }
+    EXPECT_EQ(res.virtual_cycles, want.virtual_cycles);
+    EXPECT_EQ(res.trace.digest(), want.trace_digest);
+    for (const Tile& t : want.tiles) {
+      const auto it = std::find_if(
+          res.tiles.begin(), res.tiles.end(),
+          [&](const aiesim::TileStats& s) { return s.kernel == t.kernel; });
+      ASSERT_NE(it, res.tiles.end()) << t.kernel;
+      EXPECT_EQ(it->busy_cycles, t.busy_cycles) << t.kernel;
+      EXPECT_EQ(it->final_clock, t.final_clock) << t.kernel;
     }
   }
 }

@@ -358,6 +358,42 @@ TEST(CoopChannelBulk, ParkedPopCompletesPartiallyAtClose) {
   ASSERT_EQ(ex.wakes.size(), 1u);
 }
 
+TEST(CoopChannelBulk, SecondParkedPopOnOneEndpointThrows) {
+  // One task owns an endpoint and parks one operation at a time, so the
+  // channel keeps one parked pop per endpoint; a second one is a bug.
+  StubExec ex;
+  CoopChannel<int> ch{2, 8, &ex};
+  ch.set_producers(1);
+  int out0 = 0;
+  ChanStatus st0 = ChanStatus::blocked;
+  ch.add_pop_waiter({&out0, &st0, TaskHandle{}, 0});
+  int again = 0;
+  ChanStatus st_again = ChanStatus::blocked;
+  EXPECT_THROW(ch.add_pop_waiter({&again, &st_again, TaskHandle{}, 0}),
+               std::logic_error);
+  std::array<int, 2> dst{};
+  std::size_t moved = 0;
+  ChanStatus st_bulk = ChanStatus::blocked;
+  EXPECT_THROW(ch.add_bulk_pop_waiter({dst.data(), dst.size(), 0, &moved,
+                                       &st_bulk, TaskHandle{}, 0, 0}),
+               std::logic_error);
+  // The other endpoint parks, and both parked pops complete.
+  int out1 = 0;
+  ChanStatus st1 = ChanStatus::blocked;
+  ch.add_pop_waiter({&out1, &st1, TaskHandle{}, 1});
+  ASSERT_EQ(ch.try_push(5), ChanStatus::ok);
+  EXPECT_EQ(st0, ChanStatus::ok);
+  EXPECT_EQ(out0, 5);
+  EXPECT_EQ(st1, ChanStatus::ok);
+  EXPECT_EQ(out1, 5);
+  EXPECT_EQ(st_again, ChanStatus::blocked);
+  EXPECT_EQ(ex.wakes.size(), 2u);
+  // A completed pop frees its endpoint's slot.
+  ch.add_bulk_pop_waiter({dst.data(), dst.size(), 0, &moved, &st_bulk,
+                          TaskHandle{}, 0, 0});
+  EXPECT_EQ(st_bulk, ChanStatus::blocked);
+}
+
 TEST(CoopChannelBulk, PushBlockedByLaggingBroadcastConsumer) {
   StubExec ex;
   CoopChannel<int> ch{2, 4, &ex};
@@ -448,8 +484,8 @@ TEST(RtpPort, BulkPortOpsAreRejected) {
   KernelReadPort<int> in{b};
   KernelWritePort<int> out{b};
   std::array<int, 2> buf{};
-  EXPECT_THROW(in.get_n(std::span<int>{buf}), std::logic_error);
-  EXPECT_THROW(out.put_n(std::span<const int>{buf}), std::logic_error);
+  EXPECT_THROW((void)in.get_n(std::span<int>{buf}), std::logic_error);
+  EXPECT_THROW((void)out.put_n(std::span<const int>{buf}), std::logic_error);
 }
 
 // --- vtable factory ---

@@ -249,6 +249,37 @@ TEST(ShardChannel, NoConsumersDiscardsButCounts) {
   EXPECT_EQ(ch.total_pushed(), 3u);
 }
 
+TEST(ShardChannel, SecondParkedPopOnOneEndpointThrows) {
+  // As in CoopChannel: one parked pop per consumer endpoint.
+  CollectingExecutor exec;
+  ShardChannel<int> ch{2, 4, &exec};
+  ch.set_producers(1);
+  int out0 = 0;
+  ChanStatus st0 = ChanStatus::blocked;
+  ch.add_pop_waiter({&out0, &st0, TaskHandle{}, 0});
+  int again = 0;
+  ChanStatus st_again = ChanStatus::blocked;
+  EXPECT_THROW(ch.add_pop_waiter({&again, &st_again, TaskHandle{}, 0}),
+               std::logic_error);
+  int buf[2] = {};
+  std::size_t moved = 0;
+  ChanStatus st_bulk = ChanStatus::blocked;
+  EXPECT_THROW(ch.add_bulk_pop_waiter(
+                   {buf, 2, 0, &moved, &st_bulk, TaskHandle{}, 0, 0}),
+               std::logic_error);
+  ch.add_bulk_pop_waiter({buf, 2, 0, &moved, &st_bulk, TaskHandle{}, 1, 0});
+  ASSERT_EQ(ch.try_push(7), ChanStatus::ok);
+  EXPECT_EQ(st0, ChanStatus::ok);
+  EXPECT_EQ(out0, 7);
+  EXPECT_EQ(st_bulk, ChanStatus::blocked);  // one of two elements so far
+  ch.producer_done();
+  EXPECT_EQ(st_bulk, ChanStatus::closed);
+  EXPECT_EQ(moved, 1u);
+  EXPECT_EQ(buf[0], 7);
+  EXPECT_EQ(st_again, ChanStatus::blocked);
+  EXPECT_EQ(exec.count(), 2u);
+}
+
 TEST(ShardChannel, BlockingOpsAreRejected) {
   CollectingExecutor exec;
   ShardChannel<int> ch{1, 4, &exec};
