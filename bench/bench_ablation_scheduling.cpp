@@ -141,9 +141,9 @@ BENCHMARK(BM_CapacityDefault_Coop);
 // Sharded execution (coop_mt) on a wide multi-component graph.
 // ---------------------------------------------------------------------------
 
-// Four independent two-stage heavy pipelines: the shape the partitioner
-// splits into four shards with zero cross-shard edges, so coop_mt speedup
-// here measures pure multi-core scaling of the cooperative scheduler.
+// Four independent two-stage heavy pipelines: four components, which the
+// partitioner places on four shards, so coop_mt speedup here measures
+// pure multi-core scaling of the cooperative scheduler.
 constexpr auto wide_graph = make_compute_graph_v<[](
     IoConnector<int> a, IoConnector<int> b, IoConnector<int> c,
     IoConnector<int> d) {

@@ -52,6 +52,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -88,6 +89,16 @@ class ResimSession {
                                       static_cast<int>(k))
                          .first->second;
     }
+    // A spliced result lists its tiles sorted by kernel name, and kernel
+    // k's tile always carries k's name, so the order is fixed for the
+    // session. The same std::sort over the kernel order lands ties where
+    // sorting the tiles themselves would.
+    tile_order_.resize(graph_.kernels.size());
+    std::iota(tile_order_.begin(), tile_order_.end(), 0);
+    std::sort(tile_order_.begin(), tile_order_.end(), [this](int a, int b) {
+      return graph_.kernels[static_cast<std::size_t>(a)].name <
+             graph_.kernels[static_cast<std::size_t>(b)].name;
+    });
   }
 
   ResimSession(const ResimSession&) = delete;
@@ -356,9 +367,11 @@ class ResimSession {
     base_valid_ = !res.run.deadlocked;
     const Trace& bt = base_result_.trace;
     base_name_kernel_.assign(bt.name_count(), -1);
+    base_name_id_.clear();
     for (std::uint32_t i = 0; i < bt.name_count(); ++i) {
       const auto it = kernel_by_name_.find(bt.name(i));
       if (it != kernel_by_name_.end()) base_name_kernel_[i] = it->second;
+      base_name_id_.try_emplace(bt.name(i), i);
     }
   }
 
@@ -585,23 +598,25 @@ class ResimSession {
     // Merged trace: the partial run's records plus the baseline records of
     // skipped kernels, time-sorted. The digest is order-independent, so it
     // matches a full run's digest bit for bit. The merge works on interned
-    // records -- each source's name table is remapped into the output trace
-    // once up front, so no strings are copied or re-interned per record
-    // (the baseline trace dominates splice cost on wide graphs). Every
-    // kernel of a name is on one side of the cone (checked before the
-    // run), so a name's representative kernel tells whether it is skipped.
+    // records: the output trace starts from the baseline's name table, so
+    // baseline ids carry over, and the partial run's few names are found
+    // through the per-baseline index (the baseline trace dominates splice
+    // cost on wide graphs). Every kernel of a name is on one side of the
+    // cone (checked before the run), so a name's representative kernel
+    // tells whether it is skipped.
     const Trace& bt = base_result_.trace;
     const Trace& pt = engine_->trace();
+    out.trace.copy_names(bt);
     std::vector<std::uint32_t> bmap(bt.name_count(), Trace::kNoName);
     for (std::uint32_t i = 0; i < bmap.size(); ++i) {
       const int k = base_name_kernel_[i];
-      if (k >= 0 && in_cone_[static_cast<std::size_t>(k)] == 0) {
-        bmap[i] = out.trace.intern(bt.name(i));
-      }
+      if (k >= 0 && in_cone_[static_cast<std::size_t>(k)] == 0) bmap[i] = i;
     }
     std::vector<std::uint32_t> pmap(pt.name_count(), Trace::kNoName);
     for (std::uint32_t i = 0; i < pmap.size(); ++i) {
-      pmap[i] = out.trace.intern(pt.name(i));
+      const auto it = base_name_id_.find(pt.name(i));
+      pmap[i] = it != base_name_id_.end() ? it->second
+                                          : out.trace.intern(pt.name(i));
     }
     // Each source was recorded by an engine that retires events in
     // nondecreasing virtual time, so the two record streams are already
@@ -628,11 +643,10 @@ class ResimSession {
         out.trace.record(r.cycles, pmap[r.name], r.iteration);
       }
     }
-    out.tiles = tiles;
-    std::sort(out.tiles.begin(), out.tiles.end(),
-              [](const TileStats& a, const TileStats& b) {
-                return a.kernel < b.kernel;
-              });
+    out.tiles.reserve(n_kernels);
+    for (int k : tile_order_) {
+      out.tiles.push_back(std::move(tiles[static_cast<std::size_t>(k)]));
+    }
     return out;
   }
 
@@ -642,6 +656,7 @@ class ResimSession {
   // Kernel-name groups, fixed for the session.
   std::unordered_map<std::string_view, int> kernel_by_name_;  ///< first kernel
   std::vector<int> name_rep_;  ///< per kernel: first kernel of its name
+  std::vector<int> tile_order_;  ///< kernel indices by name: tile order
   // Engine before context: the context's channels hold pointers INTO the
   // engine (executor + sim hooks), and `emplace` reconstructs the engine
   // at the same address so those stay valid across reruns.
@@ -659,6 +674,8 @@ class ResimSession {
   std::vector<std::uint64_t> edge_parks_;
   std::map<std::size_t, std::vector<std::byte>> saved_rtp_;
   std::vector<int> base_name_kernel_;  ///< per baseline trace name; -1: none
+  /// Baseline trace name -> its id (views into base_result_.trace).
+  std::unordered_map<std::string_view, std::uint32_t> base_name_id_;
 
   // Per-call scratch.
   Phase phase_ = Phase::baseline;

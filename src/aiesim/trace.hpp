@@ -49,6 +49,10 @@ class Trace {
     return static_cast<std::uint32_t>(names_.size() - 1);
   }
 
+  /// Starts this trace's name table as a copy of `src`'s, so an id from
+  /// `src` names the same kernel here (for layers that merge traces).
+  void copy_names(const Trace& src) { names_ = src.names_; }
+
   /// Pre-sizes the name table and the first record chunk so that a run
   /// recording up to `records_hint` events performs no element copies.
   void reserve(std::size_t names_hint, std::size_t records_hint) {

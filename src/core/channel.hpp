@@ -22,7 +22,7 @@
 // batch larger than the ring capacity still completes (the transfer streams
 // through the ring in capacity-sized pieces).
 //
-// Four backends share one interface:
+// Three backends share one interface:
 //   * CoopChannel     -- completion-based, single-threaded; also serves the
 //                        cycle-approximate backend via per-item virtual-time
 //                        stamps (SimHooks). Declared `final` so ports that
@@ -32,20 +32,15 @@
 //                        thread-per-kernel x86sim-style runtime.
 //   * RtpChannel      -- sticky single-value channel backing AIE runtime
 //                        parameters (paper Section 3.7). Rejects bulk ops.
-//   * ShardChannel    -- lock-light bounded MPMC ring for cross-shard edges
-//                        of a coop_mt run: acquire/release cursors on the
-//                        uncontended path, a control mutex only for waiter
-//                        parking and closure, and a Dekker-style fence
-//                        handshake so a publishing side never misses a
-//                        parked peer.
 //
-// CoopChannel, ThreadedChannel and ShardChannel store their elements in one
-// Ring: a power-of-two slot array addressed by masking the channel's 64-bit
+// CoopChannel and ThreadedChannel store their elements in one Ring: a
+// power-of-two slot array addressed by masking the channel's 64-bit
 // positions. The channel's logical capacity alone decides when it is full.
+// coop_mt needs no channel of its own: its shards hold whole connected
+// components, so every edge stays a CoopChannel on one shard's thread.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <condition_variable>
 #include <coroutine>
@@ -159,7 +154,7 @@ class ChannelBase {
   /// endpoints reopened, statistics zeroed) while keeping its allocations,
   /// so the same graph instance can be run again without rebuilding
   /// channels. Only the single-threaded backends support this; the
-  /// threaded/shard backends throw.
+  /// threaded backend throws.
   virtual void reset_for_rerun() {
     throw std::logic_error{
         "reset_for_rerun is not supported by this channel backend"};
@@ -949,447 +944,6 @@ class ThreadedChannel final : public TypedChannel<T> {
   std::condition_variable not_empty_;
 };
 
-/// Lock-light bounded MPMC broadcast ring backing the cross-shard edges of
-/// a coop_mt run. Kernels on different shards speak the same completion
-/// protocol as CoopChannel, but the two sides run on different OS threads,
-/// so the channel splits its state into two planes:
-///
-///   * Data plane (uncontended path): `head_` and the per-consumer cursors
-///     are acquire/release atomics. A single-producer push and any pop are
-///     entirely lock-free; multi-producer edges serialize pushes on
-///     `push_m_` only. The bulk try_push_n/try_pop_n move a whole window
-///     per cursor publication, amortizing the fences over the batch.
-///   * Control plane: waiter parking, closure bookkeeping and waiter
-///     servicing run under `m_`. The fast path touches it only when the
-///     `parked_` count says a peer is actually parked.
-///
-/// Missed-wakeup freedom uses the classic store/load (Dekker) handshake:
-/// a parking side publishes its intent (`parked_` increment), fences, then
-/// re-checks the data plane; a publishing side stores its cursor, fences,
-/// then checks `parked_`. Seq_cst fencing guarantees at least one side sees
-/// the other, and `m_` serializes the slow paths that follow.
-///
-/// Lock ordering: `m_` may be acquired alone or before `push_m_`; `push_m_`
-/// is never held while acquiring `m_` (fast-path pushes release it before
-/// the wake check).
-template <class T>
-class ShardChannel final : public TypedChannel<T> {
-  using typename TypedChannel<T>::PushWaiter;
-  using typename TypedChannel<T>::PopWaiter;
-  using typename TypedChannel<T>::BulkPushWaiter;
-  using typename TypedChannel<T>::BulkPopWaiter;
-  using typename TypedChannel<T>::ParkedPop;
-
- public:
-  ShardChannel(int consumers, int capacity, Executor* exec)
-      : TypedChannel<T>(consumers),
-        capacity_(static_cast<std::size_t>(std::max(capacity, 1))),
-        ring_(capacity_),
-        cursors_(static_cast<std::size_t>(consumers)),
-        parked_pops_(static_cast<std::size_t>(consumers)),
-        exec_(exec) {
-    this->popped_.assign(static_cast<std::size_t>(consumers), 0);
-    this->consumers_open_ = consumers;
-    consumers_open_a_.store(consumers, std::memory_order_relaxed);
-  }
-
-  void set_producers(int n) override {
-    ChannelBase::set_producers(n);
-    producers_open_a_.store(n, std::memory_order_relaxed);
-    multi_producer_ = n > 1;
-  }
-
-  ChanStatus try_push(const T& v) override {
-    ChanStatus st{};
-    try_push_n(&v, 1, st);
-    return st;
-  }
-
-  ChanStatus try_pop(int consumer, T& out) override {
-    ChanStatus st{};
-    try_pop_n(consumer, &out, 1, st);
-    return st;
-  }
-
-  std::size_t try_push_n(const T* src, std::size_t n,
-                         ChanStatus& st) override {
-    if (this->consumers_total_ > 0 &&
-        consumers_open_a_.load(std::memory_order_acquire) == 0) {
-      st = ChanStatus::closed;
-      return 0;
-    }
-    if (this->consumers_total_ == 0) {
-      // No consumers: discard after updating statistics (matches the
-      // cooperative ring's no-consumer semantics, minus the ring pass).
-      OptLock plk{multi_producer_ ? &push_m_ : nullptr};
-      this->pushed_ += n;
-      st = ChanStatus::ok;
-      return n;
-    }
-    const std::size_t k = push_some(src, n);
-    if (k > 0) wake_if_parked();
-    st = k == n ? ChanStatus::ok : ChanStatus::blocked;
-    return k;
-  }
-
-  std::size_t try_pop_n(int consumer, T* dst, std::size_t n,
-                        ChanStatus& st) override {
-    auto& cur = cursors_[static_cast<std::size_t>(consumer)];
-    const std::uint64_t pos = cur.pos.load(std::memory_order_relaxed);
-    const std::uint64_t head = head_.load(std::memory_order_acquire);
-    const std::size_t k = std::min(n, static_cast<std::size_t>(head - pos));
-    if (k > 0) {
-      ring_.read(pos, dst, k);
-      cur.pos.store(pos + k, std::memory_order_release);
-      this->popped_[static_cast<std::size_t>(consumer)] += k;
-      wake_if_parked();
-    }
-    if (k == n) {
-      st = ChanStatus::ok;
-    } else if (push_closed_mt() &&
-               head_.load(std::memory_order_acquire) == pos + k) {
-      // Close is published after the final push, so re-reading head after
-      // the closed observation cannot miss in-flight data.
-      st = ChanStatus::closed;
-    } else {
-      st = ChanStatus::blocked;
-    }
-    return k;
-  }
-
-  void add_push_waiter(PushWaiter w) override {
-    BulkPushWaiter b{w.value, 1, 0, nullptr, w.status, w.h};
-    add_push_waiter_common(b, &w);
-  }
-
-  void add_bulk_push_waiter(BulkPushWaiter w) override {
-    add_push_waiter_common(w, nullptr);
-  }
-
-  void add_pop_waiter(PopWaiter w) override {
-    std::unique_lock lk{m_};
-    ParkedPop& slot =
-        this->vacant(parked_pops_[static_cast<std::size_t>(w.consumer)]);
-    auto& cur = cursors_[static_cast<std::size_t>(w.consumer)];
-    // Park-intent first, fence, then re-check: pairs with the producer's
-    // publish-fence-check in wake_if_parked.
-    parked_.fetch_add(1, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    const std::uint64_t pos = cur.pos.load(std::memory_order_relaxed);
-    if (head_.load(std::memory_order_acquire) != pos) {
-      parked_.fetch_sub(1, std::memory_order_relaxed);
-      ring_.read(pos, w.out, 1);
-      cur.pos.store(pos + 1, std::memory_order_release);
-      ++this->popped_[static_cast<std::size_t>(w.consumer)];
-      *w.status = ChanStatus::ok;
-      exec_->make_ready(w.h, 0);
-      service_waiters_locked();
-      return;
-    }
-    if (this->producers_open_ == 0 && this->producers_total_ > 0) {
-      parked_.fetch_sub(1, std::memory_order_relaxed);
-      this->close_waiter(w);
-      exec_->make_ready(w.h, 0);
-      return;
-    }
-    slot.pop = w;
-  }
-
-  void add_bulk_pop_waiter(BulkPopWaiter w) override {
-    std::unique_lock lk{m_};
-    ParkedPop& slot =
-        this->vacant(parked_pops_[static_cast<std::size_t>(w.consumer)]);
-    parked_.fetch_add(1, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    drain_into_locked(w);
-    if (w.done == w.n) {
-      parked_.fetch_sub(1, std::memory_order_relaxed);
-      *w.moved = w.n;
-      *w.status = ChanStatus::ok;
-      exec_->make_ready(w.h, 0);
-      service_waiters_locked();
-      return;
-    }
-    auto& cur = cursors_[static_cast<std::size_t>(w.consumer)];
-    if (this->producers_open_ == 0 && this->producers_total_ > 0 &&
-        head_.load(std::memory_order_acquire) ==
-            cur.pos.load(std::memory_order_relaxed)) {
-      parked_.fetch_sub(1, std::memory_order_relaxed);
-      this->close_waiter(w);
-      exec_->make_ready(w.h, 0);
-      if (w.done > 0) service_waiters_locked();
-      return;
-    }
-    slot.bulk = w;
-    if (w.done > 0) service_waiters_locked();
-  }
-
-  bool blocking_push(const T&) override { unreachable_blocking(); }
-  bool blocking_pop(int, T&) override { unreachable_blocking(); }
-
-  void producer_done() override {
-    std::unique_lock lk{m_};
-    --this->producers_open_;
-    producers_open_a_.store(this->producers_open_,
-                            std::memory_order_release);
-    if (this->producers_open_ != 0) return;
-    // Flush completable data first, then end-of-stream the rest: a parked
-    // pop that still has buffered elements must receive them, not closed.
-    service_waiters_locked();
-    for (ParkedPop& p : parked_pops_) {
-      if (p.has_pop()) {
-        const PopWaiter w = std::exchange(p.pop, PopWaiter{});
-        parked_.fetch_sub(1, std::memory_order_relaxed);
-        this->close_waiter(w);
-        exec_->make_ready(w.h, 0);
-      }
-      if (p.has_bulk()) {
-        const BulkPopWaiter w = std::exchange(p.bulk, BulkPopWaiter{});
-        parked_.fetch_sub(1, std::memory_order_relaxed);
-        this->close_waiter(w);
-        exec_->make_ready(w.h, 0);
-      }
-    }
-  }
-
-  void consumer_done(int consumer) override {
-    std::unique_lock lk{m_};
-    auto& cur = cursors_[static_cast<std::size_t>(consumer)];
-    if (cur.active.load(std::memory_order_relaxed) == 0) return;
-    cur.active.store(0, std::memory_order_release);
-    --this->consumers_open_;
-    consumers_open_a_.store(this->consumers_open_,
-                            std::memory_order_release);
-    if (this->consumers_open_ == 0) {
-      parked_.fetch_sub(scalar_push_waiters_.size() + push_waiters_.size(),
-                        std::memory_order_relaxed);
-      for (auto& w : scalar_push_waiters_) {
-        this->close_waiter(w);
-        exec_->make_ready(w.h, 0);
-      }
-      scalar_push_waiters_.clear();
-      for (auto& w : push_waiters_) {
-        this->close_waiter(w);
-        exec_->make_ready(w.h, 0);
-      }
-      push_waiters_.clear();
-    } else {
-      service_waiters_locked();  // the retiring laggard may free slots
-    }
-  }
-
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] std::size_t occupancy(int consumer) const {
-    return static_cast<std::size_t>(
-        head_.load(std::memory_order_acquire) -
-        cursors_[static_cast<std::size_t>(consumer)].pos.load(
-            std::memory_order_acquire));
-  }
-
- private:
-  /// Padded so two shards hammering adjacent cursors do not share a line.
-  struct alignas(64) Cursor {
-    std::atomic<std::uint64_t> pos{0};
-    std::atomic<std::uint8_t> active{1};
-  };
-
-  class OptLock {
-   public:
-    explicit OptLock(std::mutex* m) : m_(m) {
-      if (m_ != nullptr) m_->lock();
-    }
-    ~OptLock() {
-      if (m_ != nullptr) m_->unlock();
-    }
-    OptLock(const OptLock&) = delete;
-    OptLock& operator=(const OptLock&) = delete;
-
-   private:
-    std::mutex* m_;
-  };
-
-  [[noreturn]] static void unreachable_blocking() {
-    throw std::logic_error{
-        "blocking channel ops are not available on a shard channel"};
-  }
-
-  [[nodiscard]] bool push_closed_mt() const {
-    return this->producers_total_ > 0 &&
-           producers_open_a_.load(std::memory_order_acquire) == 0;
-  }
-
-  [[nodiscard]] std::uint64_t min_cursor(std::uint64_t head) const {
-    std::uint64_t m = head;
-    for (const auto& c : cursors_) {
-      if (c.active.load(std::memory_order_acquire) != 0) {
-        m = std::min(m, c.pos.load(std::memory_order_acquire));
-      }
-    }
-    return m;
-  }
-
-  /// Moves up to `n` elements from `src` into the ring, publishing `head_`
-  /// once. Serializes on `push_m_` only for multi-producer edges; with one
-  /// producer the single in-flight push (running or parked, never both)
-  /// makes `head_` single-writer by construction.
-  std::size_t push_some(const T* src, std::size_t n) {
-    OptLock plk{multi_producer_ ? &push_m_ : nullptr};
-    const std::uint64_t head = head_.load(std::memory_order_relaxed);
-    const std::size_t free =
-        capacity_ - static_cast<std::size_t>(head - min_cursor(head));
-    const std::size_t k = std::min(n, free);
-    if (k > 0) {
-      ring_.write(head, src, k);
-      head_.store(head + k, std::memory_order_release);
-      this->pushed_ += k;
-    }
-    return k;
-  }
-
-  /// Publish-side half of the Dekker handshake: cursor stores above are
-  /// release; the fence orders them against the parked check so a peer
-  /// whose park-intent we miss is guaranteed to see our publication.
-  void wake_if_parked() {
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (parked_.load(std::memory_order_relaxed) == 0) return;
-    std::unique_lock lk{m_};
-    service_waiters_locked();
-  }
-
-  /// Registration slow path shared by scalar and bulk pushes. `scalar` is
-  /// non-null for a scalar waiter (its frame, not the temporary bulk view,
-  /// must be parked).
-  void add_push_waiter_common(BulkPushWaiter w, const PushWaiter* scalar) {
-    std::unique_lock lk{m_};
-    if (this->consumers_total_ > 0 && this->consumers_open_ == 0) {
-      this->close_waiter(w);
-      exec_->make_ready(w.h, 0);
-      return;
-    }
-    if (this->consumers_total_ == 0) {
-      {
-        OptLock plk{multi_producer_ ? &push_m_ : nullptr};
-        this->pushed_ += w.n - w.done;
-      }
-      if (w.moved != nullptr) *w.moved = w.n;
-      *w.status = ChanStatus::ok;
-      exec_->make_ready(w.h, 0);
-      return;
-    }
-    parked_.fetch_add(1, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    const std::size_t moved_now = push_some(w.src + w.done, w.n - w.done);
-    w.done += moved_now;
-    if (w.done == w.n) {
-      parked_.fetch_sub(1, std::memory_order_relaxed);
-      if (w.moved != nullptr) *w.moved = w.n;
-      *w.status = ChanStatus::ok;
-      exec_->make_ready(w.h, 0);
-      service_waiters_locked();
-      return;
-    }
-    if (scalar != nullptr) {
-      scalar_push_waiters_.push_back(*scalar);
-    } else {
-      push_waiters_.push_back(w);
-    }
-    if (moved_now > 0) service_waiters_locked();
-  }
-
-  void drain_into_locked(BulkPopWaiter& w) {
-    auto& cur = cursors_[static_cast<std::size_t>(w.consumer)];
-    const std::uint64_t pos = cur.pos.load(std::memory_order_relaxed);
-    const std::uint64_t head = head_.load(std::memory_order_acquire);
-    const std::size_t k =
-        std::min(w.n - w.done, static_cast<std::size_t>(head - pos));
-    if (k == 0) return;
-    ring_.read(pos, w.dst + w.done, k);
-    cur.pos.store(pos + k, std::memory_order_release);
-    this->popped_[static_cast<std::size_t>(w.consumer)] += k;
-    w.done += k;
-  }
-
-  /// Completes parked operations to a fixpoint, `m_` held. Mirrors the
-  /// cooperative ring's servicing loop with atomic cursor publication; the
-  /// woken coroutines are handed to the routing executor, which posts each
-  /// to its home shard and unparks it if asleep.
-  void service_waiters_locked() {
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      for (std::size_t c = 0; c < parked_pops_.size(); ++c) {
-        auto& cur = cursors_[c];
-        ParkedPop& p = parked_pops_[c];
-        const std::uint64_t pos = cur.pos.load(std::memory_order_relaxed);
-        if (p.has_pop() && head_.load(std::memory_order_acquire) != pos) {
-          const PopWaiter w = std::exchange(p.pop, PopWaiter{});
-          parked_.fetch_sub(1, std::memory_order_relaxed);
-          ring_.read(pos, w.out, 1);
-          cur.pos.store(pos + 1, std::memory_order_release);
-          ++this->popped_[c];
-          *w.status = ChanStatus::ok;
-          exec_->make_ready(w.h, 0);
-          progress = true;
-        }
-        if (p.has_bulk()) {
-          const std::size_t before = p.bulk.done;
-          drain_into_locked(p.bulk);
-          if (p.bulk.done != before) progress = true;
-          // A short batch means the ring is drained: it waits for more.
-          if (p.bulk.done == p.bulk.n) {
-            const BulkPopWaiter fin = std::exchange(p.bulk, BulkPopWaiter{});
-            parked_.fetch_sub(1, std::memory_order_relaxed);
-            *fin.moved = fin.n;
-            *fin.status = ChanStatus::ok;
-            exec_->make_ready(fin.h, 0);
-          }
-        }
-      }
-      while (!scalar_push_waiters_.empty()) {
-        PushWaiter& w = scalar_push_waiters_.front();
-        if (push_some(w.value, 1) == 0) break;
-        PushWaiter fin = w;
-        scalar_push_waiters_.pop_front();
-        parked_.fetch_sub(1, std::memory_order_relaxed);
-        *fin.status = ChanStatus::ok;
-        exec_->make_ready(fin.h, 0);
-        progress = true;
-      }
-      while (!push_waiters_.empty()) {
-        BulkPushWaiter& w = push_waiters_.front();
-        const std::size_t k = push_some(w.src + w.done, w.n - w.done);
-        if (k > 0) progress = true;
-        w.done += k;
-        if (w.done == w.n) {
-          BulkPushWaiter fin = w;
-          push_waiters_.pop_front();
-          parked_.fetch_sub(1, std::memory_order_relaxed);
-          *fin.moved = fin.n;
-          *fin.status = ChanStatus::ok;
-          exec_->make_ready(fin.h, 0);
-        } else {
-          break;  // ring full; wait for space
-        }
-      }
-    }
-  }
-
-  std::size_t capacity_;
-  Ring<T> ring_;
-  std::atomic<std::uint64_t> head_{0};
-  std::vector<Cursor> cursors_;
-  std::atomic<int> producers_open_a_{0};
-  std::atomic<int> consumers_open_a_{0};
-  std::atomic<std::size_t> parked_{0};
-  bool multi_producer_ = false;
-  std::mutex m_;       ///< control plane: waiters + closure
-  std::mutex push_m_;  ///< multi-producer data-plane serialization
-  std::vector<ParkedPop> parked_pops_;  ///< one slot per consumer
-  std::deque<PushWaiter> scalar_push_waiters_;
-  std::deque<BulkPushWaiter> push_waiters_;
-  Executor* exec_;
-};
-
 /// Sticky single-value channel for AIE runtime parameters: a read returns
 /// the most recent value without consuming it; a write overwrites. Reads
 /// block only until the first value arrives. Bulk operations are rejected
@@ -1536,24 +1090,17 @@ ChannelBase* create_channel(ExecMode mode, int consumers, int capacity,
     case ExecMode::coop:
     case ExecMode::sim:
     case ExecMode::coop_mt:
-      // coop_mt intra-shard edges are single-threaded by construction; the
-      // runtime requests ShardChannel explicitly for cross-shard edges.
+      // A coop_mt edge never spans two shards, so it is single-threaded.
       return new CoopChannel<T>(consumers, capacity, exec);
   }
   return nullptr;
 }
 
 template <class T>
-ChannelBase* create_shard_channel(int consumers, int capacity,
-                                  Executor* exec) {
-  return new ShardChannel<T>(consumers, capacity, exec);
-}
-
-template <class T>
 bool attach_tap_impl(ChannelBase* ch, EdgeTap* tap) {
   if constexpr (std::is_trivially_copyable_v<T>) {
     auto* coop = dynamic_cast<CoopChannel<T>*>(ch);
-    if (coop == nullptr) return false;  // RTP / threaded / shard backend
+    if (coop == nullptr) return false;  // RTP / threaded backend
     coop->set_tap(tap);
     return true;
   } else {
@@ -1634,10 +1181,8 @@ KernelTask make_replay_impl(ChannelBase* ch, const EdgeTap* tap,
 
 template <class T>
 inline constexpr ChannelVTable channel_vtable_v{
-    &create_channel<T>,      &create_shard_channel<T>,
-    detail::pretty_type_name<T>(), sizeof(T),
-    alignof(T),              &attach_tap_impl<T>,
-    &make_replay_impl<T>};
+    &create_channel<T>, detail::pretty_type_name<T>(), sizeof(T),
+    alignof(T),         &attach_tap_impl<T>,          &make_replay_impl<T>};
 }  // namespace detail
 
 template <class T>

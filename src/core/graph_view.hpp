@@ -71,11 +71,11 @@ struct GraphView {
   std::span<const FlatGlobal> outputs;
 };
 
-/// Per-worker execution statistics for one coop_mt run, reported through
+/// Per-shard execution statistics for one coop_mt run, reported through
 /// RunResult so load imbalance between shards is visible.
 struct WorkerLoad {
-  std::uint64_t resumes = 0;  ///< coroutine resumptions on this worker
-  double busy_s = 0.0;        ///< wall time minus time parked
+  std::uint64_t resumes = 0;  ///< coroutine resumptions on this shard
+  double busy_s = 0.0;        ///< wall time of the shard's run (none parks)
 };
 
 /// Execution statistics returned by a graph run.
@@ -87,8 +87,8 @@ struct RunResult {
   bool deadlocked = false;            ///< quiescence with unfinished kernels
   std::vector<std::string> blocked_kernels;
   std::uint64_t virtual_cycles = 0;   ///< cycle-approximate backend only
-  int shards_used = 0;                ///< coop_mt only: worker shards run
-  /// coop_mt only: per-worker resume/busy statistics of the run.
+  int shards_used = 0;                ///< coop_mt only: shards run
+  /// coop_mt only: per-shard resume/busy statistics of the run.
   std::vector<WorkerLoad> worker_loads;
 };
 
@@ -96,7 +96,9 @@ struct RunResult {
 struct RunOptions {
   ExecMode mode = ExecMode::coop;
   int repetitions = 1;  ///< how many times sources replay their data
-  /// coop_mt only: worker-shard count ceiling; 0 = hardware concurrency.
+  /// coop_mt only: shard-count ceiling; 0 = hardware concurrency. The
+  /// graph runs on min(workers, connected components) shards, one thread
+  /// each, the calling thread included.
   int workers = 0;
 };
 

@@ -2,24 +2,18 @@
 // (ExecMode::coop_mt).
 //
 // The flattened graph is split into shards, each run by its own
-// cooperative scheduler on a dedicated worker thread. The partitioner
-// works in two stages:
+// cooperative scheduler on its own thread. A shard is a set of whole
+// connected components: kernels that share an edge are grouped with a
+// union-find, and the components are packed onto at most `max_shards`
+// shards, largest first onto the least-loaded shard (LPT). No edge ever
+// spans two shards, so every channel stays single-threaded and a graph
+// with one component runs exactly the cooperative schedule.
 //
-//   1. Connected components. Kernels that share an edge are grouped with a
-//      union-find; disjoint subgraphs (the common case for replicated
-//      pipelines / multi-channel DSP graphs) parallelize with zero
-//      cross-shard traffic.
-//   2. Greedy edge-cut split. When there are fewer components than
-//      requested shards and a component is oversized, it is bisected along
-//      a BFS frontier (a cheap edge-cut heuristic: BFS layers cut few
-//      edges on pipeline-shaped graphs). Runtime-parameter (RTP) edges are
-//      contracted first and never cut -- the sticky RTP channel is
-//      single-threaded by construction.
-//
-// Every edge is then classified: `edge_cross[e]` marks edges whose kernel
-// endpoints span shards (backed by the lock-light ShardChannel at run
-// time); `edge_home[e]` names the shard that owns the edge's single-
-// threaded state and hosts any global source/sink task attached to it.
+// Components are never split. Cutting one would turn each element that
+// crosses the cut into a hand-off between OS threads, which costs more
+// than the 260-440 ns of work a resume does on the fine-grained graphs
+// measured (docs/PERF.md, "Parallel simulation"), and a GraphView carries
+// no per-kernel cost to weigh a cut against.
 #pragma once
 
 #include <algorithm>
@@ -34,11 +28,9 @@ namespace cgsim {
 /// Shard assignment of one flattened graph.
 struct Partition {
   int n_shards = 1;
-  std::vector<int> kernel_shard;        ///< per kernel: owning shard
-  std::vector<int> edge_home;           ///< per edge: owning shard
-  std::vector<std::uint8_t> edge_cross; ///< per edge: endpoints span shards
-  int n_cross_edges = 0;
-  int n_components = 0;  ///< connected components before any split
+  std::vector<int> kernel_shard;  ///< per kernel: owning shard
+  std::vector<int> edge_home;     ///< per edge: shard of its endpoints
+  int n_components = 0;           ///< connected components of kernels
 };
 
 namespace detail {
@@ -63,9 +55,9 @@ class UnionFind {
 
 }  // namespace detail
 
-/// Partitions `g` into at most `max_shards` shards. `max_shards < 1` is
-/// treated as 1; the result never has more shards than kernels (a graph
-/// with no kernels gets one shard).
+/// Partitions `g` into min(max_shards, components) shards of whole
+/// components. `max_shards < 1` is treated as 1; a graph with no kernels
+/// gets one shard.
 [[nodiscard]] inline Partition partition_graph(const GraphView& g,
                                                int max_shards) {
   const std::size_t nk = g.kernels.size();
@@ -73,195 +65,69 @@ class UnionFind {
   Partition p;
   p.kernel_shard.assign(nk, 0);
   p.edge_home.assign(ne, 0);
-  p.edge_cross.assign(ne, 0);
   if (nk == 0) {
     p.n_components = ne == 0 ? 0 : 1;
     return p;
   }
-  const int want =
-      std::clamp(max_shards, 1, static_cast<int>(nk));
 
-  // Kernel endpoints per edge, with read/write direction.
-  struct Endpoint {
-    int kernel;
-    bool is_read;
-  };
-  std::vector<std::vector<Endpoint>> edge_kernels(ne);
+  // First kernel endpoint seen per edge; every later endpoint joins its
+  // component.
+  std::vector<int> edge_kernel(ne, -1);
+  detail::UnionFind comp(nk);
   for (std::size_t ki = 0; ki < nk; ++ki) {
     const FlatKernel& k = g.kernels[ki];
     for (int pi = 0; pi < k.nports; ++pi) {
       const FlatPort& fp = g.ports[static_cast<std::size_t>(k.first_port + pi)];
-      edge_kernels[static_cast<std::size_t>(fp.edge)].push_back(
-          {static_cast<int>(ki), fp.is_read});
-    }
-  }
-
-  // Stage 1: connected components; RTP edges additionally contract their
-  // endpoints into atomic groups that any later split must keep together.
-  detail::UnionFind comp(nk);
-  detail::UnionFind rtp(nk);
-  for (std::size_t e = 0; e < ne; ++e) {
-    const auto& eps = edge_kernels[e];
-    for (std::size_t i = 1; i < eps.size(); ++i) {
-      comp.unite(static_cast<std::size_t>(eps[0].kernel),
-                 static_cast<std::size_t>(eps[i].kernel));
-      if (g.edges[e].settings.rtp) {
-        rtp.unite(static_cast<std::size_t>(eps[0].kernel),
-                  static_cast<std::size_t>(eps[i].kernel));
+      int& first = edge_kernel[static_cast<std::size_t>(fp.edge)];
+      if (first < 0) {
+        first = static_cast<int>(ki);
+      } else {
+        comp.unite(static_cast<std::size_t>(first), ki);
       }
     }
   }
 
-  // Blocks: the unit of shard assignment. Initially one block per
-  // component; oversized blocks may be split below.
-  std::vector<int> block_of(nk, -1);
-  std::vector<std::vector<int>> blocks;
+  // Component sizes, numbered in order of each component's first kernel.
+  std::vector<int> comp_of_root(nk, -1);
+  std::vector<int> comp_of(nk);
+  std::vector<std::size_t> comp_size;
   for (std::size_t k = 0; k < nk; ++k) {
-    const std::size_t root = comp.find(k);
-    if (block_of[root] < 0) {
-      block_of[root] = static_cast<int>(blocks.size());
-      blocks.emplace_back();
+    int& c = comp_of_root[comp.find(k)];
+    if (c < 0) {
+      c = static_cast<int>(comp_size.size());
+      comp_size.push_back(0);
     }
-    block_of[k] = block_of[root];
-    blocks[static_cast<std::size_t>(block_of[root])].push_back(
-        static_cast<int>(k));
+    comp_of[k] = c;
+    ++comp_size[static_cast<std::size_t>(c)];
   }
-  p.n_components = static_cast<int>(blocks.size());
+  p.n_components = static_cast<int>(comp_size.size());
 
-  // Kernel adjacency over non-RTP edges, for the BFS split. RTP-grouped
-  // kernels are traversed as one supernode by seeding the whole group.
-  std::vector<std::vector<int>> adj(nk);
-  for (std::size_t e = 0; e < ne; ++e) {
-    if (g.edges[e].settings.rtp) continue;
-    const auto& eps = edge_kernels[e];
-    for (std::size_t i = 1; i < eps.size(); ++i) {
-      adj[static_cast<std::size_t>(eps[0].kernel)].push_back(eps[i].kernel);
-      adj[static_cast<std::size_t>(eps[i].kernel)].push_back(eps[0].kernel);
-    }
-  }
-  // Members of each RTP group, looked up by any member.
-  std::vector<std::vector<int>> rtp_group(nk);
-  for (std::size_t k = 0; k < nk; ++k) {
-    rtp_group[rtp.find(k)].push_back(static_cast<int>(k));
-  }
-
-  // Stage 2: while there are spare shards, bisect the largest splittable
-  // block along a BFS frontier over RTP groups.
-  auto block_size_cmp = [&](int a, int b) {
-    return blocks[static_cast<std::size_t>(a)].size() <
-           blocks[static_cast<std::size_t>(b)].size();
-  };
-  std::vector<std::uint8_t> unsplittable(blocks.size(), 0);
-  while (static_cast<int>(blocks.size()) < want) {
-    int big = -1;
-    for (std::size_t b = 0; b < blocks.size(); ++b) {
-      if (unsplittable[b] || blocks[b].size() < 2) continue;
-      if (big < 0 || block_size_cmp(big, static_cast<int>(b))) {
-        big = static_cast<int>(b);
-      }
-    }
-    if (big < 0) break;  // nothing left to split
-    auto& members = blocks[static_cast<std::size_t>(big)];
-    const std::size_t half = (members.size() + 1) / 2;
-    // BFS from the first member; pull whole RTP groups per visit.
-    std::vector<std::uint8_t> in_block(nk, 0);
-    for (int k : members) in_block[static_cast<std::size_t>(k)] = 1;
-    std::vector<std::uint8_t> taken(nk, 0);
-    std::vector<int> queue;
-    std::vector<int> part_a;
-    auto take_group = [&](int k) {
-      for (int m : rtp_group[rtp.find(static_cast<std::size_t>(k))]) {
-        if (taken[static_cast<std::size_t>(m)]) continue;
-        taken[static_cast<std::size_t>(m)] = 1;
-        part_a.push_back(m);
-        queue.push_back(m);
-      }
-    };
-    take_group(members.front());
-    std::size_t qi = 0;
-    while (part_a.size() < half) {
-      if (qi == queue.size()) {
-        // Disconnected remainder inside the block (possible only via
-        // global-port-only links): seed the next untaken member.
-        int next = -1;
-        for (int k : members) {
-          if (!taken[static_cast<std::size_t>(k)]) {
-            next = k;
-            break;
-          }
-        }
-        if (next < 0) break;
-        take_group(next);
-        continue;
-      }
-      const int k = queue[qi++];
-      for (int nb : adj[static_cast<std::size_t>(k)]) {
-        if (!in_block[static_cast<std::size_t>(nb)] ||
-            taken[static_cast<std::size_t>(nb)]) {
-          continue;
-        }
-        take_group(nb);
-        if (part_a.size() >= half) break;
-      }
-    }
-    if (part_a.empty() || part_a.size() == members.size()) {
-      unsplittable[static_cast<std::size_t>(big)] = 1;
-      continue;
-    }
-    std::vector<int> part_b;
-    for (int k : members) {
-      if (!taken[static_cast<std::size_t>(k)]) part_b.push_back(k);
-    }
-    members = std::move(part_a);
-    blocks.push_back(std::move(part_b));
-    unsplittable.push_back(0);  // keep in lockstep with blocks
-  }
-
-  // Assign blocks to shards, largest first onto the least-loaded shard.
-  const int n_shards =
-      std::min(want, static_cast<int>(blocks.size()));
-  std::vector<int> order(blocks.size());
+  // LPT packing: components largest first, each onto the least-loaded
+  // shard.
+  p.n_shards = std::clamp(max_shards, 1, p.n_components);
+  std::vector<int> order(comp_size.size());
   std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&](int a, int b) { return block_size_cmp(b, a); });
-  std::vector<std::size_t> load(static_cast<std::size_t>(n_shards), 0);
-  for (int b : order) {
-    const auto s = static_cast<std::size_t>(std::min_element(load.begin(),
-                                                             load.end()) -
-                                            load.begin());
-    load[s] += blocks[static_cast<std::size_t>(b)].size();
-    for (int k : blocks[static_cast<std::size_t>(b)]) {
-      p.kernel_shard[static_cast<std::size_t>(k)] = static_cast<int>(s);
-    }
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    return comp_size[static_cast<std::size_t>(b)] <
+           comp_size[static_cast<std::size_t>(a)];
+  });
+  std::vector<int> shard_of(comp_size.size());
+  std::vector<std::size_t> load(static_cast<std::size_t>(p.n_shards), 0);
+  for (int c : order) {
+    const auto s = static_cast<std::size_t>(
+        std::min_element(load.begin(), load.end()) - load.begin());
+    load[s] += comp_size[static_cast<std::size_t>(c)];
+    shard_of[static_cast<std::size_t>(c)] = static_cast<int>(s);
   }
-  p.n_shards = n_shards;
-
-  // Edge classification. The home shard prefers the first producer kernel
-  // (its pushes then stay shard-local on intra-shard edges); an edge with
-  // no kernel endpoints (global passthrough) lives on shard 0.
+  for (std::size_t k = 0; k < nk; ++k) {
+    p.kernel_shard[k] = shard_of[static_cast<std::size_t>(comp_of[k])];
+  }
+  // An edge with no kernel endpoint (a global passthrough) lives on
+  // shard 0.
   for (std::size_t e = 0; e < ne; ++e) {
-    const auto& eps = edge_kernels[e];
-    if (eps.empty()) continue;
-    int home = -1;
-    bool cross = false;
-    for (const auto& ep : eps) {
-      const int s = p.kernel_shard[static_cast<std::size_t>(ep.kernel)];
-      if (home < 0) {
-        home = s;
-      } else if (s != home) {
-        cross = true;
-      }
-      if (!ep.is_read) home = s;  // last writer wins: producer-side home
+    if (edge_kernel[e] >= 0) {
+      p.edge_home[e] = p.kernel_shard[static_cast<std::size_t>(edge_kernel[e])];
     }
-    for (const auto& ep : eps) {
-      if (!ep.is_read) {
-        home = p.kernel_shard[static_cast<std::size_t>(ep.kernel)];
-        break;
-      }
-    }
-    p.edge_home[e] = home;
-    p.edge_cross[e] = cross ? 1 : 0;
-    if (cross) ++p.n_cross_edges;
   }
   return p;
 }

@@ -8,12 +8,12 @@
 // `co_await port.put(v)`, or in whole windows with
 // `co_await port.get_n(span)` / `co_await port.put_n(span)`.
 //
-// Fast path: in the cooperative modes (coop, sim) a streaming port knows
-// its channel is the `final` CoopChannel<T>, so the awaiters call its
-// methods through a concrete pointer -- every channel operation in the
-// simulation hot loop binds statically and inlines into the coroutine
-// frame. The virtual TypedChannel interface remains in use only for the
-// threaded backend and for runtime-parameter (RTP) channels.
+// Fast path: in the cooperative modes (coop, coop_mt, sim) a streaming
+// port knows its channel is the `final` CoopChannel<T>, so the awaiters
+// call its methods through a concrete pointer -- every channel operation
+// in the simulation hot loop binds statically and inlines into the
+// coroutine frame. The virtual TypedChannel interface remains in use only
+// for the threaded backend and for runtime-parameter (RTP) channels.
 //
 // Sim mode: a port keeps a PortSim, the engine's hooks plus the port's
 // access charge, and its awaiters carry a pointer to it, so the cycle
@@ -47,20 +47,16 @@ struct PortBinding {
   int consumer = -1;  ///< broadcast endpoint for read ports
   ExecMode mode = ExecMode::coop;
   SimHooks* sim = nullptr;
-  bool rtp = false;    ///< channel is a sticky runtime-parameter channel
-  bool cross = false;  ///< coop_mt cross-shard edge (ShardChannel backend)
+  bool rtp = false;  ///< channel is a sticky runtime-parameter channel
 };
 
 namespace detail {
 
 /// Concrete CoopChannel<T>* when the binding is a cooperative-mode
-/// streaming channel, nullptr otherwise (threaded mode, RTP channel, or a
-/// coop_mt cross-shard edge, whose ShardChannel goes through the virtual
-/// interface).
+/// streaming channel, nullptr otherwise (threaded mode or an RTP channel).
 template <class T>
 [[nodiscard]] inline CoopChannel<T>* coop_fast_path(const PortBinding& b) {
-  if (b.channel == nullptr || b.mode == ExecMode::threaded || b.rtp ||
-      b.cross) {
+  if (b.channel == nullptr || b.mode == ExecMode::threaded || b.rtp) {
     return nullptr;
   }
   return static_cast<CoopChannel<T>*>(b.channel);

@@ -10,10 +10,10 @@
 // Three execution strategies live here:
 //   * run_coop():     cooperative single-threaded scheduling (cgsim proper)
 //   * run_threaded(): one OS thread per kernel (the x86sim execution model)
-//   * run_coop_mt():  sharded cooperative scheduling on a worker pool; the
-//                     graph is partitioned (partition.hpp), intra-shard
-//                     edges keep the single-threaded CoopChannel fast path,
-//                     cross-shard edges get the lock-light ShardChannel.
+//   * run_coop_mt():  sharded cooperative scheduling, one thread per shard;
+//                     a shard holds whole connected components
+//                     (partition.hpp), so every edge is shard-local and
+//                     keeps the single-threaded CoopChannel fast path.
 // The cycle-approximate backend drives the same context with its own
 // executor (see src/aiesim/).
 #pragma once
@@ -112,8 +112,9 @@ class RuntimeContext {
   /// Deserializes `g`. When `exec` is null the context's own FIFO scheduler
   /// is used (cooperative mode); the cycle-approximate backend passes its
   /// event-queue executor and SimHooks instead. `workers` applies to
-  /// ExecMode::coop_mt only (0 = hardware concurrency): the graph is split
-  /// into at most that many shards, one worker pinned per shard.
+  /// ExecMode::coop_mt only (0 = hardware concurrency): the graph's
+  /// connected components are packed onto at most that many shards, one
+  /// thread per shard.
   explicit RuntimeContext(const GraphView& g, ExecMode mode = ExecMode::coop,
                           Executor* exec = nullptr, SimHooks* sim = nullptr,
                           int workers = 0)
@@ -138,28 +139,12 @@ class RuntimeContext {
           capacity == kDefaultChannelCapacity) {
         capacity = 2;
       }
-      ChannelBase* ch = nullptr;
-      if (pool_) {
-        if (partition_.edge_cross[ei] != 0) {
-          // The partitioner contracts RTP edges, so a cross-shard RTP edge
-          // means the partition and the graph disagree.
-          if (e.settings.rtp) {
-            throw std::logic_error{
-                "coop_mt partition cut a runtime-parameter edge"};
-          }
-          ch = e.vtable().create_shard(e.n_consumers, capacity,
-                                       &pool_->router());
-        } else {
-          // Intra-shard edges are single-threaded by construction and keep
-          // the cooperative ring, homed on the owning shard's executor.
-          ch = e.vtable().create(
-              ExecMode::coop, e.n_consumers, capacity, e.settings.rtp,
-              &pool_->shard(partition_.edge_home[ei]));
-        }
-      } else {
-        ch = e.vtable().create(mode_, e.n_consumers, capacity, e.settings.rtp,
-                               exec_);
-      }
+      // A coop_mt edge is shard-local: its channel wakes its shard's
+      // scheduler.
+      Executor* exec =
+          pool_ ? &pool_->shard(partition_.edge_home[ei]) : exec_;
+      ChannelBase* ch = e.vtable().create(mode_, e.n_consumers, capacity,
+                                          e.settings.rtp, exec);
       ch->set_producers(e.n_producers);
       ch->set_edge_id(static_cast<int>(ei));
       if (sim_ != nullptr) ch->attach_sim_hooks(sim_);
@@ -200,9 +185,8 @@ class RuntimeContext {
             g.ports[static_cast<std::size_t>(k.first_port + p)];
         const FlatEdge& fe = g.edges[static_cast<std::size_t>(fp.edge)];
         ChannelBase* ch = channels_[static_cast<std::size_t>(fp.edge)].get();
-        bindings.push_back(PortBinding{ch, fp.endpoint, mode_, sim_,
-                                       fe.settings.rtp,
-                                       edge_is_cross(fp.edge)});
+        bindings.push_back(
+            PortBinding{ch, fp.endpoint, mode_, sim_, fe.settings.rtp});
         if (fp.is_read) {
           rec.in_endpoints.emplace_back(ch, fp.endpoint);
         } else {
@@ -250,8 +234,7 @@ class RuntimeContext {
                          dma::Transform<T> dma_transform = {}) {
     const FlatGlobal& in = global_input(input_idx, type_id<T>());
     auto* ch = channel_as<T>(in.edge);
-    PortBinding b{ch,   -1, mode_, sim_, edge_is_rtp(in.edge),
-                  edge_is_cross(in.edge)};
+    PortBinding b{ch, -1, mode_, sim_, edge_is_rtp(in.edge)};
     TaskRecord rec;
     rec.name = "source#" + std::to_string(input_idx);
     rec.shard = shard_for_edge(in.edge);
@@ -267,8 +250,7 @@ class RuntimeContext {
                        dma::Transform<T> dma_transform = {}) {
     const FlatGlobal& go = global_output(output_idx, type_id<T>());
     auto* ch = channel_as<T>(go.edge);
-    PortBinding b{ch,   go.endpoint, mode_, sim_, edge_is_rtp(go.edge),
-                  edge_is_cross(go.edge)};
+    PortBinding b{ch, go.endpoint, mode_, sim_, edge_is_rtp(go.edge)};
     TaskRecord rec;
     rec.name = "sink#" + std::to_string(output_idx);
     rec.shard = shard_for_edge(go.edge);
@@ -320,8 +302,9 @@ class RuntimeContext {
     return finish(r);
   }
 
-  /// Sharded cooperative execution: one worker thread per graph shard,
-  /// cross-shard wakes through the routing executor, two-phase quiescence.
+  /// Sharded cooperative execution: each shard's scheduler runs until its
+  /// ready queue is empty, shard 0 on the calling thread and every other
+  /// shard on a thread of its own.
   RunResult run_coop_mt() {
     if (!pool_) {
       throw std::logic_error{
@@ -355,17 +338,13 @@ class RuntimeContext {
 
   /// Registers every task with the executor in suspended state; used by
   /// run_coop(), run_coop_mt() and the cycle-approximate engine. In coop_mt
-  /// this also builds the cross-shard route table, so it must complete
-  /// before the worker pool starts.
+  /// each task goes to its home shard's scheduler.
   void start_all() {
     for (TaskRecord& rec : tasks_) {
       if (!rec.started) continue;
       by_handle_[rec.task.handle().address()] = &rec;
-      if (pool_) {
-        pool_->register_task(rec.task.handle(), rec.shard);
-      } else {
-        exec_->make_ready(rec.task.handle(), 0);
-      }
+      Executor& exec = pool_ ? pool_->shard(rec.shard) : *exec_;
+      exec.make_ready(rec.task.handle(), 0);
     }
   }
 
@@ -386,8 +365,6 @@ class RuntimeContext {
   [[nodiscard]] std::vector<TaskRecord>& tasks() { return tasks_; }
   [[nodiscard]] const GraphView& graph() const { return graph_; }
   [[nodiscard]] Scheduler& scheduler() { return sched_; }
-  /// coop_mt only: the shard assignment computed at construction.
-  [[nodiscard]] const Partition& partition() const { return partition_; }
   [[nodiscard]] ChannelBase* channel(int edge) {
     return channels_[static_cast<std::size_t>(edge)].get();
   }
@@ -458,12 +435,9 @@ class RuntimeContext {
   [[nodiscard]] bool edge_is_rtp(int edge) const {
     return graph_.edges[static_cast<std::size_t>(edge)].settings.rtp;
   }
-  [[nodiscard]] bool edge_is_cross(int edge) const {
-    return pool_ && partition_.edge_cross[static_cast<std::size_t>(edge)] != 0;
-  }
-  /// Home shard for a source/sink task attached to `edge`: the edge's
-  /// owning shard, so every endpoint of an intra-shard channel runs on the
-  /// thread that owns the channel's single-threaded state.
+  /// Home shard for a source/sink task attached to `edge`: the shard of
+  /// the edge's kernels, so every endpoint of the channel runs on the
+  /// thread that owns it.
   [[nodiscard]] int shard_for_edge(int edge) const {
     return pool_ ? partition_.edge_home[static_cast<std::size_t>(edge)] : 0;
   }
@@ -485,7 +459,7 @@ class RuntimeContext {
   Executor* exec_;
   Scheduler sched_;
   Partition partition_;
-  // The pool outlives channels (which hold shard-executor pointers), and
+  // The pool outlives channels (which hold shard-scheduler pointers), and
   // channels are declared before tasks so tasks (which reference channels)
   // are destroyed first.
   std::optional<ShardPool> pool_;

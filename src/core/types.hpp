@@ -19,7 +19,7 @@ enum class ExecMode : std::uint8_t {
   coop,      ///< cooperative coroutine scheduler on one thread (cgsim default)
   threaded,  ///< one OS thread per kernel (x86sim-style functional simulation)
   sim,       ///< cycle-approximate virtual-time simulation (aiesim-style)
-  coop_mt,   ///< sharded cooperative schedulers on a fixed worker pool
+  coop_mt,   ///< one cooperative scheduler per shard of whole components
 };
 
 /// Target hardware realm of a kernel (paper Section 4.3). The paper's
@@ -139,17 +139,12 @@ struct ChannelVTable {
   // sticky runtime-parameter channel instead of a FIFO.
   ChannelBase* (*create)(ExecMode mode, int consumers, int capacity, bool rtp,
                          Executor* exec);
-  // Creates the lock-light cross-shard channel backing an edge whose
-  // endpoints land on different shards of a coop_mt run. `exec` must be a
-  // thread-safe executor that routes each coroutine to its home shard.
-  ChannelBase* (*create_shard)(int consumers, int capacity, Executor* exec);
   std::string_view type_name;
   std::size_t elem_size;
   std::size_t elem_align;
   // Attaches `tap` to record every future push on `ch`. Returns false (and
   // attaches nothing) when the channel cannot be tapped: not a cooperative
-  // ring (RTP/threaded/shard backends) or a non-trivially-copyable element
-  // type.
+  // ring (RTP/threaded backends) or a non-trivially-copyable element type.
   bool (*attach_tap)(ChannelBase* ch, EdgeTap* tap);
   // Builds a replay coroutine that re-pushes `tap`'s recording into `ch` at
   // the recorded virtual-time stamps, standing in for every original

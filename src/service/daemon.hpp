@@ -234,8 +234,8 @@ class Daemon {
   struct OutFrame {
     net::FrameType type{};
     std::uint64_t stream = 0;
-    std::string payload;
-    std::string body;
+    std::string payload{};
+    std::string body{};
     std::uint64_t out_idx = 0;
   };
 

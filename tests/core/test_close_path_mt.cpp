@@ -1,9 +1,9 @@
 // How a kernel ends on a closed stream, on the backends that spawn threads:
-// the sharded cooperative pool (coop_mt) with a cross-shard edge, whose
-// ShardChannel marks parked tasks closed from any worker, and the
-// thread-per-kernel runtime, whose blocking ports mark the task themselves.
-// No exception passes through a kernel body on either; the cooperative
-// scheduler and the engine are covered in test_close_path.cpp.
+// the sharded cooperative pool (coop_mt) over two components, one shard and
+// one thread each, and the thread-per-kernel runtime, whose blocking ports
+// mark the task themselves. No exception passes through a kernel body on
+// either; the cooperative scheduler and the engine are covered in
+// test_close_path.cpp.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -36,12 +36,22 @@ COMPUTE_KERNEL(aie, cpm_catching_inc,
   }
 }
 
-// At 2 workers the partitioner cuts the middle edge.
 constexpr auto catching_chain = make_compute_graph_v<[](IoConnector<int> a) {
   IoConnector<int> b, c;
   cpm_catching_inc(a, b);
   cpm_catching_inc(b, c);
   return std::make_tuple(c);
+}>;
+
+// Two copies of catching_chain: two components, so two shards at 2 workers.
+constexpr auto catching_pair = make_compute_graph_v<[](IoConnector<int> a,
+                                                       IoConnector<int> d) {
+  IoConnector<int> b, c, e, f;
+  cpm_catching_inc(a, b);
+  cpm_catching_inc(b, c);
+  cpm_catching_inc(d, e);
+  cpm_catching_inc(e, f);
+  return std::make_tuple(c, f);
 }>;
 
 constexpr RunOptions kMt2{.mode = ExecMode::coop_mt, .workers = 2};
@@ -53,20 +63,17 @@ std::vector<int> iota_input(int n) {
 }
 
 TEST(ClosePathMt, CoopMtKernelEndsWithoutException) {
-  {
-    const RuntimeContext ctx{catching_chain.view(), ExecMode::coop_mt,
-                             nullptr, nullptr, 2};
-    ASSERT_EQ(ctx.partition().n_cross_edges, 1);
-  }
   const std::vector<int> in = iota_input(2000);
-  std::vector<int> coop;
-  const RunResult rc = catching_chain(in, coop);
-  std::vector<int> out;
+  const std::vector<int> in2 = iota_input(1500);
+  std::vector<int> coop, coop2;
+  const RunResult rc = catching_pair(in, in2, coop, coop2);
+  std::vector<int> out, out2;
   g_caught = 0;
-  const RunResult r = catching_chain.run(kMt2, in, out);
+  const RunResult r = catching_pair.run(kMt2, in, in2, out, out2);
   EXPECT_EQ(g_caught, 0);
   EXPECT_EQ(r.shards_used, 2);
   EXPECT_EQ(out, coop);
+  EXPECT_EQ(out2, coop2);
   EXPECT_EQ(r.kernels_completed, rc.kernels_completed);
   EXPECT_FALSE(r.deadlocked);
 }
@@ -116,15 +123,28 @@ constexpr auto early_return = make_compute_graph_v<[](IoConnector<int> a) {
   return std::make_tuple(c);
 }>;
 
-TEST(ClosePathMt, ProducerRetiresAfterCrossShardConsumerReturns) {
+// Two copies of early_return, one shard each at 2 workers.
+constexpr auto early_return_pair = make_compute_graph_v<[](
+    IoConnector<int> a, IoConnector<int> d) {
+  IoConnector<int> b, c, e, f;
+  cpm_forward(a, b);
+  cpm_take_three(b, c);
+  cpm_forward(d, e);
+  cpm_take_three(e, f);
+  return std::make_tuple(c, f);
+}>;
+
+TEST(ClosePathMt, ShardedProducerRetiresAfterConsumerReturns) {
   const std::vector<int> in = iota_input(5000);
   for (int rep = 0; rep < 5; ++rep) {
-    std::vector<int> out;
+    std::vector<int> out, out2;
     g_put_caught = 0;
-    const RunResult r = early_return.run(kMt2, in, out);
+    const RunResult r = early_return_pair.run(kMt2, in, in, out, out2);
+    EXPECT_EQ(r.shards_used, 2);
     EXPECT_EQ(out, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(out2, (std::vector<int>{0, 1, 2}));
     EXPECT_EQ(g_put_caught, 0);
-    EXPECT_EQ(r.kernels_completed, 4);
+    EXPECT_EQ(r.kernels_completed, 8);
     EXPECT_FALSE(r.deadlocked);
   }
 }
@@ -141,7 +161,7 @@ TEST(ClosePathMt, ThreadedProducerRetiresAfterConsumerReturns) {
   EXPECT_FALSE(r.run.deadlocked);
 }
 
-// --- bulk reads at end of stream, across a shard ----------------------------
+// --- bulk reads at end of stream, on two shards ----------------------------
 
 COMPUTE_KERNEL(aie, cpm_window_sums,
                KernelReadPort<int> in,
@@ -155,27 +175,35 @@ COMPUTE_KERNEL(aie, cpm_window_sums,
   }
 }
 
-constexpr auto window_chain = make_compute_graph_v<[](IoConnector<int> a) {
-  IoConnector<int> b, c;
+// Two components, each an incrementer feeding a windowed reader.
+constexpr auto window_pair = make_compute_graph_v<[](IoConnector<int> a,
+                                                     IoConnector<int> d) {
+  IoConnector<int> b, c, e, f;
   cpm_catching_inc(a, b);
   cpm_window_sums(b, c);
-  return std::make_tuple(c);
+  cpm_catching_inc(d, e);
+  cpm_window_sums(e, f);
+  return std::make_tuple(c, f);
 }>;
 
-TEST(ClosePathMt, CrossShardBulkReadEndsLikeCoop) {
+TEST(ClosePathMt, ShardedBulkReadEndsLikeCoop) {
   for (const int n : {0, 1, 23, 25, 997}) {
     const std::vector<int> in = iota_input(n);
-    std::vector<int> coop;
-    const RunResult rc = window_chain(in, coop);
-    std::vector<int> mt;
-    std::vector<int> threaded;
+    const std::vector<int> in2 = iota_input(n / 2);
+    std::vector<int> coop, coop2;
+    const RunResult rc = window_pair(in, in2, coop, coop2);
+    std::vector<int> mt, mt2;
+    std::vector<int> threaded, threaded2;
     g_caught = 0;
-    const RunResult r = window_chain.run(kMt2, in, mt);
-    const x86sim::SimResult rt =
-        x86sim::simulate(window_chain.view(), 1, in, threaded);
+    const RunResult r = window_pair.run(kMt2, in, in2, mt, mt2);
+    const x86sim::SimResult rt = x86sim::simulate(window_pair.view(), 1, in,
+                                                  in2, threaded, threaded2);
     EXPECT_EQ(g_caught, 0) << n;
+    EXPECT_EQ(r.shards_used, 2) << n;
     EXPECT_EQ(mt, coop) << n;
+    EXPECT_EQ(mt2, coop2) << n;
     EXPECT_EQ(threaded, coop) << n;
+    EXPECT_EQ(threaded2, coop2) << n;
     EXPECT_EQ(r.kernels_completed, rc.kernels_completed) << n;
     EXPECT_EQ(rt.run.kernels_completed, rc.kernels_completed) << n;
     EXPECT_FALSE(r.deadlocked) << n;

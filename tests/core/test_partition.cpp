@@ -1,7 +1,7 @@
 // Graph partitioning for sharded cooperative execution: connected
-// components, greedy bisection of oversized components, RTP-edge
-// contraction, and the edge home/cross classification the runtime builds
-// its channels from.
+// components packed whole onto shards (never split, so no edge spans two
+// shards), LPT balance, and the edge homes the runtime builds its channels
+// on.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -49,7 +49,7 @@ constexpr auto four_pipes = make_compute_graph_v<[](
   return std::make_tuple(a2, b2, c2, d2);
 }>;
 
-// One six-stage chain: splitting it requires cutting edges.
+// One six-stage chain: a single component.
 constexpr auto chain6 = make_compute_graph_v<[](IoConnector<int> a) {
   IoConnector<int> s1, s2, s3, s4, s5, s6;
   pt_stage(a, s1);
@@ -93,11 +93,17 @@ bool edge_spans_shards(const GraphView& g, const Partition& p, int edge) {
   return false;
 }
 
+void expect_no_edge_spans_shards(const GraphView& g, const Partition& p) {
+  for (std::size_t e = 0; e < g.edges.size(); ++e) {
+    EXPECT_FALSE(edge_spans_shards(g, p, static_cast<int>(e))) << "edge " << e;
+  }
+}
+
 TEST(Partition, SingleShardHasNoCrossEdges) {
   const GraphView g = chain6.view();
   const Partition p = partition_graph(g, 1);
   EXPECT_EQ(p.n_shards, 1);
-  EXPECT_EQ(p.n_cross_edges, 0);
+  expect_no_edge_spans_shards(g, p);
   for (int s : p.kernel_shard) EXPECT_EQ(s, 0);
 }
 
@@ -106,7 +112,7 @@ TEST(Partition, DisjointComponentsSplitWithoutCuts) {
   const Partition p = partition_graph(g, 4);
   EXPECT_EQ(p.n_components, 4);
   EXPECT_EQ(p.n_shards, 4);
-  EXPECT_EQ(p.n_cross_edges, 0);
+  expect_no_edge_spans_shards(g, p);
   // Connected kernels stay together; all four shards are used.
   std::vector<int> used(4, 0);
   for (int s : p.kernel_shard) used[static_cast<std::size_t>(s)] = 1;
@@ -117,37 +123,29 @@ TEST(Partition, FewerShardsThanComponentsBalancesLoad) {
   const GraphView g = four_pipes.view();
   const Partition p = partition_graph(g, 2);
   EXPECT_EQ(p.n_shards, 2);
-  EXPECT_EQ(p.n_cross_edges, 0);
+  expect_no_edge_spans_shards(g, p);
   std::vector<int> load(2, 0);
   for (int s : p.kernel_shard) ++load[static_cast<std::size_t>(s)];
   EXPECT_EQ(load[0], 4);  // 8 kernels, two components per shard
   EXPECT_EQ(load[1], 4);
 }
 
-TEST(Partition, OversizedComponentIsBisected) {
-  const GraphView g = chain6.view();
-  const Partition p = partition_graph(g, 2);
-  EXPECT_EQ(p.n_components, 1);
-  EXPECT_EQ(p.n_shards, 2);
-  EXPECT_GE(p.n_cross_edges, 1);
-  std::vector<int> load(2, 0);
-  for (int s : p.kernel_shard) ++load[static_cast<std::size_t>(s)];
-  EXPECT_EQ(load[0] + load[1], 6);
-  EXPECT_GT(load[0], 0);
-  EXPECT_GT(load[1], 0);
-}
-
-TEST(Partition, CrossFlagsMatchShardAssignment) {
-  const GraphView g = chain6.view();
-  const Partition p = partition_graph(g, 3);
-  int cross = 0;
-  for (std::size_t e = 0; e < g.edges.size(); ++e) {
-    EXPECT_EQ(p.edge_cross[e] != 0,
-              edge_spans_shards(g, p, static_cast<int>(e)))
-        << "edge " << e;
-    cross += p.edge_cross[e];
+TEST(Partition, ComponentIsNeverSplit) {
+  // One component stays on one shard however many shards are offered,
+  // with or without an RTP edge inside it.
+  for (const GraphView& g : {chain6.view(), rtp_chain.view()}) {
+    for (const int shards : {2, 3, static_cast<int>(g.kernels.size())}) {
+      const Partition p = partition_graph(g, shards);
+      EXPECT_EQ(p.n_components, 1) << shards;
+      EXPECT_EQ(p.n_shards, 1) << shards;
+      expect_no_edge_spans_shards(g, p);
+    }
   }
-  EXPECT_EQ(cross, p.n_cross_edges);
+  // More shards than components: one shard per component, no more.
+  const GraphView g = four_pipes.view();
+  const Partition p = partition_graph(g, 8);
+  EXPECT_EQ(p.n_shards, 4);
+  expect_no_edge_spans_shards(g, p);
 }
 
 TEST(Partition, EdgeHomeIsAnEndpointShard) {
@@ -157,22 +155,9 @@ TEST(Partition, EdgeHomeIsAnEndpointShard) {
     const FlatKernel& k = g.kernels[ki];
     for (int pi = 0; pi < k.nports; ++pi) {
       const FlatPort& fp = g.ports[static_cast<std::size_t>(k.first_port + pi)];
-      const std::size_t e = static_cast<std::size_t>(fp.edge);
-      if (p.edge_cross[e] == 0) {
-        // Every endpoint of an intra-shard edge lives on the home shard.
-        EXPECT_EQ(p.edge_home[e], p.kernel_shard[ki]);
-      }
-    }
-  }
-}
-
-TEST(Partition, RtpEdgesAreNeverCut) {
-  const GraphView g = rtp_chain.view();
-  // Even asking for one shard per kernel must keep the RTP edge whole.
-  const Partition p = partition_graph(g, static_cast<int>(g.kernels.size()));
-  for (std::size_t e = 0; e < g.edges.size(); ++e) {
-    if (g.edges[e].settings.rtp) {
-      EXPECT_EQ(p.edge_cross[e], 0) << "RTP edge " << e << " was cut";
+      // Every kernel endpoint of an edge lives on the edge's home shard.
+      EXPECT_EQ(p.edge_home[static_cast<std::size_t>(fp.edge)],
+                p.kernel_shard[ki]);
     }
   }
 }
@@ -188,7 +173,7 @@ TEST(Partition, NonPositiveMaxShardsMeansOne) {
   const GraphView g = four_pipes.view();
   const Partition p = partition_graph(g, 0);
   EXPECT_EQ(p.n_shards, 1);
-  EXPECT_EQ(p.n_cross_edges, 0);
+  expect_no_edge_spans_shards(g, p);
 }
 
 }  // namespace

@@ -1,15 +1,17 @@
 // Sharded cooperative execution (ExecMode::coop_mt): bit-identical outputs
 // against the single-threaded cooperative and the thread-per-kernel
-// backends on every ported app and on randomized DAGs, cross-shard
-// close/partial-batch behaviour, repeated-run determinism, and the
-// per-worker load accounting.
+// backends on every ported app and on randomized DAGs, one shard per
+// connected component at most (a one-component graph runs on the calling
+// thread), repeated-run determinism, and the per-shard load accounting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <random>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "apps/bilinear.hpp"
@@ -160,7 +162,7 @@ TEST(CoopMt, GemmThreeKernelsMatchesCoopAndThreaded) {
   EXPECT_EQ(coop, threaded);
 }
 
-// --- cross-shard channel behaviour through the runtime --------------------
+// --- shards through the runtime ---------------------------------------------
 
 COMPUTE_KERNEL(aie, mt_double,
                KernelReadPort<int> in,
@@ -174,21 +176,19 @@ COMPUTE_KERNEL(aie, mt_add_one,
   while (true) co_await out.put(co_await in.get() + 1);
 }
 
-// Bulk kernel: 7-element windows force partial batches over the
-// cross-shard edge whenever the stream length is not a multiple of 7.
-COMPUTE_KERNEL(aie, mt_bulk_negate,
+std::atomic<std::thread::id> g_kernel_thread{};
+
+COMPUTE_KERNEL(aie, mt_record_thread,
                KernelReadPort<int> in,
                KernelWritePort<int> out) {
-  std::array<int, 7> buf{};
   while (true) {
-    const std::size_t n = co_await in.get_n(std::span{buf});
-    for (std::size_t i = 0; i < n; ++i) buf[i] = -buf[i];
-    co_await out.put_n(std::span<const int>{buf.data(), n});
-    if (n < buf.size()) co_return;  // stream closed mid-batch
+    const int v = co_await in.get();
+    g_kernel_thread = std::this_thread::get_id();
+    co_await out.put(v + 1);
   }
 }
 
-// Two-stage chain: at 2 workers the partitioner must cut its middle edge.
+// Two-stage chain: one component, so one shard at any worker count.
 constexpr auto mt_chain = make_compute_graph_v<[](IoConnector<int> a) {
   IoConnector<int> b, c;
   mt_double(a, b);
@@ -196,10 +196,10 @@ constexpr auto mt_chain = make_compute_graph_v<[](IoConnector<int> a) {
   return std::make_tuple(c);
 }>;
 
-constexpr auto mt_bulk_chain = make_compute_graph_v<[](IoConnector<int> a) {
+constexpr auto mt_thread_chain = make_compute_graph_v<[](IoConnector<int> a) {
   IoConnector<int> b, c;
-  mt_bulk_negate(a, b);
-  mt_bulk_negate(b, c);
+  mt_double(a, b);
+  mt_record_thread(b, c);
   return std::make_tuple(c);
 }>;
 
@@ -215,27 +215,17 @@ constexpr auto mt_wide = make_compute_graph_v<[](
   return std::make_tuple(a1, b1, c1, d1);
 }>;
 
-TEST(CoopMt, CrossShardChainMatchesCoop) {
-  std::vector<int> in(1000);
-  for (int i = 0; i < 1000; ++i) in[static_cast<std::size_t>(i)] = i;
-  std::vector<int> coop, shards;
-  mt_chain(in, coop);
-  const RunResult r = mt_chain.run(mt(2), in, shards);
-  EXPECT_EQ(r.shards_used, 2);
+TEST(CoopMt, SingleShardRunsOnCallingThread) {
+  std::vector<int> in(300);
+  for (int i = 0; i < 300; ++i) in[static_cast<std::size_t>(i)] = i;
+  std::vector<int> coop, out;
+  mt_thread_chain(in, coop);
+  g_kernel_thread = std::thread::id{};
+  const RunResult r = mt_thread_chain.run(mt(4), in, out);
+  EXPECT_EQ(r.shards_used, 1);
+  EXPECT_EQ(g_kernel_thread.load(), std::this_thread::get_id());
   EXPECT_FALSE(r.deadlocked);
-  EXPECT_EQ(coop, shards);
-}
-
-TEST(CoopMt, CrossShardCloseDeliversPartialBatch) {
-  std::vector<int> in(23);  // 3 full windows + 2: closes mid-batch twice
-  for (int i = 0; i < 23; ++i) in[static_cast<std::size_t>(i)] = i + 1;
-  std::vector<int> coop, shards;
-  mt_bulk_chain(in, coop);
-  const RunResult r = mt_bulk_chain.run(mt(2), in, shards);
-  ASSERT_EQ(coop.size(), in.size());
-  EXPECT_EQ(r.shards_used, 2);
-  EXPECT_FALSE(r.deadlocked);
-  EXPECT_EQ(coop, shards);  // double negation: back to the input values
+  EXPECT_EQ(out, coop);
 }
 
 TEST(CoopMt, WideGraphUsesAllShardsWithoutCrossEdges) {
@@ -317,7 +307,7 @@ TEST(CoopMt, RunCoopOnMtContextThrows) {
 
 void expect_loads_sum_to_resumes(const RunResult& r) {
   ASSERT_FALSE(r.deadlocked);
-  // One pinned worker per shard.
+  // One load entry per shard.
   ASSERT_EQ(r.worker_loads.size(), static_cast<std::size_t>(r.shards_used));
   std::uint64_t sum = 0;
   for (const WorkerLoad& w : r.worker_loads) sum += w.resumes;
@@ -331,11 +321,13 @@ TEST(CoopMt, WorkerLoadsSumToTotalResumes) {
       mt_wide.run(mt(4), a, b, c, d, oa, ob, oc, od));
 }
 
-TEST(CoopMt, CrossShardChainLoadsSumToTotalResumes) {
+TEST(CoopMt, OneComponentLoadsSumToTotalResumes) {
   std::vector<int> in(100);
   for (int i = 0; i < 100; ++i) in[static_cast<std::size_t>(i)] = i;
   std::vector<int> out;
-  expect_loads_sum_to_resumes(mt_chain.run(mt(2), in, out));
+  const RunResult r = mt_chain.run(mt(2), in, out);
+  EXPECT_EQ(r.shards_used, 1);
+  expect_loads_sum_to_resumes(r);
 }
 
 // --- randomized-graph fuzz -------------------------------------------------
