@@ -15,11 +15,16 @@
 //
 // A fourth column runs the sharded multi-core cooperative backend
 // (ExecMode::coop_mt); on a single-core host it matches cgsim within
-// scheduling noise, on multi-core hosts wide graphs scale. The measured
-// rows are also written to a machine-readable JSON file (default
-// BENCH_table2.json) so successive PRs can track the trajectory.
+// scheduling noise, on multi-core hosts wide graphs scale. Every backend
+// runs each example once untimed, then in three timed rounds whose order
+// rotates, and each column reports its backend's median: no column reads
+// only runs on the caches another backend left warm. The measured rows are
+// also written to a machine-readable JSON file (default BENCH_table2.json)
+// so successive PRs can track the trajectory.
 //
 //   $ ./bench_table2 [scale-divisor [json-path]]
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -62,9 +67,13 @@ struct Row {
   double paper_aiesim_s;
 };
 
-/// Runs one example through all three backends with `reps` repetitions of
-/// its base input, returning measured wall-clock seconds extrapolated to
-/// `paper_reps`.
+constexpr int kBackends = 4;  // cgsim, coop_mt, x86sim, aiesim
+constexpr int kRounds = 3;    // timed rounds per backend, after one untimed
+
+/// Runs one example through every backend with `reps` repetitions of its
+/// base input: once untimed, then kRounds timed rounds, each starting one
+/// backend later than the last. Returns each backend's median wall-clock
+/// seconds extrapolated to `paper_reps`.
 template <class Graph, class MakeIo>
 Row run_example(const char* name, int paper_reps, const Graph& graph,
                 MakeIo make_io, double paper_cg, double paper_x86,
@@ -76,44 +85,58 @@ Row run_example(const char* name, int paper_reps, const Graph& graph,
   const double scale = static_cast<double>(paper_reps) / reps;
   const double aie_scale = static_cast<double>(paper_reps) / aie_reps;
 
-  {
-    auto t0 = std::chrono::steady_clock::now();
-    make_io([&](auto&&... io) {
-      graph.run(cgsim::RunOptions{cgsim::ExecMode::coop, reps}, io...);
-    });
-    row.cgsim_s = seconds_since(t0) * scale;
+  aiesim::SimResult res;
+  const auto timed = [&](auto run) {
+    const auto t0 = std::chrono::steady_clock::now();
+    make_io(run);
+    return seconds_since(t0);
+  };
+  const auto run_backend = [&](int b) {
+    switch (b) {
+      case 0:
+        return timed([&](auto&&... io) {
+          graph.run(cgsim::RunOptions{cgsim::ExecMode::coop, reps}, io...);
+        });
+      case 1:
+        return timed([&](auto&&... io) {
+          graph.run(cgsim::RunOptions{cgsim::ExecMode::coop_mt, reps}, io...);
+        });
+      case 2:
+        return timed([&](auto&&... io) {
+          x86sim::simulate(graph.view(), reps, io...);
+        });
+      default:
+        return timed([&](auto&&... io) {
+          aiesim::SimConfig cfg;
+          cfg.repetitions = aie_reps;
+          res = aiesim::simulate(graph.view(), cfg, io...);
+        });
+    }
+  };
+  for (int b = 0; b < kBackends; ++b) (void)run_backend(b);
+  std::array<std::array<double, kRounds>, kBackends> secs{};
+  for (int round = 0; round < kRounds; ++round) {
+    for (int i = 0; i < kBackends; ++i) {
+      const int b = (round + i) % kBackends;
+      secs[b][round] = run_backend(b);
+    }
   }
-  {
-    auto t0 = std::chrono::steady_clock::now();
-    make_io([&](auto&&... io) {
-      graph.run(cgsim::RunOptions{cgsim::ExecMode::coop_mt, reps}, io...);
-    });
-    row.cgsim_mt_s = seconds_since(t0) * scale;
-  }
-  {
-    auto t0 = std::chrono::steady_clock::now();
-    make_io([&](auto&&... io) {
-      x86sim::simulate(graph.view(), reps, io...);
-    });
-    row.x86sim_s = seconds_since(t0) * scale;
-  }
-  {
-    aiesim::SimResult res;
-    auto t0 = std::chrono::steady_clock::now();
-    make_io([&](auto&&... io) {
-      aiesim::SimConfig cfg;
-      cfg.repetitions = aie_reps;
-      res = aiesim::simulate(graph.view(), cfg, io...);
-    });
-    const double secs = seconds_since(t0);
-    row.aiesim_s = secs * aie_scale;
-    row.aiesim_ns_per_cycle =
-        secs * 1e9 / static_cast<double>(std::max<std::uint64_t>(
-                         1, res.virtual_cycles));
-    row.aiesim_ns_per_event =
-        secs * 1e9 /
-        static_cast<double>(std::max<std::uint64_t>(1, res.run.resumes));
-  }
+  const auto median = [&](int b) {
+    std::array<double, kRounds> v = secs[b];
+    std::sort(v.begin(), v.end());
+    return v[kRounds / 2];
+  };
+  row.cgsim_s = median(0) * scale;
+  row.cgsim_mt_s = median(1) * scale;
+  row.x86sim_s = median(2) * scale;
+  const double aie_s = median(3);
+  row.aiesim_s = aie_s * aie_scale;
+  row.aiesim_ns_per_cycle =
+      aie_s * 1e9 /
+      static_cast<double>(std::max<std::uint64_t>(1, res.virtual_cycles));
+  row.aiesim_ns_per_event =
+      aie_s * 1e9 /
+      static_cast<double>(std::max<std::uint64_t>(1, res.run.resumes));
   return row;
 }
 

@@ -50,6 +50,13 @@ namespace aie::simd {
 #define CGSIM_SIMD_ZMM_BUILTINS 0
 #endif
 
+// ... and the 512-bit byte dot product, vpdpbusd (native_backend::mac_dot4).
+#if CGSIM_SIMD_ZMM_BUILTINS && defined(__AVX512VNNI__)
+#define CGSIM_SIMD_VNNI 1
+#else
+#define CGSIM_SIMD_VNNI 0
+#endif
+
 // Pins the scalar backend's loops to per-lane code on GCC so that a
 // "scalar" measurement means scalar execution (see header comment). This
 // does not change results, only codegen.
@@ -539,6 +546,8 @@ struct native_backend {
   //  * kZmm: 512-bit widening moves and the signed 32x32->64 multiply
   //    (vpmuldq), called through GCC's own x86 builtins -- the ones
   //    <immintrin.h> wraps -- so no intrinsics header is parsed.
+  //  * CGSIM_SIMD_VNNI: the 4-deep byte dot product (vpdpbusd) of
+  //    AVX512-VNNI, in mac_dot4.
   //  Every other target keeps the plain vector-extension code.
 #if defined(__AVX2__)
   static constexpr unsigned kSlpBytes = 32;
@@ -1057,17 +1066,49 @@ struct native_backend {
     return cvt<T, U, N>(u);
   }
 
+#if CGSIM_SIMD_VNNI
+  /// One zmm of mac_dot4<int32, int8>. vpdpbusd multiplies unsigned bytes
+  /// by signed ones, so `a` enters as a ^ 0x80, which read unsigned is
+  /// a + 128, and a second vpdpbusd against 0x80 bytes forms the excess
+  /// 128 * sum_j b_j to take back out: a.b == (a + 128).b - 128 * sum_j b_j.
+  /// Both wrap modulo 2^32, so each lane is congruent -- hence equal -- to
+  /// the scalar backend's exact sum truncated once.
+  static v<std::int32_t, 16> dot4_vnni(const v<std::int32_t, 16>& acc,
+                                       const std::int8_t* a,
+                                       const std::int8_t* b) {
+    typedef int s64 __attribute__((vector_size(64)));
+    const auto k80 = splat<std::int8_t, 64>(-128);
+    const auto vb = (s64)ld<std::int8_t, 64>(b);
+    const s64 biased = __builtin_ia32_vpdpbusd_v16si(
+        acc, (s64)(ld<std::int8_t, 64>(a) ^ k80), vb);
+    const s64 excess = __builtin_ia32_vpdpbusd_v16si(s64{}, (s64)k80, vb);
+    return wrap_sub<std::int32_t, 16>(biased, excess);
+  }
+#endif
+
  public:
-  /// acc[l] += dot of the l-th 4-deep product group. Products are exact in
-  /// double-width lanes; the 4-group reduction folds adjacent pairs with
-  /// the lane-local reinterpret idiom above instead of cross-lane shuffles
-  /// (which GCC scalarizes at these widths). Each narrowing step truncates
-  /// modulo the accumulator width, so the result is congruent -- hence
-  /// bit-identical -- to the scalar backend's exact int64 sum truncated
-  /// once at the end.
+  /// acc[l] += dot of the l-th 4-deep product group. int8 into whole zmms
+  /// of int32 lanes takes vpdpbusd where the target has it (dot4_vnni).
+  /// Otherwise products are exact in double-width lanes; the 4-group
+  /// reduction folds adjacent pairs with the lane-local reinterpret idiom
+  /// above instead of cross-lane shuffles (which GCC scalarizes at these
+  /// widths). Each narrowing step truncates modulo the accumulator width,
+  /// so the result is congruent -- hence bit-identical -- to the scalar
+  /// backend's exact int64 sum truncated once at the end.
   template <class A, class T, unsigned N>
   static void mac_dot4(A* acc, const T* a, const T* b) {
     using P = detail::int_of_t<2 * sizeof(T)>;  // exact product lane type
+#if CGSIM_SIMD_VNNI
+    if constexpr (std::is_same_v<A, std::int32_t> &&
+                  std::is_same_v<T, std::int8_t> && N % 16 == 0) {
+      for (unsigned i = 0; i < N; i += 16) {
+        st<std::int32_t, 16>(
+            acc + i, dot4_vnni(ld<std::int32_t, 16>(acc + i), a + 4 * i,
+                               b + 4 * i));
+      }
+      return;
+    }
+#endif
     if constexpr (std::endian::native != std::endian::little ||
                   (sizeof(P) > sizeof(A))) {
       scalar_backend::mac_dot4<A, T, N>(acc, a, b);
@@ -1086,10 +1127,33 @@ struct native_backend {
     }
   }
 
+  /// srs from int32 accumulator lanes. For shifts 0..31 into a T whose
+  /// range lies within int32's it stays in int32 lanes:
+  /// (x >> s) + ((x >> (s - 1)) & 1) is floor((x + 2^(s-1)) / 2^s), the
+  /// scalar backend's int64 round-half-up, without forming the sum, so
+  /// INT32_MAX cannot wrap; then the clamp and the narrow. Anything else
+  /// widens to int64 lanes and runs the int64 srs.
   template <class T, unsigned N>
   static void srs32(T* r, const std::int32_t* acc, int shift) {
-    // Widen to int64 lanes so the rounding bias cannot overflow, then the
-    // int64 srs path (bit-identical to the scalar formula).
+    if constexpr (kFitsI32<T>) {
+      if (shift >= 0 && shift <= 31) {
+        auto x = ld<std::int32_t, N>(acc);
+        if (shift > 0) {
+          x = (x >> shift) +
+              ((x >> (shift - 1)) & splat<std::int32_t, N>(1));
+        }
+        if constexpr (!std::is_same_v<T, std::int32_t>) {
+          const auto vlo =
+              splat<std::int32_t, N>(std::numeric_limits<T>::min());
+          const auto vhi =
+              splat<std::int32_t, N>(std::numeric_limits<T>::max());
+          x = (x > vhi) ? vhi : x;  // canonical min/max pair, as in srs
+          x = (x < vlo) ? vlo : x;
+        }
+        st<T, N>(r, cvt<T, std::int32_t, N>(x));
+        return;
+      }
+    }
     alignas(32) std::int64_t wide[N];
     st<std::int64_t, N>(
         wide, cvt<std::int64_t, std::int32_t, N>(ld<std::int32_t, N>(acc)));

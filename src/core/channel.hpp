@@ -190,8 +190,9 @@ class TypedChannel : public ChannelBase {
 
   /// Pending push registered by a suspending producer. The channel performs
   /// `*value -> ring` itself when space appears, sets `*status`, and hands
-  /// `h` to the executor. All pointers live in the awaiter frame, which is
-  /// stable while the coroutine is suspended.
+  /// `h` to the executor. All pointers live in the coroutine frame (the
+  /// awaiter, and the element its co_await expression refers to), which
+  /// is stable while the coroutine is suspended.
   struct PushWaiter {
     const T* value;
     ChanStatus* status;

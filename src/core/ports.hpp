@@ -109,6 +109,9 @@ struct [[nodiscard]] ReadAwaiter {
   }
 };
 
+/// Scalar write. Holds a pointer to the caller's element, not a copy (see
+/// KernelWritePort::put()), so the element is copied once, into the ring;
+/// a parked PushWaiter points at it too.
 template <class T>
 struct [[nodiscard]] WriteAwaiter {
   TypedChannel<T>* ch;
@@ -116,16 +119,16 @@ struct [[nodiscard]] WriteAwaiter {
   ExecMode mode;
   PortSim* sim;
   PortSettings settings;
-  T value;
+  const T* value;
   ChanStatus st = ChanStatus::blocked;
 
   bool await_ready() {
     if (coop != nullptr) {
-      st = coop->try_push(value);
+      st = coop->try_push(*value);
     } else if (mode == ExecMode::threaded) {
-      st = ch->blocking_push(value) ? ChanStatus::ok : ChanStatus::closed;
+      st = ch->blocking_push(*value) ? ChanStatus::ok : ChanStatus::closed;
     } else {
-      st = ch->try_push(value);
+      st = ch->try_push(*value);
     }
     return st == ChanStatus::ok;
   }
@@ -133,9 +136,9 @@ struct [[nodiscard]] WriteAwaiter {
     if (st == ChanStatus::closed) {
       mark_closed(h);
     } else if (coop != nullptr) {
-      coop->add_push_waiter({&value, &st, h});
+      coop->add_push_waiter({value, &st, h});
     } else {
-      ch->add_push_waiter({&value, &st, h});
+      ch->add_push_waiter({value, &st, h});
     }
   }
   void await_resume() {
@@ -331,9 +334,12 @@ class KernelWritePort {
 
   /// Awaitable that writes one element, suspending while the channel is
   /// full. Once every downstream consumer has finished, the kernel ends at
-  /// this co_await.
-  [[nodiscard]] detail::WriteAwaiter<T> put(T v) const {
-    return {ch_, coop_, mode_, &sim_, S, std::move(v)};
+  /// this co_await. The awaiter refers to `v`, so await it in the
+  /// expression that calls put(): `co_await port.put(v)`. `v` lives to the
+  /// end of that full-expression, suspension included, so it may be a
+  /// temporary.
+  [[nodiscard]] detail::WriteAwaiter<T> put(const T& v) const {
+    return {ch_, coop_, mode_, &sim_, S, &v};
   }
 
   /// Awaitable that writes all of `in` in one suspension (the transfer

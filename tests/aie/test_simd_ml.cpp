@@ -81,6 +81,41 @@ template <class Tag, unsigned N>
 // mac_dot4: 4-deep int8 dot-product MAC into int32 lanes
 // ---------------------------------------------------------------------------
 
+/// base[l] + sum_{j<4} a[4l+j] * b[4l+j], summed exactly and truncated to
+/// int32 once: the accumulator's two's-complement wrap.
+template <unsigned N>
+aie::vector<std::int32_t, N / 4> dot4_ref(
+    const aie::vector<std::int32_t, N / 4>& base,
+    const aie::vector<std::int8_t, N>& a,
+    const aie::vector<std::int8_t, N>& b) {
+  aie::vector<std::int32_t, N / 4> r;
+  for (unsigned l = 0; l < N / 4; ++l) {
+    std::int64_t s = base.get(l);
+    for (unsigned j = 0; j < 4; ++j) {
+      s += std::int64_t{a.get(4 * l + j)} * b.get(4 * l + j);
+    }
+    r.set(l, static_cast<std::int32_t>(s));
+  }
+  return r;
+}
+
+/// mac_dot4 on both backends, bit for bit against each other and against
+/// dot4_ref.
+template <unsigned N>
+::testing::AssertionResult mac_dot4_matches(
+    const aie::vector<std::int32_t, N / 4>& base,
+    const aie::vector<std::int8_t, N>& a,
+    const aie::vector<std::int8_t, N>& b) {
+  const auto acc = aie::ups<aie::acc32_tag, Scalar>(base, 0);
+  const auto rs = aie::mac_dot4<Scalar>(acc, a, b);
+  const auto rn = aie::mac_dot4<Native>(acc, a, b);
+  if (auto eq = bits_eq(rs, rn); !eq) return eq << " (scalar vs native)";
+  const auto want =
+      aie::ups<aie::acc32_tag, Scalar>(dot4_ref<N>(base, a, b), 0);
+  if (auto eq = bits_eq(rs, want); !eq) return eq << " (scalar vs reference)";
+  return ::testing::AssertionSuccess();
+}
+
 TEST(SimdMl, MacDot4MatchesLoopReference) {
   std::mt19937 rng(101);
   for (unsigned round = 0; round < kFuzzRounds; ++round) {
@@ -93,22 +128,56 @@ TEST(SimdMl, MacDot4MatchesLoopReference) {
         b.set(i, std::numeric_limits<std::int8_t>::min());
       }
     }
-    auto base = random_int_vector<std::int32_t, 16>(rng);
-    const auto acc = aie::ups<aie::acc32_tag, Scalar>(base, 0);
+    const auto base = random_int_vector<std::int32_t, 16>(rng);
+    EXPECT_TRUE(mac_dot4_matches<64>(base, a, b)) << "round " << round;
+  }
 
-    const auto rs = aie::mac_dot4<Scalar>(acc, a, b);
-    const auto rn = aie::mac_dot4<Native>(acc, a, b);
-    EXPECT_TRUE(bits_eq(rs, rn)) << "round " << round;
+  // Mixed -128/127 operands, in a pattern whose 4-groups of b never sum to
+  // 0: on AVX512-VNNI both the a ^ 0x80 bias and the 128 * sum(b) excess
+  // it is corrected by show in every lane.
+  aie::vector<std::int8_t, 64> a, b;
+  for (unsigned i = 0; i < 64; ++i) {
+    a.set(i, i % 3 == 0 ? std::int8_t{-128} : std::int8_t{127});
+    b.set(i, (i + i / 4) % 3 == 0 ? std::int8_t{127} : std::int8_t{-128});
+  }
+  EXPECT_TRUE(mac_dot4_matches<64>(aie::vector<std::int32_t, 16>{}, a, b));
 
-    // Independent reference, int32 wrap-around semantics included.
-    for (unsigned l = 0; l < 16; ++l) {
-      std::int32_t s = base.get(l);
-      for (unsigned j = 0; j < 4; ++j) {
-        s += static_cast<std::int32_t>(a.get(4 * l + j)) *
-             static_cast<std::int32_t>(b.get(4 * l + j));
-      }
-      EXPECT_EQ(rs.get(l), s) << "round " << round << " lane " << l;
+  // Accumulators at INT32_MAX under a positive dot product and INT32_MIN
+  // under a negative one: every lane's sum wraps.
+  aie::vector<std::int32_t, 16> edge;
+  for (unsigned l = 0; l < 16; ++l) {
+    const bool up = l % 2 == 0;
+    edge.set(l, up ? std::numeric_limits<std::int32_t>::max()
+                   : std::numeric_limits<std::int32_t>::min());
+    for (unsigned j = 0; j < 4; ++j) {
+      a.set(4 * l + j, -128);
+      b.set(4 * l + j, up ? std::int8_t{-128} : std::int8_t{127});
     }
+  }
+  EXPECT_TRUE(mac_dot4_matches<64>(edge, a, b));
+
+  // The shape apps::ml_gemm::mac_tile runs: 256 int8 lanes into 64
+  // accumulator lanes (four zmms), extremes in the first round.
+  for (unsigned round = 0; round < kFuzzRounds; ++round) {
+    auto a256 = random_int_vector<std::int8_t, 256>(rng);
+    const auto b256 = random_int_vector<std::int8_t, 256>(rng);
+    auto base = random_int_vector<std::int32_t, 64>(rng);
+    if (round == 0) {
+      for (unsigned l = 0; l < 64; ++l) {
+        base.set(l, l % 2 == 0 ? std::numeric_limits<std::int32_t>::max()
+                               : std::numeric_limits<std::int32_t>::min());
+        for (unsigned j = 0; j < 4; ++j) a256.set(4 * l + j, -128);
+      }
+    }
+    EXPECT_TRUE(mac_dot4_matches<256>(base, a256, b256)) << "round " << round;
+  }
+
+  // Four accumulator lanes fill no zmm: the generic pair-sum path.
+  for (unsigned round = 0; round < kFuzzRounds; ++round) {
+    const auto a16 = random_int_vector<std::int8_t, 16>(rng);
+    const auto b16 = random_int_vector<std::int8_t, 16>(rng);
+    const auto base = random_int_vector<std::int32_t, 4>(rng);
+    EXPECT_TRUE(mac_dot4_matches<16>(base, a16, b16)) << "round " << round;
   }
 }
 
@@ -159,7 +228,7 @@ TEST(SimdMl, Srs32SaturationEdges) {
   };
   aie::vector<std::int32_t, 16> v;
   for (unsigned i = 0; i < 16; ++i) v.set(i, kEdges[i]);
-  for (const int shift : {0, 1, 2, 7, 15, 23, 30, -2}) {
+  for (const int shift : {0, 1, 2, 7, 15, 23, 30, 31, -1, -2}) {
     const auto acc = aie::ups<aie::acc32_tag, Scalar>(v, 0);
     const auto s8 = aie::srs<std::int8_t, Scalar>(acc, shift);
     const auto n8 = aie::srs<std::int8_t, Native>(acc, shift);
@@ -170,7 +239,7 @@ TEST(SimdMl, Srs32SaturationEdges) {
     const auto s32 = aie::srs<std::int32_t, Scalar>(acc, shift);
     const auto n32 = aie::srs<std::int32_t, Native>(acc, shift);
     EXPECT_TRUE(bits_eq(s32, n32)) << "shift " << shift;
-    // Round-half-up + clamp reference on the int8 narrow.
+    // Round-half-up + clamp reference on the int8 and int32 narrows.
     for (unsigned l = 0; l < 16; ++l) {
       std::int64_t r = static_cast<std::int64_t>(v.get(l));
       r = shift <= 0 ? (r << -shift) : ((r + (std::int64_t{1} << (shift - 1)))
@@ -178,13 +247,19 @@ TEST(SimdMl, Srs32SaturationEdges) {
       EXPECT_EQ(s8.get(l), static_cast<std::int8_t>(
                                std::clamp<std::int64_t>(r, -128, 127)))
           << "shift " << shift << " lane " << l;
+      EXPECT_EQ(s32.get(l), static_cast<std::int32_t>(std::clamp<std::int64_t>(
+                                r, std::numeric_limits<std::int32_t>::min(),
+                                std::numeric_limits<std::int32_t>::max())))
+          << "shift " << shift << " lane " << l;
     }
   }
 }
 
 TEST(SimdMl, Srs32RoundingBiasCannotOverflow) {
-  // INT32_MAX with shift 1: bias addition would overflow a 32-bit lane;
-  // the backends must evaluate in 64 bits. (2^31 - 1 + 1) >> 1 = 2^30.
+  // INT32_MAX with shift 1: adding the rounding bias would overflow a
+  // 32-bit lane. The scalar backend sums in 64 bits; the native one stays
+  // in int32 lanes and never forms the sum, as (x >> 1) + (x & 1).
+  // (2^31 - 1 + 1) >> 1 = 2^30.
   aie::vector<std::int32_t, 16> v;
   for (unsigned i = 0; i < 16; ++i) {
     v.set(i, std::numeric_limits<std::int32_t>::max());
