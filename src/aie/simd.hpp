@@ -1131,7 +1131,9 @@ struct native_backend {
   /// range lies within int32's it stays in int32 lanes:
   /// (x >> s) + ((x >> (s - 1)) & 1) is floor((x + 2^(s-1)) / 2^s), the
   /// scalar backend's int64 round-half-up, without forming the sum, so
-  /// INT32_MAX cannot wrap; then the clamp and the narrow. Anything else
+  /// INT32_MAX cannot wrap; then the clamp and the narrow. 16 int8 lanes
+  /// on AVX-512 clamp and narrow in one saturating vpmovsdb, where cvt's
+  /// hop-by-hop narrowing takes two cross-lane permutes. Anything else
   /// widens to int64 lanes and runs the int64 srs.
   template <class T, unsigned N>
   static void srs32(T* r, const std::int32_t* acc, int shift) {
@@ -1142,6 +1144,15 @@ struct native_backend {
           x = (x >> shift) +
               ((x >> (shift - 1)) & splat<std::int32_t, N>(1));
         }
+#if CGSIM_SIMD_ZMM_BUILTINS
+        if constexpr (std::is_same_v<T, std::int8_t> && N == 16) {
+          typedef char b16 __attribute__((vector_size(16)));
+          typedef int s64 __attribute__((vector_size(64)));
+          const b16 n = __builtin_ia32_pmovsdb512_mask((s64)x, b16{}, 0xffff);
+          std::memcpy(r, &n, sizeof n);
+          return;
+        }
+#endif
         if constexpr (!std::is_same_v<T, std::int32_t>) {
           const auto vlo =
               splat<std::int32_t, N>(std::numeric_limits<T>::min());

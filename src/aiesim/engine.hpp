@@ -32,6 +32,16 @@
 // integer from then on (cgsim::PortCharge), and skips the cost model for
 // activations that recorded no ops.
 //
+// Per-element data path. The engine publishes the running task's
+// mid-activation time in SimHooks::now_cycles: the segment base at the
+// start of an activation, plus each port charge as it is made, and 0 once
+// the activation ends. Channels read it for stamps and wake times, and a
+// port whose charge is resolved adds the charge to it in place
+// (cgsim::PortSim::charge_access()), so an element transfer makes no
+// virtual call. Only a port's first access in a run and a kernel's write
+// to a global output, which records one trace entry per element, reach
+// charge_port_access().
+//
 // The engine is checked bit for bit against the test-only oracle in
 // tests/aiesim/oracle/ by the differential suites, and timed against it by
 // bench_ablation_aiesim. Both share the binary-heap event queue. Only the
@@ -178,12 +188,10 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
   }
 
   // --- SimHooks ---
-  /// Mid-activation time: compute is not part of it (see the header).
-  [[nodiscard]] std::uint64_t now() const override {
-    if (current_ == nullptr) return 0;
-    return segment_base_ + port_pending_;
-  }
-
+  /// Adds one access to the published clock (now_cycles), which is
+  /// mid-activation time: compute is not part of it (see the header).
+  /// Ports call this for their first access in a run, which resolves the
+  /// charge, and for every write that records an output iteration.
   void charge_port_access(const cgsim::PortSettings& s,
                           std::size_t elem_bytes, bool is_read,
                           const cgsim::ChannelBase* ch,
@@ -192,12 +200,12 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
     if (!charge.resolved) [[unlikely]] {
       resolve(charge, s, elem_bytes, is_read, ch);
     }
-    port_pending_ += charge.cycles;
+    now_cycles += charge.cycles;
     if (charge.records_output) {
       if (current_->trace_name == Trace::kNoName) {
         current_->trace_name = trace_.intern(current_->name);
       }
-      trace_.record(now(), current_->trace_name, ++current_->iterations);
+      trace_.record(now_cycles, current_->trace_name, ++current_->iterations);
       ++output_items_;
     }
   }
@@ -210,9 +218,9 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
       // Queued by make_ready(), which wrote the task's slot.
       TaskState& s =
           *static_cast<TaskState*>(ev.h.promise().executor_slot.state);
-      segment_base_ = std::max(s.clock, ev.time);
+      const std::uint64_t base = std::max(s.clock, ev.time);
+      now_cycles = base;
       current_ = &s;
-      port_pending_ = 0;
       s.counter.reset();
       bool finished = false;
       {
@@ -222,15 +230,16 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
         finished = cgsim::resume_or_retire(ev.h);
       }
       ++r.resumes;
-      const std::uint64_t end = segment_base_ +
-                                cfg_.cost.compute_cycles(s.counter.counts) +
-                                port_pending_;
-      s.busy_cycles += end - segment_base_;
+      // now_cycles is the base plus the activation's port charges.
+      const std::uint64_t end =
+          now_cycles + cfg_.cost.compute_cycles(s.counter.counts);
+      s.busy_cycles += end - base;
       ++s.activations;
       s.total_ops += s.counter.counts;
       s.clock = end;
       makespan_ = std::max(makespan_, end);
       current_ = nullptr;
+      now_cycles = 0;  // a finished task's channels wake their peers at 0
       if (finished) ctx_->on_task_finished(ev.h);
     }
     r.virtual_cycles = makespan_;
@@ -239,15 +248,16 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
 
   /// The SimResult of a finished run: `run` (as returned by the context's
   /// finish()) plus the engine's makespan, trace, output items and tile
-  /// stats.
-  [[nodiscard]] SimResult result(cgsim::RunResult run) const {
-    SimResult res{};
-    res.run = run;
-    res.virtual_cycles = makespan_;
-    res.ns_total = static_cast<double>(makespan_) * 1e3 / cfg_.aie_mhz;
+  /// stats. On an engine about to be destroyed, the rvalue form moves the
+  /// trace out instead of copying it.
+  [[nodiscard]] SimResult result(cgsim::RunResult run) const& {
+    SimResult res = untraced_result(run);
     res.trace = trace_;
-    res.output_items = output_items_;
-    res.tiles = tile_stats();
+    return res;
+  }
+  [[nodiscard]] SimResult result(cgsim::RunResult run) && {
+    SimResult res = untraced_result(run);
+    res.trace = std::move(trace_);
     return res;
   }
 
@@ -314,6 +324,16 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
     std::uint64_t activations = 0;
     aie::OpCounts total_ops{};
   };
+
+  [[nodiscard]] SimResult untraced_result(cgsim::RunResult run) const {
+    SimResult res{};
+    res.run = run;
+    res.virtual_cycles = makespan_;
+    res.ns_total = static_cast<double>(makespan_) * 1e3 / cfg_.aie_mhz;
+    res.output_items = output_items_;
+    res.tiles = tile_stats();
+    return res;
+  }
 
   static TileStats tile(const TaskState& s) {
     return TileStats{s.name,        s.busy_cycles, s.clock,
@@ -390,8 +410,6 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
   std::span<const std::uint64_t> edge_hop_;  ///< routing cycles per element
 
   TaskState* current_ = nullptr;
-  std::uint64_t segment_base_ = 0;
-  std::uint64_t port_pending_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t makespan_ = 0;
   std::uint64_t output_items_ = 0;
@@ -416,7 +434,8 @@ SimResult simulate(const cgsim::GraphView& g, const SimConfig& cfg,
                        g, cfg.cost, cfg.generated_io, cfg.placement,
                        cfg.array_columns));
   ctx.start_all();
-  return engine.result(ctx.finish(engine.run()));
+  // The engine ends here: its trace moves into the result.
+  return std::move(engine).result(ctx.finish(engine.run()));
 }
 
 }  // namespace aiesim

@@ -71,31 +71,60 @@ struct PortCharge {
   bool records_output = false;  ///< a kernel's write to a global output
 };
 
-class SimHooks;
+/// Virtual-time hooks for the cycle-approximate backend. The engine knows
+/// which kernel is currently executing and what its tile clock reads.
+///
+/// The clock is published, not asked for: `now_cycles` holds the running
+/// task's mid-activation time, so a channel stamping or checking an
+/// element, or a port adding a resolved charge, reads or writes a field
+/// instead of making a virtual call. It reads 0 outside an activation: a
+/// channel closed by a finished task wakes its parked peers at 0, which
+/// the executor raises to each peer's own clock. The engine keeps it as
+/// the segment base plus the port charges so far; the test oracle writes
+/// it from its own formula at activation start, after each charge and
+/// after the activation.
+class SimHooks {
+ public:
+  virtual ~SimHooks() = default;
+  /// Virtual time (cycles) of the currently running kernel.
+  [[nodiscard]] std::uint64_t now() const { return now_cycles; }
+  /// Charges stream/buffer access cost for one element of `elem_bytes`
+  /// moved through the port bound to `ch` with the given settings to the
+  /// currently running kernel. `charge` is that port's slot: a hook may
+  /// resolve it once, after which ports add `charge.cycles` to
+  /// `now_cycles` themselves unless the access records an output
+  /// (PortSim::charge_access()); or it may leave it unresolved and derive
+  /// the cost from the other arguments every time.
+  virtual void charge_port_access(const PortSettings& s,
+                                  std::size_t elem_bytes, bool is_read,
+                                  const ChannelBase* ch,
+                                  PortCharge& charge) = 0;
+
+  /// The published clock (see above): written by the executor and by
+  /// ports whose charge is resolved, read through now().
+  std::uint64_t now_cycles = 0;
+};
 
 /// What a sim-mode port keeps for the cycle engine: the hooks (null in
 /// every other mode) and the port's charge. Awaiters hold a pointer to it.
 struct PortSim {
   SimHooks* hooks = nullptr;
   PortCharge charge{};
-};
 
-/// Virtual-time hooks for the cycle-approximate backend. The engine knows
-/// which kernel is currently executing and what its tile clock reads.
-class SimHooks {
- public:
-  virtual ~SimHooks() = default;
-  /// Virtual time (cycles) of the currently running kernel.
-  [[nodiscard]] virtual std::uint64_t now() const = 0;
-  /// Charges stream/buffer access cost for one element of `elem_bytes`
-  /// moved through the port bound to `ch` with the given settings to the
-  /// currently running kernel. `charge` is that port's slot: a hook may
-  /// resolve it once and reuse it, or ignore it and derive the cost from
-  /// the other arguments every time.
-  virtual void charge_port_access(const PortSettings& s,
-                                  std::size_t elem_bytes, bool is_read,
-                                  const ChannelBase* ch,
-                                  PortCharge& charge) = 0;
+  /// Charges `n` accesses of one port to the running task. Once the
+  /// engine has resolved the charge, an access that records no output
+  /// iteration costs an add to the published clock; the first access in a
+  /// run and every output-recording write (one trace record per element)
+  /// go through the hooks.
+  void charge_access(const PortSettings& s, std::size_t elem_bytes,
+                     bool is_read, const ChannelBase* ch, std::size_t n) {
+    if (hooks == nullptr) return;
+    while (n > 0 && (!charge.resolved || charge.records_output)) {
+      hooks->charge_port_access(s, elem_bytes, is_read, ch, charge);
+      --n;
+    }
+    hooks->now_cycles += n * charge.cycles;
+  }
 };
 
 /// Outcome of a non-blocking channel operation.
@@ -209,7 +238,8 @@ class TypedChannel : public ChannelBase {
   /// Pending bulk push: `src[done..n)` still has to enter the ring. The
   /// channel advances `done` incrementally as space appears and completes
   /// the waiter (writing `*moved`, `*status`, waking `h`) only when the
-  /// whole batch is in or the transfer becomes impossible.
+  /// whole batch is in or the transfer becomes impossible. `done` starts at
+  /// the `*moved` the waiter was registered with.
   struct BulkPushWaiter {
     const T* src;
     std::size_t n;
@@ -246,10 +276,17 @@ class TypedChannel : public ChannelBase {
   // --- cooperative (non-blocking fast path + completion registration) ---
   virtual ChanStatus try_push(const T& v) = 0;
   virtual ChanStatus try_pop(int consumer, T& out) = 0;
-  /// Registers `w`; may complete it synchronously (executor notified) when
-  /// the operation is already possible or permanently impossible.
-  virtual void add_push_waiter(PushWaiter w) = 0;
-  virtual void add_pop_waiter(PopWaiter w) = 0;
+  /// Registers a waiter, given as its record's fields; may complete it
+  /// synchronously (executor notified) when the operation is already
+  /// possible or permanently impossible. Fields, not a record: an awaiter
+  /// that built the record on its stack would have the channel reload it
+  /// with wide loads right after the narrow stores that wrote it, which
+  /// cannot forward and stall; a channel that parks the waiter stores the
+  /// fields into its slot instead.
+  virtual void add_push_waiter(const T* value, ChanStatus* status,
+                               TaskHandle h) = 0;
+  virtual void add_pop_waiter(T* out, ChanStatus* status, TaskHandle h,
+                              int consumer) = 0;
 
   // --- cooperative bulk (window-at-a-time transfers) ---
   /// Moves up to `n` elements, returning the count moved. `st` becomes ok
@@ -264,8 +301,19 @@ class TypedChannel : public ChannelBase {
                                 std::size_t /*n*/, ChanStatus& /*st*/) {
     reject_bulk();
   }
-  virtual void add_bulk_push_waiter(BulkPushWaiter /*w*/) { reject_bulk(); }
-  virtual void add_bulk_pop_waiter(BulkPopWaiter /*w*/) { reject_bulk(); }
+  /// Bulk waiters: `*moved` holds the elements already moved when the
+  /// waiter registers and the total once it completes.
+  virtual void add_bulk_push_waiter(const T* /*src*/, std::size_t /*n*/,
+                                    std::size_t* /*moved*/,
+                                    ChanStatus* /*status*/, TaskHandle /*h*/) {
+    reject_bulk();
+  }
+  virtual void add_bulk_pop_waiter(T* /*dst*/, std::size_t /*n*/,
+                                   std::size_t* /*moved*/,
+                                   ChanStatus* /*status*/, TaskHandle /*h*/,
+                                   int /*consumer*/) {
+    reject_bulk();
+  }
 
   // --- threaded (blocking; return false when closed) ---
   virtual bool blocking_push(const T& v) = 0;
@@ -285,7 +333,7 @@ class TypedChannel : public ChannelBase {
     mark_closed_parked(w.h);
   }
   static void close_waiter(const BulkPushWaiter& w) {
-    if (w.moved != nullptr) *w.moved = w.done;
+    *w.moved = w.done;
     *w.status = ChanStatus::closed;
     mark_closed_parked(w.h);
   }
@@ -418,41 +466,43 @@ class CoopChannel final : public TypedChannel<T> {
     return ChanStatus::ok;
   }
 
-  void add_push_waiter(PushWaiter w) override {
+  void add_push_waiter(const T* value, ChanStatus* status,
+                       TaskHandle h) override {
     // Completion may already be possible (or impossible); check-then-park.
     if (this->consumers_total_ > 0 && this->consumers_open_ == 0) {
-      this->close_waiter(w);
-      exec_->make_ready(w.h, now_or_zero());
+      this->close_waiter(PushWaiter{value, status, h});
+      exec_->make_ready(h, now_or_zero());
       return;
     }
     if (!ring_full()) {
-      raw_write(w.value, 1);
-      *w.status = ChanStatus::ok;
-      exec_->make_ready(w.h, now_or_zero());
+      raw_write(value, 1);
+      *status = ChanStatus::ok;
+      exec_->make_ready(h, now_or_zero());
       service_waiters();
       return;
     }
-    push_waiters_.push_back(w);
+    push_waiters_.emplace_back(value, status, h);
     ++parked_;
     ++push_parks_;
   }
 
-  void add_pop_waiter(PopWaiter w) override {
-    const auto c = static_cast<std::size_t>(w.consumer);
+  void add_pop_waiter(T* out, ChanStatus* status, TaskHandle h,
+                      int consumer) override {
+    const auto c = static_cast<std::size_t>(consumer);
     if (cursors_[c] != head_) {
       const std::uint64_t stamp = sim_ != nullptr ? stamps_[cursors_[c]] : 0;
-      raw_read(c, w.out, 1);
-      *w.status = ChanStatus::ok;
-      exec_->make_ready(w.h, stamp);
+      raw_read(c, out, 1);
+      *status = ChanStatus::ok;
+      exec_->make_ready(h, stamp);
       service_waiters();
       return;
     }
     if (this->push_closed()) {
-      this->close_waiter(w);
-      exec_->make_ready(w.h, now_or_zero());
+      this->close_waiter(PopWaiter{out, status, h, consumer});
+      exec_->make_ready(h, now_or_zero());
       return;
     }
-    this->vacant(parked_pops_[c]).pop = w;
+    this->vacant(parked_pops_[c]).pop = PopWaiter{out, status, h, consumer};
     ++parked_;
   }
 
@@ -515,52 +565,60 @@ class CoopChannel final : public TypedChannel<T> {
     return k;
   }
 
-  void add_bulk_push_waiter(BulkPushWaiter w) override {
+  void add_bulk_push_waiter(const T* src, std::size_t n, std::size_t* moved,
+                            ChanStatus* status, TaskHandle h) override {
+    std::size_t done = *moved;
     if (this->consumers_total_ > 0 && this->consumers_open_ == 0) {
-      this->close_waiter(w);
-      exec_->make_ready(w.h, now_or_zero());
+      this->close_waiter(BulkPushWaiter{src, n, done, moved, status, h});
+      exec_->make_ready(h, now_or_zero());
       return;
     }
     if (this->consumers_total_ == 0) {
       ChanStatus st{};
-      try_push_n(w.src + w.done, w.n - w.done, st);
-      *w.moved = w.n;
-      *w.status = ChanStatus::ok;
-      exec_->make_ready(w.h, now_or_zero());
+      try_push_n(src + done, n - done, st);
+      *moved = n;
+      *status = ChanStatus::ok;
+      exec_->make_ready(h, now_or_zero());
       return;
     }
-    const std::size_t k = std::min(w.n - w.done, free_slots());
+    const std::size_t k = std::min(n - done, free_slots());
     if (k > 0) {
-      raw_write(w.src + w.done, k);
-      w.done += k;
+      raw_write(src + done, k);
+      done += k;
     }
-    if (w.done == w.n) {
-      *w.moved = w.n;
-      *w.status = ChanStatus::ok;
-      exec_->make_ready(w.h, now_or_zero());
+    if (done == n) {
+      *moved = n;
+      *status = ChanStatus::ok;
+      exec_->make_ready(h, now_or_zero());
     } else {
-      bulk_push_waiters_.push_back(w);
+      bulk_push_waiters_.emplace_back(src, n, done, moved, status, h);
       ++parked_;
       ++push_parks_;
     }
     service_waiters();
   }
 
-  void add_bulk_pop_waiter(BulkPopWaiter w) override {
-    const auto c = static_cast<std::size_t>(w.consumer);
+  void add_bulk_pop_waiter(T* dst, std::size_t n, std::size_t* moved,
+                           ChanStatus* status, TaskHandle h,
+                           int consumer) override {
+    const auto c = static_cast<std::size_t>(consumer);
     // Like the scalar completion path, a parked bulk pop consumes buffered
     // data regardless of its stamp; the wake is scheduled at the newest
     // consumed stamp instead.
-    drain_into(w);
-    if (w.done == w.n) {
-      *w.moved = w.n;
-      *w.status = ChanStatus::ok;
-      exec_->make_ready(w.h, w.max_stamp);
+    std::size_t done = *moved;
+    std::uint64_t max_stamp = 0;
+    drain_into(c, dst, n, done, max_stamp);
+    if (done == n) {
+      *moved = n;
+      *status = ChanStatus::ok;
+      exec_->make_ready(h, max_stamp);
     } else if (this->push_closed() && cursors_[c] == head_) {
-      this->close_waiter(w);
-      exec_->make_ready(w.h, std::max(w.max_stamp, now_or_zero()));
+      this->close_waiter(
+          BulkPopWaiter{dst, n, done, moved, status, h, consumer, max_stamp});
+      exec_->make_ready(h, std::max(max_stamp, now_or_zero()));
     } else {
-      this->vacant(parked_pops_[c]).bulk = w;
+      this->vacant(parked_pops_[c]).bulk =
+          BulkPopWaiter{dst, n, done, moved, status, h, consumer, max_stamp};
       ++parked_;
     }
     service_waiters();
@@ -738,20 +796,20 @@ class CoopChannel final : public TypedChannel<T> {
     }
   }
 
-  /// Moves buffered data into a bulk pop waiter, advancing its progress and
-  /// stamp high-water mark.
-  void drain_into(BulkPopWaiter& w) {
-    const auto c = static_cast<std::size_t>(w.consumer);
+  /// Moves consumer `c`'s buffered data into a bulk pop's `dst[done..n)`,
+  /// advancing its progress `done` and stamp high-water mark `max_stamp`.
+  void drain_into(std::size_t c, T* dst, std::size_t n, std::size_t& done,
+                  std::uint64_t& max_stamp) {
     const std::size_t avail = static_cast<std::size_t>(head_ - cursors_[c]);
-    const std::size_t k = std::min(w.n - w.done, avail);
+    const std::size_t k = std::min(n - done, avail);
     if (k == 0) return;
     if (sim_ != nullptr) {
       for (std::size_t i = 0; i < k; ++i) {
-        w.max_stamp = std::max(w.max_stamp, stamps_[cursors_[c] + i]);
+        max_stamp = std::max(max_stamp, stamps_[cursors_[c] + i]);
       }
     }
-    raw_read(c, w.dst + w.done, k);
-    w.done += k;
+    raw_read(c, dst + done, k);
+    done += k;
   }
 
   /// Completes parked operations until a fixpoint: a completed pop frees
@@ -777,7 +835,7 @@ class CoopChannel final : public TypedChannel<T> {
           progress = true;
         }
         if (p.has_bulk() && cursors_[c] != head_) {
-          drain_into(p.bulk);
+          drain_into(c, p.bulk.dst, p.bulk.n, p.bulk.done, p.bulk.max_stamp);
           progress = true;
           // A short batch means the ring is drained: it waits for more.
           if (p.bulk.done == p.bulk.n) {
@@ -902,8 +960,12 @@ class ThreadedChannel final : public TypedChannel<T> {
 
   ChanStatus try_push(const T&) override { unreachable_coop(); }
   ChanStatus try_pop(int, T&) override { unreachable_coop(); }
-  void add_push_waiter(PushWaiter) override { unreachable_coop(); }
-  void add_pop_waiter(PopWaiter) override { unreachable_coop(); }
+  void add_push_waiter(const T*, ChanStatus*, TaskHandle) override {
+    unreachable_coop();
+  }
+  void add_pop_waiter(T*, ChanStatus*, TaskHandle, int) override {
+    unreachable_coop();
+  }
 
   void producer_done() override {
     std::lock_guard lk{m_};
@@ -987,24 +1049,26 @@ class RtpChannel final : public TypedChannel<T> {
     return ChanStatus::ok;
   }
 
-  void add_push_waiter(PushWaiter w) override {
+  void add_push_waiter(const T* value, ChanStatus* status,
+                       TaskHandle h) override {
     // Pushes to an RTP never block.
-    try_push(*w.value);
-    *w.status = ChanStatus::ok;
-    exec_->make_ready(w.h, 0);
+    try_push(*value);
+    *status = ChanStatus::ok;
+    exec_->make_ready(h, 0);
   }
-  void add_pop_waiter(PopWaiter w) override {
+  void add_pop_waiter(T* out, ChanStatus* status, TaskHandle h,
+                      int consumer) override {
     if (has_value_) {
-      *w.status = try_pop(w.consumer, *w.out);
-      exec_->make_ready(w.h, 0);
+      *status = try_pop(consumer, *out);
+      exec_->make_ready(h, 0);
       return;
     }
     if (this->push_closed()) {
-      this->close_waiter(w);
-      exec_->make_ready(w.h, 0);
+      this->close_waiter(PopWaiter{out, status, h, consumer});
+      exec_->make_ready(h, 0);
       return;
     }
-    pop_waiters_.push_back(w);
+    pop_waiters_.emplace_back(out, status, h, consumer);
   }
 
   bool blocking_push(const T& v) override {
@@ -1139,7 +1203,7 @@ struct ReplayPush {
   }
   void await_suspend(TaskHandle h) {
     ++*blocked;
-    ch->add_push_waiter({value, &status, h});
+    ch->add_push_waiter(value, &status, h);
   }
   [[nodiscard]] ChanStatus await_resume() const { return status; }
 };

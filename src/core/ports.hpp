@@ -18,6 +18,14 @@
 // Sim mode: a port keeps a PortSim, the engine's hooks plus the port's
 // access charge, and its awaiters carry a pointer to it, so the cycle
 // engine resolves a port's cost once per run (channel.hpp, PortCharge).
+// From then on an access adds the charge to the engine's published clock
+// itself (PortSim::charge_access()), without a virtual call, unless it
+// records an output iteration.
+//
+// Parking: an awaiter hands its channel the waiter's fields, not a record
+// built on its stack (see TypedChannel::add_push_waiter()), and it holds
+// no record of its own. The awaiters live in the coroutine frame, so their
+// size is asserted below.
 //
 // End of stream: an operation that finds its stream closed for good marks
 // the task closed and leaves it suspended (mark_closed(), task.hpp), so a
@@ -94,17 +102,14 @@ struct [[nodiscard]] ReadAwaiter {
     if (st == ChanStatus::closed) {
       mark_closed(h);
     } else if (coop != nullptr) {
-      coop->add_pop_waiter({&value, &st, h, consumer});
+      coop->add_pop_waiter(&value, &st, h, consumer);
     } else {
-      ch->add_pop_waiter({&value, &st, h, consumer});
+      ch->add_pop_waiter(&value, &st, h, consumer);
     }
   }
   T await_resume() {
     if (st == ChanStatus::closed) resumed_after_close();
-    if (sim->hooks != nullptr) {
-      sim->hooks->charge_port_access(settings, sizeof(T), /*is_read=*/true,
-                                     ch, sim->charge);
-    }
+    sim->charge_access(settings, sizeof(T), /*is_read=*/true, ch, 1);
     return std::move(value);
   }
 };
@@ -136,17 +141,14 @@ struct [[nodiscard]] WriteAwaiter {
     if (st == ChanStatus::closed) {
       mark_closed(h);
     } else if (coop != nullptr) {
-      coop->add_push_waiter({value, &st, h});
+      coop->add_push_waiter(value, &st, h);
     } else {
-      ch->add_push_waiter({value, &st, h});
+      ch->add_push_waiter(value, &st, h);
     }
   }
   void await_resume() {
     if (st == ChanStatus::closed) resumed_after_close();
-    if (sim->hooks != nullptr) {
-      sim->hooks->charge_port_access(settings, sizeof(T), /*is_read=*/false,
-                                     ch, sim->charge);
-    }
+    sim->charge_access(settings, sizeof(T), /*is_read=*/false, ch, 1);
   }
 };
 
@@ -184,22 +186,15 @@ struct [[nodiscard]] BulkReadAwaiter {
       mark_closed(h);
       return;
     }
-    typename TypedChannel<T>::BulkPopWaiter w{
-        dst, n, got, &got, &st, h, consumer, /*max_stamp=*/0};
     if (coop != nullptr) {
-      coop->add_bulk_pop_waiter(w);
+      coop->add_bulk_pop_waiter(dst, n, &got, &st, h, consumer);
     } else {
-      ch->add_bulk_pop_waiter(w);
+      ch->add_bulk_pop_waiter(dst, n, &got, &st, h, consumer);
     }
   }
   std::size_t await_resume() {
     if (got == 0 && st == ChanStatus::closed) resumed_after_close();
-    if (sim->hooks != nullptr) {
-      for (std::size_t i = 0; i < got; ++i) {
-        sim->hooks->charge_port_access(settings, sizeof(T), /*is_read=*/true,
-                                       ch, sim->charge);
-      }
-    }
+    sim->charge_access(settings, sizeof(T), /*is_read=*/true, ch, got);
     return got;
   }
 };
@@ -242,23 +237,26 @@ struct [[nodiscard]] BulkWriteAwaiter {
       mark_closed(h);
       return;
     }
-    typename TypedChannel<T>::BulkPushWaiter w{src, n, done, &done, &st, h};
     if (coop != nullptr) {
-      coop->add_bulk_push_waiter(w);
+      coop->add_bulk_push_waiter(src, n, &done, &st, h);
     } else {
-      ch->add_bulk_push_waiter(w);
+      ch->add_bulk_push_waiter(src, n, &done, &st, h);
     }
   }
   void await_resume() {
     if (st == ChanStatus::closed) resumed_after_close();
-    if (sim->hooks != nullptr) {
-      for (std::size_t i = 0; i < n; ++i) {
-        sim->hooks->charge_port_access(settings, sizeof(T),
-                                       /*is_read=*/false, ch, sim->charge);
-      }
-    }
+    sim->charge_access(settings, sizeof(T), /*is_read=*/false, ch, n);
   }
 };
+
+// The awaiters' sizes for T = int may not grow: every awaiter lives in its
+// kernel's coroutine frame across the co_await, so a larger awaiter costs
+// every element (docs/PERF.md, "Per-element data path", measures an
+// embedded waiter record and one more pointer).
+static_assert(sizeof(ReadAwaiter<int>) <= 56);
+static_assert(sizeof(WriteAwaiter<int>) <= 64);
+static_assert(sizeof(BulkReadAwaiter<int>) <= 80);
+static_assert(sizeof(BulkWriteAwaiter<int>) <= 80);
 
 [[noreturn]] inline void reject_rtp_bulk() {
   throw std::logic_error{

@@ -154,38 +154,42 @@ class SocketChannel final : public TypedChannel<T> {
 
   // --- cooperative completion ------------------------------------------
 
-  void add_push_waiter(PushWaiter w) override {
+  void add_push_waiter(const T* value, ChanStatus* status,
+                       TaskHandle h) override {
     ChanStatus st{};
-    if (try_push_n(w.value, 1, st) == 1) {
-      *w.status = ChanStatus::ok;
-      ready(w.h);
+    if (try_push_n(value, 1, st) == 1) {
+      *status = ChanStatus::ok;
+      ready(h);
       return;
     }
     if (st == ChanStatus::closed) {
-      this->close_waiter(w);
-      ready(w.h);
+      this->close_waiter(PushWaiter{value, status, h});
+      ready(h);
       return;
     }
-    push_waiters_.push_back(w);
+    push_waiters_.emplace_back(value, status, h);
     ++push_parks_;
   }
 
-  void add_pop_waiter(PopWaiter w) override {
+  void add_pop_waiter(T* out, ChanStatus* status, TaskHandle h,
+                      int consumer) override {
     if (!rx_.empty()) {
-      take(w.consumer, w.out, 1);
-      *w.status = ChanStatus::ok;
-      ready(w.h);
+      take(consumer, out, 1);
+      *status = ChanStatus::ok;
+      ready(h);
       return;
     }
     if (pop_closed()) {
-      this->close_waiter(w);
-      ready(w.h);
+      this->close_waiter(PopWaiter{out, status, h, consumer});
+      ready(h);
       return;
     }
-    pop_waiters_.push_back(w);
+    pop_waiters_.emplace_back(out, status, h, consumer);
   }
 
-  void add_bulk_push_waiter(BulkPushWaiter w) override {
+  void add_bulk_push_waiter(const T* src, std::size_t n, std::size_t* moved,
+                            ChanStatus* status, TaskHandle h) override {
+    BulkPushWaiter w{src, n, *moved, moved, status, h};
     advance_bulk_push(w);
     if (w.done == w.n) {
       *w.moved = w.n;
@@ -200,7 +204,10 @@ class SocketChannel final : public TypedChannel<T> {
     }
   }
 
-  void add_bulk_pop_waiter(BulkPopWaiter w) override {
+  void add_bulk_pop_waiter(T* dst, std::size_t n, std::size_t* moved,
+                           ChanStatus* status, TaskHandle h,
+                           int consumer) override {
+    BulkPopWaiter w{dst, n, *moved, moved, status, h, consumer, 0};
     advance_bulk_pop(w);
     if (w.done == w.n) {
       *w.moved = w.n;

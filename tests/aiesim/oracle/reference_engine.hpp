@@ -4,8 +4,11 @@
 // the production engine has one variant. Like the engine, it uses the
 // binary-heap event queue (PriorityEventQueue, src/aiesim/event_queue.hpp).
 // Unlike it, it keeps a handle-keyed task-state map, computes
-// CostModel::port_cycles() at every port access (ignoring the port's
-// charge slot), and keeps per-channel metadata in pointer-keyed hash maps
+// CostModel::port_cycles() at every port access (it never resolves the
+// port's charge slot, so every access reaches charge_port_access()),
+// writes the published clock (SimHooks::now_cycles) from its own formula
+// at activation start, after each charge and at the activation's end, and
+// keeps per-channel metadata in pointer-keyed hash maps
 // and string trace records. It derives placement,
 // edge flags, hop and port costs from the GraphView and the CostModel at
 // every bind and never reads a CompiledGraph, so differential tests and
@@ -74,12 +77,6 @@ class ReferenceEngine final : public cgsim::Executor, public cgsim::SimHooks {
   }
 
   // --- SimHooks ---
-  [[nodiscard]] std::uint64_t now() const override {
-    if (current_ == nullptr) return 0;
-    return segment_base_ + cfg_.cost.compute_cycles(current_->counter.counts) +
-           port_pending_;
-  }
-
   /// Ignores the port's charge slot and derives the cost at every access,
   /// so the differential suites check the engine's resolved charges.
   void charge_port_access(const cgsim::PortSettings& s,
@@ -94,8 +91,9 @@ class ReferenceEngine final : public cgsim::Executor, public cgsim::SimHooks {
       const auto hop = hop_cost_.find(ch);
       if (hop != hop_cost_.end()) port_pending_ += hop->second;
     }
+    now_cycles = derived_now();
     if (!is_read && current_->is_kernel && global_out_.contains(ch)) {
-      trace_.record(now(), current_->name, ++current_->iterations);
+      trace_.record(now_cycles, current_->name, ++current_->iterations);
       ++output_items_;
     }
   }
@@ -110,6 +108,7 @@ class ReferenceEngine final : public cgsim::Executor, public cgsim::SimHooks {
       current_ = &s;
       port_pending_ = 0;
       s.counter.reset();
+      now_cycles = derived_now();
       bool finished = false;
       {
         aie::ScopedCounterBatch scoped{&s.counter};
@@ -125,6 +124,7 @@ class ReferenceEngine final : public cgsim::Executor, public cgsim::SimHooks {
       s.clock = end;
       makespan_ = std::max(makespan_, end);
       current_ = nullptr;
+      now_cycles = derived_now();
       if (finished) ctx_->on_task_finished(ev.h);
     }
     r.virtual_cycles = makespan_;
@@ -168,6 +168,13 @@ class ReferenceEngine final : public cgsim::Executor, public cgsim::SimHooks {
     std::uint64_t activations = 0;
     aie::OpCounts total_ops{};
   };
+
+  /// Mid-activation time of the running task, 0 outside an activation.
+  [[nodiscard]] std::uint64_t derived_now() const {
+    if (current_ == nullptr) return 0;
+    return segment_base_ + cfg_.cost.compute_cycles(current_->counter.counts) +
+           port_pending_;
+  }
 
   TaskState& state_for(std::coroutine_handle<> h) {
     auto [it, inserted] = states_.try_emplace(h.address());

@@ -347,30 +347,108 @@ constexpr auto pc_graph = make_compute_graph_v<[](IoConnector<float> a,
   return std::make_tuple(z);
 }>;
 
+/// A run's observables recorded at a fixed commit, per kernel tile.
+struct PcTile {
+  const char* kernel;
+  std::uint64_t busy_cycles, final_clock, activations;
+};
+struct PcGolden {
+  bool generated_io;
+  std::uint64_t virtual_cycles, trace_digest, output_items;
+  std::vector<PcTile> tiles;
+};
+
+/// The engine's run `res` against the oracle's run `ref` of the same
+/// graph and inputs, and against the recorded values `want`.
+void expect_engine_run(const aiesim::SimResult& res,
+                       const aiesim::SimResult& ref, const PcGolden& want) {
+  EXPECT_EQ(res.virtual_cycles, ref.virtual_cycles);
+  EXPECT_EQ(res.output_items, ref.output_items);
+  EXPECT_EQ(res.trace.digest(), ref.trace.digest());
+  ASSERT_EQ(res.tiles.size(), ref.tiles.size());
+  for (std::size_t i = 0; i < res.tiles.size(); ++i) {
+    EXPECT_EQ(res.tiles[i].kernel, ref.tiles[i].kernel);
+    EXPECT_EQ(res.tiles[i].busy_cycles, ref.tiles[i].busy_cycles);
+    EXPECT_EQ(res.tiles[i].final_clock, ref.tiles[i].final_clock);
+    EXPECT_EQ(res.tiles[i].activations, ref.tiles[i].activations);
+  }
+  EXPECT_EQ(res.virtual_cycles, want.virtual_cycles);
+  EXPECT_EQ(res.trace.digest(), want.trace_digest);
+  EXPECT_EQ(res.output_items, want.output_items);
+  for (const PcTile& t : want.tiles) {
+    const auto it = std::find_if(
+        res.tiles.begin(), res.tiles.end(),
+        [&](const aiesim::TileStats& s) { return s.kernel == t.kernel; });
+    ASSERT_NE(it, res.tiles.end()) << t.kernel;
+    EXPECT_EQ(it->busy_cycles, t.busy_cycles) << t.kernel;
+    EXPECT_EQ(it->final_clock, t.final_clock) << t.kernel;
+    EXPECT_EQ(it->activations, t.activations) << t.kernel;
+  }
+}
+
+// --- bulk ports, output put_n, an RTP read and an early return ------------
+
+inline constexpr PortSettings pc_rtp{.rtp = true};
+
+COMPUTE_KERNEL(aie, pc_bulk,
+               KernelReadPort<int, pc_window> in,
+               KernelReadPort<int, pc_rtp> gain,
+               KernelWritePort<int> out) {
+  // One get_n and one put_n of four per batch: each charges its port four
+  // times. The RTP read is charged once per batch.
+  std::array<int, 4> buf{};
+  while (true) {
+    const std::size_t n = co_await in.get_n(std::span{buf});
+    const int k = co_await gain.get();
+    for (std::size_t i = 0; i < n; ++i) buf[i] = k * npot_work<1>(buf[i]);
+    co_await out.put_n(std::span<const int>{buf.data(), n});
+    if (n < buf.size()) (void)co_await in.get();
+  }
+}
+
+COMPUTE_KERNEL(aie, pc_early,
+               KernelReadPort<int> in,
+               KernelWritePort<int> out) {
+  // Three batches of three to the global output, one put_n each, so each
+  // element records its own trace entry. It returns after nine reads, a
+  // count that leaves pc_bulk parked mid-batch on the full capacity-2
+  // ring: the return closes the ring and wakes pc_bulk from outside any
+  // activation, at clock 0.
+  std::array<int, 3> buf{};
+  for (int round = 0; round < 3; ++round) {
+    for (int& v : buf) v = npot_work<12>(co_await in.get());
+    co_await out.put_n(std::span<const int>{buf});
+  }
+}
+
+constexpr auto pc_clock_graph = make_compute_graph_v<[](IoConnector<int> a,
+                                                        IoConnector<int> k) {
+  IoConnector<int> b;
+  IoConnector<int> z;
+  b.capacity(2);
+  pc_bulk(a, k, b);
+  pc_early(b, z);
+  return std::make_tuple(z);
+}>;
+
 TEST(SimEngine, PortChargesFollowEachPort) {
   // The two sides of most edges here are charged differently: the source
   // writes a stream while pc_win reads a window, the GMIO side input is
   // written as a PLIO stream, the consuming side alone pays the routing
   // hops, and only pc_out's writes are output iterations. The engine
-  // resolves a port's charge once; the oracle recomputes it at every
-  // access. The golden values were recorded before the engine cached
-  // port charges.
-  struct Tile {
-    const char* kernel;
-    std::uint64_t busy_cycles, final_clock;
-  };
-  struct Golden {
-    bool generated_io;
-    std::uint64_t virtual_cycles, trace_digest;
-    std::array<Tile, 3> tiles;
-  };
-  const Golden golden[] = {
-      {false, 6280, 6422700600158013163ull,
-       {{{"pc_win", 2496, 5340}, {"pc_mix", 5980, 6250},
-         {"pc_out", 1430, 6280}}}},
-      {true, 6281, 5866165962941284183ull,
-       {{{"pc_win", 2496, 5340}, {"pc_mix", 5980, 6250},
-         {"pc_out", 1456, 6281}}}},
+  // resolves a port's charge once and then adds it to its published clock
+  // in place; the oracle recomputes it at every access. pc_graph's golden
+  // values were recorded before the engine cached port charges,
+  // pc_clock_graph's before it published its clock. The oracle shares
+  // CoopChannel with the engine, so only the recorded values catch a
+  // channel reading the clock wrongly.
+  const PcGolden golden[] = {
+      {false, 6280, 6422700600158013163ull, 26,
+       {{"pc_win", 2496, 5340, 8}, {"pc_mix", 5980, 6250, 8},
+        {"pc_out", 1430, 6280, 27}}},
+      {true, 6281, 5866165962941284183ull, 26,
+       {{"pc_win", 2496, 5340, 8}, {"pc_mix", 5980, 6250, 8},
+        {"pc_out", 1456, 6281, 27}}},
   };
   std::vector<float> a(26);
   std::vector<float> g(26);
@@ -378,7 +456,7 @@ TEST(SimEngine, PortChargesFollowEachPort) {
     a[i] = static_cast<float>(i) - 7.0f;
     g[i] = 0.25f * static_cast<float>(i);
   }
-  for (const Golden& want : golden) {
+  for (const PcGolden& want : golden) {
     SCOPED_TRACE(::testing::Message() << "generated_io " << want.generated_io);
     aiesim::SimConfig cfg;
     cfg.generated_io = want.generated_io;
@@ -391,26 +469,38 @@ TEST(SimEngine, PortChargesFollowEachPort) {
                                               ref_out);
     ASSERT_EQ(out.size(), 26u);
     EXPECT_EQ(out, ref_out);
-    EXPECT_EQ(res.virtual_cycles, ref.virtual_cycles);
-    EXPECT_EQ(res.output_items, ref.output_items);
-    EXPECT_EQ(res.trace.digest(), ref.trace.digest());
-    ASSERT_EQ(res.tiles.size(), ref.tiles.size());
-    for (std::size_t i = 0; i < res.tiles.size(); ++i) {
-      EXPECT_EQ(res.tiles[i].kernel, ref.tiles[i].kernel);
-      EXPECT_EQ(res.tiles[i].busy_cycles, ref.tiles[i].busy_cycles);
-      EXPECT_EQ(res.tiles[i].final_clock, ref.tiles[i].final_clock);
-      EXPECT_EQ(res.tiles[i].activations, ref.tiles[i].activations);
-    }
-    EXPECT_EQ(res.virtual_cycles, want.virtual_cycles);
-    EXPECT_EQ(res.trace.digest(), want.trace_digest);
-    for (const Tile& t : want.tiles) {
-      const auto it = std::find_if(
+    expect_engine_run(res, ref, want);
+  }
+
+  const PcGolden clock_golden[] = {
+      {false, 1160, 11029802148466430022ull, 9,
+       {{"pc_bulk", 986, 1064, 5}, {"pc_early", 720, 1160, 4}}},
+      {true, 1166, 10054471733950702726ull, 9,
+       {{"pc_bulk", 989, 1067, 5}, {"pc_early", 729, 1166, 4}}},
+  };
+  std::vector<int> in(40);
+  for (int i = 0; i < 40; ++i) in[static_cast<std::size_t>(i)] = 5 * i - 90;
+  for (const PcGolden& want : clock_golden) {
+    SCOPED_TRACE(::testing::Message() << "clock graph, generated_io "
+                                      << want.generated_io);
+    aiesim::SimConfig cfg;
+    cfg.generated_io = want.generated_io;
+    cfg.placement = {{"pc_bulk", {0, 0}}, {"pc_early", {2, 1}}};
+    std::vector<int> out;
+    std::vector<int> ref_out;
+    const auto res = aiesim::simulate(pc_clock_graph.view(), cfg, in, 3, out);
+    const auto ref = aiesim::oracle::simulate(pc_clock_graph.view(), cfg, in,
+                                              3, ref_out);
+    ASSERT_EQ(out.size(), 9u);
+    EXPECT_EQ(out, ref_out);
+    expect_engine_run(res, ref, want);
+    // pc_bulk was retired at its own clock, not at pc_early's.
+    const auto tile = [&](const char* name) {
+      return *std::find_if(
           res.tiles.begin(), res.tiles.end(),
-          [&](const aiesim::TileStats& s) { return s.kernel == t.kernel; });
-      ASSERT_NE(it, res.tiles.end()) << t.kernel;
-      EXPECT_EQ(it->busy_cycles, t.busy_cycles) << t.kernel;
-      EXPECT_EQ(it->final_clock, t.final_clock) << t.kernel;
-    }
+          [&](const aiesim::TileStats& s) { return s.kernel == name; });
+    };
+    EXPECT_LT(tile("pc_bulk").final_clock, tile("pc_early").final_clock);
   }
 }
 

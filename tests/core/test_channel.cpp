@@ -58,7 +58,7 @@ TEST(CoopChannel, CapacityBlocksProducer) {
   EXPECT_EQ(odd.push_parks(), 0u);
   const int fourth = 3;
   ChanStatus st = ChanStatus::blocked;
-  odd.add_push_waiter({&fourth, &st, TaskHandle{}});
+  odd.add_push_waiter(&fourth, &st, TaskHandle{});
   EXPECT_EQ(st, ChanStatus::blocked);
   EXPECT_EQ(odd.push_parks(), 1u);
   EXPECT_EQ(odd.occupancy(0), 3u);
@@ -344,8 +344,8 @@ TEST(CoopChannelBulk, ParkedPopCompletesPartiallyAtClose) {
   std::array<int, 4> dst{};
   std::size_t moved = 0;
   ChanStatus st = ChanStatus::blocked;
-  ch.add_bulk_pop_waiter({dst.data(), dst.size(), 0, &moved, &st,
-                          TaskHandle{}, 0, 0});
+  ch.add_bulk_pop_waiter(dst.data(), dst.size(), &moved, &st, TaskHandle{},
+                         0);
   EXPECT_EQ(st, ChanStatus::blocked);  // parked: nothing buffered yet
   ASSERT_EQ(ch.try_push(1), ChanStatus::ok);
   ASSERT_EQ(ch.try_push(2), ChanStatus::ok);
@@ -366,21 +366,21 @@ TEST(CoopChannelBulk, SecondParkedPopOnOneEndpointThrows) {
   ch.set_producers(1);
   int out0 = 0;
   ChanStatus st0 = ChanStatus::blocked;
-  ch.add_pop_waiter({&out0, &st0, TaskHandle{}, 0});
+  ch.add_pop_waiter(&out0, &st0, TaskHandle{}, 0);
   int again = 0;
   ChanStatus st_again = ChanStatus::blocked;
-  EXPECT_THROW(ch.add_pop_waiter({&again, &st_again, TaskHandle{}, 0}),
+  EXPECT_THROW(ch.add_pop_waiter(&again, &st_again, TaskHandle{}, 0),
                std::logic_error);
   std::array<int, 2> dst{};
   std::size_t moved = 0;
   ChanStatus st_bulk = ChanStatus::blocked;
-  EXPECT_THROW(ch.add_bulk_pop_waiter({dst.data(), dst.size(), 0, &moved,
-                                       &st_bulk, TaskHandle{}, 0, 0}),
+  EXPECT_THROW(ch.add_bulk_pop_waiter(dst.data(), dst.size(), &moved,
+                                      &st_bulk, TaskHandle{}, 0),
                std::logic_error);
   // The other endpoint parks, and both parked pops complete.
   int out1 = 0;
   ChanStatus st1 = ChanStatus::blocked;
-  ch.add_pop_waiter({&out1, &st1, TaskHandle{}, 1});
+  ch.add_pop_waiter(&out1, &st1, TaskHandle{}, 1);
   ASSERT_EQ(ch.try_push(5), ChanStatus::ok);
   EXPECT_EQ(st0, ChanStatus::ok);
   EXPECT_EQ(out0, 5);
@@ -389,8 +389,8 @@ TEST(CoopChannelBulk, SecondParkedPopOnOneEndpointThrows) {
   EXPECT_EQ(st_again, ChanStatus::blocked);
   EXPECT_EQ(ex.wakes.size(), 2u);
   // A completed pop frees its endpoint's slot.
-  ch.add_bulk_pop_waiter({dst.data(), dst.size(), 0, &moved, &st_bulk,
-                          TaskHandle{}, 0, 0});
+  ch.add_bulk_pop_waiter(dst.data(), dst.size(), &moved, &st_bulk,
+                         TaskHandle{}, 0);
   EXPECT_EQ(st_bulk, ChanStatus::blocked);
 }
 
@@ -429,8 +429,7 @@ TEST(CoopChannelBulk, ParkedPushStreamsThroughSmallRing) {
   const std::array<int, 6> src{1, 2, 3, 4, 5, 6};
   std::size_t moved = 0;
   ChanStatus st = ChanStatus::blocked;
-  ch.add_bulk_push_waiter(
-      {src.data(), src.size(), 0, &moved, &st, TaskHandle{}});
+  ch.add_bulk_push_waiter(src.data(), src.size(), &moved, &st, TaskHandle{});
   EXPECT_EQ(st, ChanStatus::blocked);  // 2 in the ring, 4 still pending
   std::vector<int> got;
   int v = 0;
@@ -468,11 +467,9 @@ TEST(RtpChannel, BulkOpsAreRejected) {
   EXPECT_THROW(ch.try_push_n(&v, 1, st), std::logic_error);
   EXPECT_THROW(ch.try_pop_n(0, &v, 1, st), std::logic_error);
   std::size_t moved = 0;
-  EXPECT_THROW(ch.add_bulk_push_waiter(
-                   {&v, 1, 0, &moved, &st, TaskHandle{}}),
+  EXPECT_THROW(ch.add_bulk_push_waiter(&v, 1, &moved, &st, TaskHandle{}),
                std::logic_error);
-  EXPECT_THROW(ch.add_bulk_pop_waiter(
-                   {&v, 1, 0, &moved, &st, TaskHandle{}, 0, 0}),
+  EXPECT_THROW(ch.add_bulk_pop_waiter(&v, 1, &moved, &st, TaskHandle{}, 0),
                std::logic_error);
 }
 
