@@ -6,8 +6,8 @@
 //                     alternative a sweep script has today),
 //   * pooled       -- SweepRunner worker pool; every variant is a full
 //                     run() on a warm ResimSession checked out of a
-//                     SessionPool (exclusive leases, arena-per-slot
-//                     scratch),
+//                     SessionPool (exclusive leases, per-worker scratch
+//                     vectors the variant's inputs are written into),
 //   * pooled_resim -- same pool, but RTP-only variants go to a dedicated
 //                     "rtp lane" of the session pool whose baseline was
 //                     established with the base inputs, so each variant is
@@ -123,14 +123,14 @@ std::vector<Variant> make_variants(int v_rtp, int v_seed) {
   return vs;
 }
 
-/// Input image for a seed: written through the worker's arena so
-/// steady-state variant staging does zero heap traffic.
-void fill_inputs(std::vector<int>& in, int seed, Arena& arena) {
-  int* buf = arena.alloc_array<int>(kItems);
+/// Input image for a seed, written straight into the worker's reused
+/// input vector (sized on its first job, so later jobs do not allocate).
+void fill_inputs(std::vector<int>& in, int seed) {
+  in.resize(kItems);
   for (int i = 0; i < kItems; ++i) {
-    buf[i] = (i - kItems / 2) + seed * 31 + (seed != 0 ? i % 7 : 0);
+    in[static_cast<std::size_t>(i)] =
+        (i - kItems / 2) + seed * 31 + (seed != 0 ? i % 7 : 0);
   }
-  in.assign(buf, buf + kItems);
 }
 
 /// Per-worker scratch: input/output vectors sized once and reused, so a
@@ -208,7 +208,7 @@ using Pool = SessionPool<int, aiesim::ResimSession>;
 SweepVariantRow run_variant(const Variant& v, Pool& pool, bool use_resim,
                             const GraphView& view,
                             const aiesim::SimConfig& cfg, Scratch& scratch,
-                            Arena& arena, bool& rtp_incremental) {
+                            bool& rtp_incremental) {
   const auto t0 = std::chrono::steady_clock::now();
   aiesim::SimResult r;
   bool incremental = false;
@@ -218,12 +218,12 @@ SweepVariantRow run_variant(const Variant& v, Pool& pool, bool use_resim,
   if (use_resim && v.rtp_only) {
     auto lease = pool.checkout(kLaneRtp, make);
     if (lease.fresh()) {
-      fill_inputs(scratch.in, 0, arena);
+      fill_inputs(scratch.in, 0);
       (void)invoke_graph(
           [&](auto&&... a) { return lease->run(a...); }, scratch.in,
           kBaseRtp, scratch.outs);
     }
-    fill_inputs(scratch.in, 0, arena);
+    fill_inputs(scratch.in, 0);
     r = invoke_graph(
         [&](auto&&... a) { return lease->resimulate({kRtpInputIdx}, a...); },
         scratch.in, v.rtp_value, scratch.outs);
@@ -231,7 +231,7 @@ SweepVariantRow run_variant(const Variant& v, Pool& pool, bool use_resim,
     if (!incremental) rtp_incremental = false;
   } else {
     auto lease = pool.checkout(kLaneFull, make);
-    fill_inputs(scratch.in, v.seed, arena);
+    fill_inputs(scratch.in, v.seed);
     r = invoke_graph([&](auto&&... a) { return lease->run(a...); },
                      scratch.in, v.rtp_value, scratch.outs);
   }
@@ -244,19 +244,17 @@ SweepVariantRow run_variant(const Variant& v, Pool& pool, bool use_resim,
   return row;
 }
 
-/// serial: simulate() per variant on this thread, one arena reset per run.
+/// serial: simulate() per variant on this thread.
 ModeOutcome sweep_serial(const std::vector<Variant>& variants,
                          const GraphView& view,
                          const aiesim::SimConfig& cfg) {
   ModeOutcome out;
   out.report.workers = 1;
   Scratch scratch;
-  Arena arena;
   const auto t0 = std::chrono::steady_clock::now();
   for (const Variant& v : variants) {
-    arena.reset();
     const auto v0 = std::chrono::steady_clock::now();
-    fill_inputs(scratch.in, v.seed, arena);
+    fill_inputs(scratch.in, v.seed);
     const aiesim::SimResult r = invoke_graph(
         [&](auto&&... a) { return aiesim::simulate(view, cfg, a...); },
         scratch.in, v.rtp_value, scratch.outs);
@@ -272,7 +270,7 @@ ModeOutcome sweep_serial(const std::vector<Variant>& variants,
 }
 
 /// pooled / pooled_resim: SweepRunner fan-out over leased warm sessions,
-/// MPSC aggregation into the report on the caller thread.
+/// aggregated into the report on the caller thread.
 ModeOutcome sweep_pooled(const std::vector<Variant>& variants,
                          SweepRunner& runner, Pool& pool, bool use_resim,
                          const GraphView& view,
@@ -288,8 +286,7 @@ ModeOutcome sweep_pooled(const std::vector<Variant>& variants,
         bool inc_ok = true;
         SweepVariantRow row = run_variant(
             variants[i], pool, use_resim, view, cfg,
-            scratch[static_cast<std::size_t>(slot.worker)], slot.arena,
-            inc_ok);
+            scratch[static_cast<std::size_t>(slot.worker)], inc_ok);
         if (!inc_ok) rtp_incremental.store(false, std::memory_order_relaxed);
         return row;
       },
@@ -377,12 +374,6 @@ int main(int argc, char** argv) {
       resim.every_rtp_incremental &&
       resim.report.incremental_runs() == static_cast<std::uint64_t>(v_rtp);
 
-  std::size_t arena_bytes = 0;
-  std::uint64_t arena_resets = 0;
-  for (int i = 0; i < runner.workers(); ++i) {
-    arena_bytes += runner.slot(i).arena.capacity_bytes();
-    arena_resets += runner.slot(i).arena.resets();
-  }
   const auto cache = aiesim::CompiledGraphCache::instance().stats();
 
   std::printf("serial:        %9.4f s  (%6.1f variants/s)\n",
@@ -402,11 +393,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(pool_full.reused()),
               static_cast<unsigned long long>(pool_resim.created()),
               static_cast<unsigned long long>(pool_resim.reused()));
-  std::printf("compiled cache: %llu hits / %llu misses; arenas: %zu bytes, "
-              "%llu resets\n",
+  std::printf("compiled cache: %llu hits / %llu misses\n",
               static_cast<unsigned long long>(cache.hits),
-              static_cast<unsigned long long>(cache.misses), arena_bytes,
-              static_cast<unsigned long long>(arena_resets));
+              static_cast<unsigned long long>(cache.misses));
 
   const bool pooled_ok = !gate_enforced || pooled_speedup >= min_pooled;
   const bool resim_ok = !resim_gate || resim_extra >= min_resim;
@@ -454,8 +443,6 @@ int main(int argc, char** argv) {
         "  \"sessions_reused_resim\": %llu,\n"
         "  \"compiled_cache_hits\": %llu,\n"
         "  \"compiled_cache_misses\": %llu,\n"
-        "  \"arena_capacity_bytes\": %zu,\n"
-        "  \"arena_resets\": %llu,\n"
         "  \"combined_digest\": %llu,\n"
         "  \"rows\": [\n",
         hw, gate_enforced ? "true" : "false", workers, v_rtp, v_seed,
@@ -469,8 +456,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(pool_resim.created()),
         static_cast<unsigned long long>(pool_resim.reused()),
         static_cast<unsigned long long>(cache.hits),
-        static_cast<unsigned long long>(cache.misses), arena_bytes,
-        static_cast<unsigned long long>(arena_resets),
+        static_cast<unsigned long long>(cache.misses),
         static_cast<unsigned long long>(resim.report.combined_digest()));
     for (std::size_t i = 0; i < resim.report.rows.size(); ++i) {
       const SweepVariantRow& r = resim.report.rows[i];

@@ -13,9 +13,11 @@
 // The hot path pays one record() per emulated *operation*, never per lane:
 // multi-issue ops pass their issue count as `n` instead of looping, and
 // kernels with per-element scalar work batch it into one call (see
-// src/apps/iir.hpp). Around a kernel activation the aiesim engine uses
-// ScopedCounterBatch, which caches the destination counter and accumulates
-// into a stack-local OpCounts, merging once per activation.
+// src/apps/iir.hpp). Around a kernel activation the aiesim engine
+// activates a stack-local OpCounter with ScopedCounter, prices the
+// activation's compute from it and adds it to the tile's totals once.
+// ScopedCounterBatch instead merges a stack-local count into a longer-lived
+// counter when it ends; the engine's test oracle counts that way.
 //
 // Defining CGSIM_AIE_NO_INSTRUMENT (CMake option CGSIM_INSTRUMENT=OFF)
 // compiles recording out entirely for pure functional runs; the

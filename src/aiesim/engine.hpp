@@ -15,8 +15,8 @@
 // Element stamps. An element pushed inside an activation is stamped with
 // the tile clock at the start of the activation plus the port costs
 // charged so far in it: it is stamped before that activation's compute is
-// charged, because the instrumented op counts merge into the tile counter
-// only when the activation ends (aie::ScopedCounterBatch).
+// charged, because the activation's instrumented op counts are priced
+// only when the activation ends.
 //
 // A kernel that ends on a closed stream is never resumed again
 // (src/core/task.hpp). One that finds its stream closed ends inside its
@@ -221,21 +221,21 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
       const std::uint64_t base = std::max(s.clock, ev.time);
       now_cycles = base;
       current_ = &s;
-      s.counter.reset();
+      // The activation's ops, counted once: they price its compute and
+      // then join the tile's totals.
+      aie::OpCounter ops;
       bool finished = false;
       {
-        // Batched: records accumulate into a stack-local OpCounts and merge
-        // into the tile counter once per activation (same final counts).
-        aie::ScopedCounterBatch scoped{&s.counter};
+        aie::ScopedCounter scoped{&ops};
         finished = cgsim::resume_or_retire(ev.h);
       }
       ++r.resumes;
       // now_cycles is the base plus the activation's port charges.
       const std::uint64_t end =
-          now_cycles + cfg_.cost.compute_cycles(s.counter.counts);
+          now_cycles + cfg_.cost.compute_cycles(ops.counts);
       s.busy_cycles += end - base;
       ++s.activations;
-      s.total_ops += s.counter.counts;
+      s.total_ops += ops.counts;
       s.clock = end;
       makespan_ = std::max(makespan_, end);
       current_ = nullptr;
@@ -314,7 +314,6 @@ class SimEngine final : public cgsim::Executor, public cgsim::SimHooks {
  private:
   struct TaskState {
     std::uint64_t clock = 0;
-    aie::OpCounter counter{};
     std::uint64_t iterations = 0;
     std::string name;
     bool is_kernel = false;

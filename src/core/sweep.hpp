@@ -5,19 +5,13 @@
 // embarrassingly parallel and saturates any core count regardless of how
 // well a single graph shards, so it gets its own engine:
 //
-//   * SweepRunner  -- persistent worker pool; a batch hands every worker a
-//                     job index stream (atomic counter) and each completed
-//                     job's result travels through a lock-free MPSC queue
-//                     to the caller thread, which aggregates in completion
-//                     order. Workers never touch each other's state.
-//   * Arena        -- bump allocator, one per worker slot. reset() rewinds
-//                     to empty but keeps the blocks, so steady-state sweep
-//                     iterations perform zero heap traffic for scratch
-//                     data (inputs, outputs, digests).
-//   * MpscQueue    -- Vyukov-style intrusive multi-producer/single-consumer
-//                     queue: producers exchange the head and link; the
-//                     consumer walks the tail. One CAS-free exchange per
-//                     push, no locks anywhere on the result path.
+//   * SweepRunner  -- persistent worker pool with one FIFO of jobs under
+//                     one mutex; a batch enqueues one job per index, and
+//                     each job hands its result back under that mutex to
+//                     the caller thread, which aggregates in completion
+//                     order. Every hand-off is a mutex plus a condition
+//                     variable: nothing here parks on a hand-written
+//                     protocol.
 //   * SessionPool  -- keyed checkout/return pool with RAII leases. Warm
 //                     simulation sessions (aiesim::ResimSession) are
 //                     reusable but strictly single-threaded, so sweep
@@ -34,16 +28,17 @@
 
 #include <atomic>
 #include <cassert>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <list>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -51,140 +46,6 @@
 #include <vector>
 
 namespace cgsim {
-
-// ---------------------------------------------------------------------------
-// Arena: bump allocation, reset-not-free.
-// ---------------------------------------------------------------------------
-
-/// Monotonic bump allocator over geometrically grown blocks. reset()
-/// rewinds the cursor but keeps every block, so after the first few
-/// iterations a sweep worker's scratch allocations are pure pointer
-/// arithmetic. Not thread-safe: one Arena per in-flight run.
-class Arena {
- public:
-  explicit Arena(std::size_t first_block_bytes = 1 << 16)
-      : next_block_bytes_(first_block_bytes < 64 ? 64 : first_block_bytes) {}
-
-  void* allocate(std::size_t bytes,
-                 std::size_t align = alignof(std::max_align_t)) {
-    assert((align & (align - 1)) == 0 && "alignment must be a power of two");
-    for (; block_ < blocks_.size(); ++block_, offset_ = 0) {
-      Block& b = blocks_[block_];
-      const std::size_t at = (offset_ + align - 1) & ~(align - 1);
-      if (at + bytes <= b.size) {
-        offset_ = at + bytes;
-        return b.data.get() + at;
-      }
-    }
-    // No existing block fits: grow geometrically (at least to `bytes`).
-    // Block storage from new[] is max-aligned, so offset 0 satisfies any
-    // fundamental alignment.
-    std::size_t sz = next_block_bytes_;
-    while (sz < bytes) sz *= 2;
-    next_block_bytes_ = sz * 2;
-    blocks_.push_back(Block{std::make_unique<std::byte[]>(sz), sz});
-    block_ = blocks_.size() - 1;
-    offset_ = bytes;
-    return blocks_.back().data.get();
-  }
-
-  template <class T>
-  T* alloc_array(std::size_t n) {
-    static_assert(std::is_trivially_destructible_v<T>,
-                  "Arena never runs destructors");
-    return static_cast<T*>(allocate(n * sizeof(T), alignof(T)));
-  }
-
-  /// Rewinds to empty; keeps every block for reuse.
-  void reset() {
-    block_ = 0;
-    offset_ = 0;
-    ++resets_;
-  }
-
-  [[nodiscard]] std::size_t capacity_bytes() const {
-    std::size_t total = 0;
-    for (const Block& b : blocks_) total += b.size;
-    return total;
-  }
-  [[nodiscard]] std::size_t blocks() const { return blocks_.size(); }
-  [[nodiscard]] std::uint64_t resets() const { return resets_; }
-
- private:
-  struct Block {
-    std::unique_ptr<std::byte[]> data;
-    std::size_t size;
-  };
-
-  std::vector<Block> blocks_;
-  std::size_t block_ = 0;   ///< block the cursor is in
-  std::size_t offset_ = 0;  ///< cursor within blocks_[block_]
-  std::size_t next_block_bytes_;
-  std::uint64_t resets_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// MpscQueue: lock-free multi-producer / single-consumer FIFO.
-// ---------------------------------------------------------------------------
-
-/// Vyukov-style intrusive MPSC queue. push() is wait-free for producers
-/// (one atomic exchange); try_pop() is the single consumer's. Per-producer
-/// FIFO order is preserved; cross-producer order is arrival order of the
-/// exchanges.
-template <class T>
-class MpscQueue {
- public:
-  MpscQueue() : stub_(new Node{}), head_(stub_), tail_(stub_) {}
-
-  MpscQueue(const MpscQueue&) = delete;
-  MpscQueue& operator=(const MpscQueue&) = delete;
-
-  ~MpscQueue() {
-    Node* n = tail_;
-    while (n != nullptr) {
-      Node* next = n->next.load(std::memory_order_relaxed);
-      delete n;
-      n = next;
-    }
-  }
-
-  /// Any thread.
-  void push(T v) {
-    Node* n = new Node{};
-    n->value = std::move(v);
-    // Publish the node, then link the previous head to it. Between the
-    // exchange and the store the chain is momentarily broken; the consumer
-    // simply sees "empty" at the break point and retries later.
-    Node* prev = head_.exchange(n, std::memory_order_acq_rel);
-    prev->next.store(n, std::memory_order_release);
-  }
-
-  /// Consumer thread only.
-  bool try_pop(T& out) {
-    Node* tail = tail_;
-    Node* next = tail->next.load(std::memory_order_acquire);
-    if (next == nullptr) return false;
-    out = std::move(next->value);
-    tail_ = next;
-    delete tail;
-    return true;
-  }
-
-  /// Consumer-side emptiness hint (exact only if producers are quiet).
-  [[nodiscard]] bool empty() const {
-    return tail_->next.load(std::memory_order_acquire) == nullptr;
-  }
-
- private:
-  struct Node {
-    std::atomic<Node*> next{nullptr};
-    T value{};
-  };
-
-  Node* stub_;
-  alignas(64) std::atomic<Node*> head_;  // producers' end
-  alignas(64) Node* tail_;               // consumer's end
-};
 
 // ---------------------------------------------------------------------------
 // SessionPool: keyed exclusive checkout of warm sessions.
@@ -347,33 +208,29 @@ class SessionPool {
 };
 
 // ---------------------------------------------------------------------------
-// SweepRunner: persistent worker pool + MPSC aggregation.
+// SweepRunner: persistent worker pool, one job queue, one lock.
 // ---------------------------------------------------------------------------
 
-/// Persistent pool of sweep workers. Each worker owns a slot with an Arena
-/// that is reset (not freed) between jobs; batches are distributed by an
-/// atomic job counter, so a slow variant never blocks the others. Results
-/// funnel through a lock-free MPSC queue to the calling thread, which runs
-/// the collector in completion order.
+/// Persistent pool of sweep workers fed by one FIFO of jobs under one
+/// mutex. run_batch() enqueues one job per index; each job hands its
+/// result back under the same mutex and signals the pool's condition
+/// variable, and the calling thread runs the collector on the results in
+/// completion order. A sweep job is a whole simulation, so one
+/// uncontended lock per job costs nothing measurable.
 class SweepRunner {
  public:
   struct WorkerSlot {
-    int worker = 0;
-    Arena arena;
-    std::uint64_t jobs = 0;
-    double busy_s = 0.0;
+    int worker = 0;  ///< index of the worker running the job
   };
 
   explicit SweepRunner(int n_workers) {
     if (n_workers < 1) n_workers = 1;
-    slots_.reserve(static_cast<std::size_t>(n_workers));
-    for (int i = 0; i < n_workers; ++i) {
-      slots_.push_back(std::make_unique<WorkerSlot>());
-      slots_.back()->worker = i;
-    }
     threads_.reserve(static_cast<std::size_t>(n_workers));
     for (int i = 0; i < n_workers; ++i) {
-      threads_.emplace_back([this, i] { worker_main(*slots_[static_cast<std::size_t>(i)]); });
+      threads_.emplace_back([this, i] {
+        WorkerSlot slot{i};
+        worker_main(slot);
+      });
     }
   }
 
@@ -389,124 +246,115 @@ class SweepRunner {
   }  // jthreads join
 
   [[nodiscard]] int workers() const {
-    return static_cast<int>(slots_.size());
+    return static_cast<int>(threads_.size());
   }
-  [[nodiscard]] const WorkerSlot& slot(int i) const { return *slots_[static_cast<std::size_t>(i)]; }
 
   /// Runs `n_jobs` invocations of `fn(job_index, slot)` across the pool
   /// and calls `collect(job_index, result)` on *this* thread, in
-  /// completion order, until every job is accounted for. Blocks until the
-  /// batch is done; the pool survives for the next batch.
+  /// completion order, for every job that returned. Returns, or throws,
+  /// only once every job of the batch has finished. The first exception,
+  /// from a job or from `collect`, stops further `collect` calls and is
+  /// rethrown after that; the pool survives for the next batch either way.
   template <class Fn, class Collect>
   void run_batch(std::size_t n_jobs, Fn&& fn, Collect&& collect) {
     using R = std::invoke_result_t<Fn&, std::size_t, WorkerSlot&>;
     static_assert(!std::is_void_v<R>,
                   "sweep jobs must return a result for aggregation");
     if (n_jobs == 0) return;
-    MpscQueue<std::pair<std::size_t, R>> results;
-    // The push is the closure's last touch of batch-local state AND of the
-    // worker's slot (stats update precedes it): a worker only reads job_
-    // between claiming an index (under m_) and pushing the result, so once
-    // the caller has popped every result no worker can still be inside the
-    // closure, job_ is safe to replace, and -- because the push/pop pair is
-    // a release/acquire edge -- the caller may read every slot's jobs /
-    // busy_s / arena without further synchronization. Job claims go
-    // through the pool mutex -- a sweep job is an entire simulation, so
-    // one uncontended lock per claim is noise; the per-result hot path
-    // (workers -> caller) stays lock-free through the MPSC queue.
-    job_ = [&](std::size_t i, WorkerSlot& slot) {
-      const auto t0 = std::chrono::steady_clock::now();
-      R r = fn(i, slot);
-      slot.busy_s += std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - t0)
-                         .count();
-      ++slot.jobs;
-      results.push(std::pair<std::size_t, R>{i, std::move(r)});
-    };
+    // Batch-local state. A job touches it only under m_, as its last act,
+    // so once `pending` reads 0 under m_ no worker can reach it again.
+    // Both result vectors have room for every result, so a job's append
+    // never allocates.
+    struct Batch {
+      std::vector<std::pair<std::size_t, R>> results;  ///< not yet collected
+      std::size_t pending;        ///< jobs not yet finished
+      std::exception_ptr error;   ///< first exception a job threw
+    } b{{}, n_jobs, nullptr};
+    b.results.reserve(n_jobs);
+    std::vector<std::pair<std::size_t, R>> ready;
+    ready.reserve(n_jobs);
     {
       std::lock_guard lk{m_};
-      total_ = n_jobs;
-      next_ = 0;
+      for (std::size_t i = 0; i < n_jobs; ++i) {
+        jobs_.emplace_back([this, &b, &fn, i](WorkerSlot& slot) {
+          std::optional<R> r;
+          std::exception_ptr e;
+          try {
+            r.emplace(fn(i, slot));
+          } catch (...) {
+            e = std::current_exception();
+          }
+          {
+            std::lock_guard lk{m_};
+            if (r) {
+              b.results.emplace_back(i, std::move(*r));
+            } else if (!b.error) {
+              b.error = std::move(e);
+            }
+            --b.pending;
+          }
+          // Unlocked, the batch may already be gone; the cv is the pool's.
+          batch_cv_.notify_all();
+        });
+      }
     }
     work_cv_.notify_all();
 
-    std::size_t collected = 0;
-    std::pair<std::size_t, R> item;
-    while (collected < n_jobs) {
-      if (results.try_pop(item)) {
-        collect(item.first, std::move(item.second));
-        ++collected;
-        continue;
+    std::exception_ptr error;
+    for (bool drained = false; !drained;) {
+      {
+        std::unique_lock lk{m_};
+        batch_cv_.wait(lk,
+                       [&] { return !b.results.empty() || b.pending == 0; });
+        ready.swap(b.results);
+        drained = b.pending == 0;
+        if (!error) error = b.error;
       }
-      // A notification can slip between the failed pop and the wait; the
-      // bounded timeout turns that lost wake into a 1ms hiccup at most.
-      std::unique_lock lk{done_m_};
-      done_cv_.wait_for(lk, std::chrono::milliseconds(1));
+      for (auto& [i, r] : ready) {
+        if (error) break;
+        try {
+          collect(i, std::move(r));
+        } catch (...) {
+          error = std::current_exception();
+        }
+      }
+      ready.clear();
     }
+    if (error) std::rethrow_exception(error);
   }
 
   /// Enqueues one fire-and-forget job for any worker: the service daemon's
   /// dispatch path (each request is one posted job; completion is reported
-  /// through whatever channel the closure captured). Posted jobs interleave
-  /// with -- and take priority over -- run_batch() jobs, so a daemon can
-  /// share the pool with background sweeps without head-of-line blocking
-  /// behind an entire batch.
+  /// through whatever channel the closure captured). Posted and batch jobs
+  /// share one FIFO. A posted job must not throw.
   void post(std::function<void(WorkerSlot&)> job) {
     {
       std::lock_guard lk{m_};
-      posted_.push_back(std::move(job));
+      jobs_.push_back(std::move(job));
     }
     work_cv_.notify_one();
-  }
-
-  /// Posted jobs accepted but not yet started (diagnostic; racy by nature).
-  [[nodiscard]] std::size_t posted_pending() const {
-    std::lock_guard lk{m_};
-    return posted_.size();
   }
 
  private:
   void worker_main(WorkerSlot& slot) {
     for (;;) {
-      std::size_t i = 0;
-      std::function<void(WorkerSlot&)> posted;
+      std::function<void(WorkerSlot&)> job;
       {
         std::unique_lock lk{m_};
-        work_cv_.wait(
-            lk, [&] { return stop_ || !posted_.empty() || next_ < total_; });
+        work_cv_.wait(lk, [&] { return stop_ || !jobs_.empty(); });
         if (stop_) return;
-        if (!posted_.empty()) {
-          posted = std::move(posted_.front());
-          posted_.pop_front();
-        } else {
-          i = next_++;
-        }
+        job = std::move(jobs_.front());
+        jobs_.pop_front();
       }
-      slot.arena.reset();
-      if (posted) {
-        const auto t0 = std::chrono::steady_clock::now();
-        posted(slot);
-        slot.busy_s += std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count();
-        ++slot.jobs;
-        continue;  // posted jobs are not part of any batch accounting
-      }
-      job_(i, slot);  // updates slot stats, then pushes the result
-      done_cv_.notify_one();
+      job(slot);
     }
   }
 
-  std::vector<std::unique_ptr<WorkerSlot>> slots_;
-  std::function<void(std::size_t, WorkerSlot&)> job_;
-  std::deque<std::function<void(WorkerSlot&)>> posted_;  // guarded by m_
-  std::size_t total_ = 0;  // guarded by m_
-  std::size_t next_ = 0;   // guarded by m_; next_ == total_ means drained
-  mutable std::mutex m_;
-  std::condition_variable work_cv_;
-  bool stop_ = false;  // guarded by m_
-  std::mutex done_m_;
-  std::condition_variable done_cv_;
+  std::mutex m_;
+  std::deque<std::function<void(WorkerSlot&)>> jobs_;  // guarded by m_
+  bool stop_ = false;                                  // guarded by m_
+  std::condition_variable work_cv_;   ///< jobs_ gained a job, or stop_
+  std::condition_variable batch_cv_;  ///< a batch job finished
   std::vector<std::jthread> threads_;  // last member: joins before teardown
 };
 

@@ -7,33 +7,30 @@
 // mapping keeps the pages alive, the name does not outlive the
 // handshake).
 //
-// Inside a segment lives a pair of lock-free SPSC byte rings (one per
-// direction, see ShmPlane). Each ring is a classic monotonic-cursor
-// design: `head` counts bytes ever produced, `tail` bytes ever consumed,
-// both on their own cache line; data lands at cursor % capacity with at
-// most two memcpys per transfer (wrap). Blocking ops park in a futex
-// eventcount (seq word + waiter flag, seq-cst Dekker handoff) so an idle
-// side costs nothing; an optional eventfd doorbell lets an epoll-driven
-// consumer get readiness through its event loop instead of a futex.
+// Inside a segment lives a pair of SPSC byte rings (one per direction,
+// see ShmPlane). Each ring is a classic monotonic-cursor design: `head`
+// counts bytes ever produced, `tail` bytes ever consumed, both on their
+// own cache line; data lands at cursor % capacity with at most two
+// memcpys per transfer (wrap). The ring has two operations, both
+// all-or-nothing and nonblocking: try_write() and try_read_exact(). A
+// cursor store publishes the bytes before the new cursor value to the
+// other side's acquire load; nothing parks on the ring.
 //
 // Protocol contract with the socket layer: payload bytes are written to
 // the ring FIRST, the (tiny) control frame announcing them goes over the
 // socket SECOND. The receiver therefore never waits on the ring -- by the
 // time the control frame parses, the bytes are guaranteed present -- and
 // ring occupancy is bounded by the credit window the socket layer already
-// enforces.
+// enforces. The socket frame is the wake-up.
 #pragma once
 
-#include <linux/futex.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <sys/syscall.h>
-#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -47,37 +44,6 @@
 #include "socket.hpp"
 
 namespace cgsim::net {
-
-// ---------------------------------------------------------------------------
-// Futex eventcount.
-// ---------------------------------------------------------------------------
-
-namespace shm_detail {
-
-inline long futex_call(std::atomic<std::uint32_t>* addr, int op,
-                       std::uint32_t val, const timespec* timeout) {
-  return ::syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(addr), op, val,
-                   timeout, nullptr, 0);
-}
-
-inline void futex_wake_all(std::atomic<std::uint32_t>* addr) {
-  (void)futex_call(addr, FUTEX_WAKE, INT32_MAX, nullptr);
-}
-
-/// Waits while `*addr == expected`, up to `timeout_ms` (-1: forever).
-inline void futex_wait(std::atomic<std::uint32_t>* addr,
-                       std::uint32_t expected, int timeout_ms) {
-  timespec ts{};
-  timespec* tp = nullptr;
-  if (timeout_ms >= 0) {
-    ts.tv_sec = timeout_ms / 1000;
-    ts.tv_nsec = static_cast<long>(timeout_ms % 1000) * 1'000'000;
-    tp = &ts;
-  }
-  (void)futex_call(addr, FUTEX_WAIT, expected, tp);  // EAGAIN/EINTR: recheck
-}
-
-}  // namespace shm_detail
 
 // ---------------------------------------------------------------------------
 // Shared segment.
@@ -200,12 +166,6 @@ struct alignas(64) ShmRingHdr {
   char pad0[56];
   std::atomic<std::uint64_t> tail{0};  ///< bytes ever consumed
   char pad1[56];
-  std::atomic<std::uint32_t> data_seq{0};    ///< bumped on publish
-  std::atomic<std::uint32_t> space_seq{0};   ///< bumped on consume
-  std::atomic<std::uint32_t> data_waiter{0};
-  std::atomic<std::uint32_t> space_waiter{0};
-  std::atomic<std::uint32_t> doorbell_armed{0};
-  std::uint32_t pad2{0};
   std::uint64_t capacity{0};  ///< data bytes, power of two
 };
 static_assert(sizeof(ShmRingHdr) == 192);
@@ -237,95 +197,27 @@ class ShmRing {
     return capacity() - readable();
   }
 
-  // --- producer side ------------------------------------------------------
-
-  /// All-or-nothing nonblocking write.
+  /// Producer side: all-or-nothing nonblocking write. The head store
+  /// publishes the `n` bytes before it to the consumer's acquire load.
   bool try_write(const void* src, std::size_t n) {
     if (n > free_bytes()) return false;
     const std::uint64_t head = h_->head.load(std::memory_order_relaxed);
     copy_in(head, src, n);
     h_->head.store(head + n, std::memory_order_seq_cst);
-    wake_consumer();
     return true;
   }
 
-  /// Blocking write: parks in the futex while the consumer catches up.
-  /// Returns false on timeout (`timeout_ms` < 0: wait forever). `n` may
-  /// exceed the free space but not the capacity.
-  bool write_all(const void* src, std::size_t n, int timeout_ms = -1) {
-    const auto* p = static_cast<const std::byte*>(src);
-    while (n > 0) {
-      const std::size_t chunk = std::min(n, capacity());
-      if (!wait_for_space(chunk, timeout_ms)) return false;
-      const std::uint64_t head = h_->head.load(std::memory_order_relaxed);
-      copy_in(head, p, chunk);
-      h_->head.store(head + chunk, std::memory_order_seq_cst);
-      wake_consumer();
-      p += chunk;
-      n -= chunk;
-    }
-    return true;
-  }
-
-  /// Arms the producer-side eventfd doorbell: after every publish, if the
-  /// consumer flagged interest (arm_doorbell), one event is written so an
-  /// epoll loop wakes without a futex. The fd is process-local.
-  void set_doorbell_fd(int fd) { doorbell_fd_ = fd; }
-
-  // --- consumer side ------------------------------------------------------
-
-  /// All-or-nothing nonblocking read of exactly `n` bytes. The service
-  /// protocol guarantees announced bytes are present, so a false return
-  /// there is a protocol violation, not a retry condition.
+  /// Consumer side: all-or-nothing nonblocking read of exactly `n` bytes.
+  /// The tail store hands the `n` bytes before it back to the producer,
+  /// whose acquire load orders its next overwrite after this copy. The
+  /// service protocol guarantees announced bytes are present, so a false
+  /// return there is a protocol violation, not a retry condition.
   bool try_read_exact(void* dst, std::size_t n) {
     if (readable() < n) return false;
     const std::uint64_t tail = h_->tail.load(std::memory_order_relaxed);
     copy_out(tail, dst, n);
     h_->tail.store(tail + n, std::memory_order_seq_cst);
-    wake_producer();
     return true;
-  }
-
-  /// Blocking read of exactly `n` bytes; false on timeout.
-  bool read_all(void* dst, std::size_t n, int timeout_ms = -1) {
-    auto* p = static_cast<std::byte*>(dst);
-    while (n > 0) {
-      const std::size_t chunk = std::min(n, capacity());
-      if (!wait_for_data(chunk, timeout_ms)) return false;
-      const std::uint64_t tail = h_->tail.load(std::memory_order_relaxed);
-      copy_out(tail, p, chunk);
-      h_->tail.store(tail + chunk, std::memory_order_seq_cst);
-      wake_producer();
-      p += chunk;
-      n -= chunk;
-    }
-    return true;
-  }
-
-  /// Zero-copy read: exposes the next `n` readable bytes as at most two
-  /// borrowed spans (wrap), then `consume(n)` releases them. The spans are
-  /// valid until consume(); the producer cannot overwrite unconsumed
-  /// bytes.
-  bool peek(std::size_t n, std::span<const std::byte>& a,
-            std::span<const std::byte>& b) const {
-    if (readable() < n) return false;
-    const std::uint64_t tail = h_->tail.load(std::memory_order_relaxed);
-    const std::size_t off = static_cast<std::size_t>(tail) & mask();
-    const std::size_t first = std::min(n, capacity() - off);
-    a = std::span<const std::byte>{data_ + off, first};
-    b = std::span<const std::byte>{data_, n - first};
-    return true;
-  }
-
-  void consume(std::size_t n) {
-    const std::uint64_t tail = h_->tail.load(std::memory_order_relaxed);
-    h_->tail.store(tail + n, std::memory_order_seq_cst);
-    wake_producer();
-  }
-
-  /// Consumer interest in the eventfd doorbell (see set_doorbell_fd).
-  void arm_doorbell(bool on) {
-    h_->doorbell_armed.store(on ? 1 : 0, std::memory_order_seq_cst);
   }
 
  private:
@@ -352,69 +244,8 @@ class ShmRing {
     }
   }
 
-  void wake_consumer() {
-    if (h_->data_waiter.exchange(0, std::memory_order_seq_cst) != 0) {
-      h_->data_seq.fetch_add(1, std::memory_order_seq_cst);
-      shm_detail::futex_wake_all(&h_->data_seq);
-    }
-    if (doorbell_fd_ >= 0 &&
-        h_->doorbell_armed.load(std::memory_order_seq_cst) != 0) {
-      const std::uint64_t one = 1;
-      [[maybe_unused]] const ssize_t w =
-          ::write(doorbell_fd_, &one, sizeof(one));
-    }
-  }
-
-  void wake_producer() {
-    if (h_->space_waiter.exchange(0, std::memory_order_seq_cst) != 0) {
-      h_->space_seq.fetch_add(1, std::memory_order_seq_cst);
-      shm_detail::futex_wake_all(&h_->space_seq);
-    }
-  }
-
-  /// Futex eventcount wait: flag interest, recheck, sleep on the seq word.
-  /// The seq-guarded FUTEX_WAIT makes the flag purely an optimization --
-  /// a publish between the seq load and the sleep bumps the seq and the
-  /// wait returns immediately.
-  template <class Ready>
-  bool eventcount_wait(std::atomic<std::uint32_t>& waiter,
-                       std::atomic<std::uint32_t>& seq, Ready ready,
-                       int timeout_ms) {
-    const auto deadline =
-        timeout_ms < 0
-            ? std::chrono::steady_clock::time_point::max()
-            : std::chrono::steady_clock::now() +
-                  std::chrono::milliseconds(timeout_ms);
-    for (;;) {
-      if (ready()) return true;
-      const std::uint32_t s = seq.load(std::memory_order_seq_cst);
-      waiter.store(1, std::memory_order_seq_cst);
-      if (ready()) return true;
-      int wait_ms = -1;
-      if (timeout_ms >= 0) {
-        const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                              deadline - std::chrono::steady_clock::now())
-                              .count();
-        if (left <= 0) return ready();
-        wait_ms = static_cast<int>(left);
-      }
-      shm_detail::futex_wait(&seq, s, wait_ms);
-    }
-  }
-
-  bool wait_for_space(std::size_t n, int timeout_ms) {
-    return eventcount_wait(h_->space_waiter, h_->space_seq,
-                           [&] { return free_bytes() >= n; }, timeout_ms);
-  }
-
-  bool wait_for_data(std::size_t n, int timeout_ms) {
-    return eventcount_wait(h_->data_waiter, h_->data_seq,
-                           [&] { return readable() >= n; }, timeout_ms);
-  }
-
   ShmRingHdr* h_ = nullptr;
   std::byte* data_ = nullptr;
-  int doorbell_fd_ = -1;
 };
 
 // ---------------------------------------------------------------------------
@@ -422,7 +253,10 @@ class ShmRing {
 // ---------------------------------------------------------------------------
 
 inline constexpr std::uint32_t kShmPlaneMagic = 0x43475348u;  // "CGSH"
-inline constexpr std::uint32_t kShmPlaneVersion = 1;
+/// Bumped whenever the segment layout changes; attach_peer() refuses any
+/// other version. Version 2: a ring header holds the two cursors and the
+/// capacity, nothing else.
+inline constexpr std::uint32_t kShmPlaneVersion = 2;
 
 struct ShmPlaneHdr {
   std::uint32_t magic = 0;

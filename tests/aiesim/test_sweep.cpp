@@ -1,16 +1,17 @@
 // Sweep-engine primitives (core/sweep.hpp) and their composition with the
-// aiesim ResimSession: Arena reset-not-free semantics, MpscQueue FIFO and
-// multi-producer fuzz, SweepRunner batch execution + arena reuse,
-// SessionPool exclusive leases, the ResimSession thread-affinity guard,
-// and a pooled RTP sweep whose per-variant digests must equal a serial
-// sweep of the same variants.
+// aiesim ResimSession: SweepRunner batch execution, exception propagation
+// and its shared job queue with posted jobs, SessionPool exclusive leases,
+// the ResimSession thread-affinity guard, and a pooled RTP sweep whose
+// per-variant digests must equal a serial sweep of the same variants.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -24,145 +25,120 @@ namespace {
 
 using namespace cgsim;
 
-// --- Arena -----------------------------------------------------------------
-
-TEST(Arena, AllocatesAlignedAndGrows) {
-  Arena a{64};
-  void* p1 = a.allocate(16, 16);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p1) % 16, 0u);
-  void* p2 = a.allocate(1000);  // forces a bigger block
-  EXPECT_NE(p2, nullptr);
-  EXPECT_GE(a.capacity_bytes(), 1000u);
-  EXPECT_GE(a.blocks(), 2u);
-}
-
-TEST(Arena, ResetKeepsCapacityAndReusesBlocks) {
-  Arena a{128};
-  for (int i = 0; i < 10; ++i) (void)a.alloc_array<int>(200);
-  const std::size_t cap = a.capacity_bytes();
-  const std::size_t nblocks = a.blocks();
-  a.reset();
-  EXPECT_EQ(a.capacity_bytes(), cap);
-  EXPECT_EQ(a.blocks(), nblocks);
-  EXPECT_EQ(a.resets(), 1u);
-  // Steady state: the same allocation pattern must not grow the arena.
-  for (int round = 0; round < 5; ++round) {
-    for (int i = 0; i < 10; ++i) (void)a.alloc_array<int>(200);
-    a.reset();
-  }
-  EXPECT_EQ(a.capacity_bytes(), cap);
-  EXPECT_EQ(a.blocks(), nblocks);
-}
-
-TEST(Arena, DistinctLiveAllocationsDoNotOverlap) {
-  Arena a{64};
-  int* x = a.alloc_array<int>(8);
-  int* y = a.alloc_array<int>(8);
-  for (int i = 0; i < 8; ++i) x[i] = i;
-  for (int i = 0; i < 8; ++i) y[i] = 100 + i;
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(x[i], i);
-}
-
-// --- MpscQueue -------------------------------------------------------------
-
-TEST(MpscQueue, SingleThreadFifo) {
-  MpscQueue<int> q;
-  EXPECT_TRUE(q.empty());
-  for (int i = 0; i < 100; ++i) q.push(i);
-  int v = -1;
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(q.try_pop(v));
-    EXPECT_EQ(v, i);
-  }
-  EXPECT_FALSE(q.try_pop(v));
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(MpscQueue, MultiProducerPreservesPerProducerOrder) {
-  constexpr int kProducers = 4;
-  constexpr int kEach = 5000;
-  MpscQueue<int> q;
-  std::vector<std::jthread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&q, p] {
-      for (int i = 0; i < kEach; ++i) q.push(p * kEach + i);
-    });
-  }
-  std::vector<int> last(kProducers, -1);
-  int got = 0, v = -1;
-  while (got < kProducers * kEach) {
-    if (!q.try_pop(v)) continue;
-    const int p = v / kEach;
-    ASSERT_LT(p, kProducers);
-    EXPECT_GT(v % kEach, last[static_cast<std::size_t>(p)]);
-    last[static_cast<std::size_t>(p)] = v % kEach;
-    ++got;
-  }
-  EXPECT_FALSE(q.try_pop(v));
-}
-
 // --- SweepRunner -----------------------------------------------------------
 
 TEST(SweepRunner, RunsEveryJobExactlyOnceAcrossBatches) {
   SweepRunner runner{3};
   EXPECT_EQ(runner.workers(), 3);
+  std::size_t collected = 0;
   for (int batch = 0; batch < 4; ++batch) {
     std::set<std::size_t> seen;
     runner.run_batch(
         17,
         [](std::size_t i, SweepRunner::WorkerSlot& slot) {
-          int* scratch = slot.arena.alloc_array<int>(64);
-          scratch[0] = static_cast<int>(i);
+          EXPECT_GE(slot.worker, 0);
+          EXPECT_LT(slot.worker, 3);
           return static_cast<int>(i) * 2;
         },
         [&](std::size_t i, int r) {
           EXPECT_EQ(r, static_cast<int>(i) * 2);
           EXPECT_TRUE(seen.insert(i).second) << "job " << i << " duplicated";
+          ++collected;
         });
     EXPECT_EQ(seen.size(), 17u);
   }
-  std::uint64_t jobs = 0, resets = 0;
-  for (int i = 0; i < runner.workers(); ++i) {
-    jobs += runner.slot(i).jobs;
-    resets += runner.slot(i).arena.resets();
-  }
-  EXPECT_EQ(jobs, 4u * 17u);
-  EXPECT_EQ(resets, 4u * 17u);  // one arena reset per job
+  EXPECT_EQ(collected, 4u * 17u);
 }
 
-TEST(SweepRunner, ArenaCapacityStabilizesAcrossBatches) {
-  // Job distribution across workers is nondeterministic (on a loaded box
-  // one worker can swallow a whole batch, leaving the other's arena empty
-  // until a later batch), so the multi-worker check is the per-slot
-  // invariant: the 4 KiB scratch fits the arena's first block and the
-  // arena is reset -- not freed -- before every job, so no slot ever grows
-  // past one block no matter how many jobs land on it.
-  SweepRunner runner{2};
-  const auto run_once = [](SweepRunner& r) {
-    r.run_batch(
-        8,
-        [](std::size_t i, SweepRunner::WorkerSlot& slot) {
-          (void)slot.arena.alloc_array<double>(512);
-          return i;
-        },
-        [](std::size_t, std::size_t) {});
+TEST(SweepRunner, JobExceptionRethrownAfterBatch) {
+  constexpr std::size_t kJobs = 12;
+  SweepRunner runner{3};
+  std::atomic<std::size_t> finished{0};
+  std::set<std::size_t> collected;
+  const auto job = [&](std::size_t i, SweepRunner::WorkerSlot&) {
+    // Slow jobs: if run_batch left early, they would still be running.
+    std::this_thread::sleep_for(std::chrono::milliseconds(i % 3));
+    finished.fetch_add(1);
+    if (i == 4 || i == 9) throw std::runtime_error{"job " + std::to_string(i)};
+    return i;
   };
-  for (int b = 0; b < 4; ++b) run_once(runner);
-  std::uint64_t jobs = 0;
-  for (int i = 0; i < runner.workers(); ++i) {
-    jobs += runner.slot(i).jobs;
-    EXPECT_LE(runner.slot(i).arena.blocks(), 1u);
-    EXPECT_LE(runner.slot(i).arena.capacity_bytes(), std::size_t{1} << 16);
+  try {
+    runner.run_batch(kJobs, job, [&](std::size_t i, std::size_t r) {
+      EXPECT_EQ(i, r);
+      collected.insert(i);
+    });
+    ADD_FAILURE() << "a throwing job did not propagate";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_TRUE(what == "job 4" || what == "job 9") << what;
   }
-  EXPECT_EQ(jobs, 4u * 8u);
-  // Deterministic steady-state check: a single-worker pool serves every
-  // job, so its capacity after batch 1 must not grow over later batches.
-  SweepRunner solo{1};
-  run_once(solo);
-  const std::size_t cap = solo.slot(0).arena.capacity_bytes();
-  EXPECT_GT(cap, 0u);
-  for (int b = 0; b < 3; ++b) run_once(solo);
-  EXPECT_EQ(solo.slot(0).arena.capacity_bytes(), cap);
+  EXPECT_EQ(finished.load(), kJobs) << "run_batch threw before its batch ended";
+  EXPECT_EQ(collected.count(4), 0u) << "collect called for a job that threw";
+  EXPECT_EQ(collected.count(9), 0u);
+
+  // A throwing collect drains the batch too, and is not called again.
+  finished = 0;
+  std::size_t collect_calls = 0;
+  EXPECT_THROW(runner.run_batch(
+                   kJobs,
+                   [&](std::size_t i, SweepRunner::WorkerSlot&) {
+                     std::this_thread::sleep_for(
+                         std::chrono::milliseconds(i % 3));
+                     finished.fetch_add(1);
+                     return i;
+                   },
+                   [&](std::size_t, std::size_t) {
+                     ++collect_calls;
+                     throw std::logic_error{"collect"};
+                   }),
+               std::logic_error);
+  EXPECT_EQ(finished.load(), kJobs);
+  EXPECT_EQ(collect_calls, 1u);
+
+  // The pool stays usable.
+  std::size_t sum = 0;
+  runner.run_batch(
+      kJobs, [](std::size_t i, SweepRunner::WorkerSlot&) { return i; },
+      [&](std::size_t, std::size_t r) { sum += r; });
+  EXPECT_EQ(sum, kJobs * (kJobs - 1) / 2);
+}
+
+TEST(SweepRunner, PostedJobsAndBatchesShareThePool) {
+  constexpr int kPosted = 200;
+  constexpr int kBatches = 20;
+  constexpr std::size_t kJobs = 9;
+  SweepRunner runner{2};
+  std::vector<std::atomic<int>> runs(kPosted);
+  std::atomic<int> posted_done{0};
+  std::thread poster{[&] {
+    for (int p = 0; p < kPosted; ++p) {
+      runner.post([&runs, &posted_done, p](SweepRunner::WorkerSlot&) {
+        runs[static_cast<std::size_t>(p)].fetch_add(1);
+        posted_done.fetch_add(1);
+      });
+    }
+  }};
+  for (int batch = 0; batch < kBatches; ++batch) {
+    std::vector<int> seen(kJobs, 0);
+    runner.run_batch(
+        kJobs,
+        [batch](std::size_t i, SweepRunner::WorkerSlot&) {
+          return batch * 100 + static_cast<int>(i);
+        },
+        [&](std::size_t i, int r) {
+          EXPECT_EQ(r, batch * 100 + static_cast<int>(i));
+          ++seen[i];
+        });
+    for (std::size_t i = 0; i < kJobs; ++i) {
+      EXPECT_EQ(seen[i], 1) << "batch " << batch << " job " << i;
+    }
+  }
+  poster.join();
+  // Posted jobs report through their own closure; wait for the last one.
+  while (posted_done.load() < kPosted) std::this_thread::yield();
+  for (int p = 0; p < kPosted; ++p) {
+    EXPECT_EQ(runs[static_cast<std::size_t>(p)].load(), 1) << "posted " << p;
+  }
 }
 
 // --- SessionPool -----------------------------------------------------------

@@ -1,13 +1,11 @@
-// Shared-memory data plane: SPSC ring semantics (all-or-nothing writes,
-// wraparound, zero-copy peek/consume, futex-parked blocking transfers),
-// the bidirectional ShmPlane over anonymous and named segments, and the
-// SocketChannel bulk path riding the ring -- which must stay bit-identical
-// to the socket path it replaces.
+// Shared-memory data plane: SPSC ring semantics (all-or-nothing writes
+// and reads, wraparound, a two-thread transfer through the try ops), the
+// bidirectional ShmPlane over anonymous and named segments with its
+// layout-version check, and the SocketChannel bulk path riding the ring
+// -- which must stay bit-identical to the socket path it replaces.
 #include <gtest/gtest.h>
 
-#include <sys/eventfd.h>
-#include <unistd.h>
-
+#include <algorithm>
 #include <cstring>
 #include <numeric>
 #include <string>
@@ -85,63 +83,43 @@ TEST(ShmRing, TryReadExactIsAllOrNothing) {
   EXPECT_TRUE(ring.try_read_exact(dst.data(), 100));
 }
 
-TEST(ShmRing, PeekConsumeSpansTheWrap) {
-  auto plane = ShmPlane::create_anon(ShmPlane::kMinRingBytes);
-  ShmRing& ring = plane.tx();
-  const std::size_t cap = ring.capacity();
-  // Park the cursors near the end so a subsequent write wraps.
-  std::vector<std::byte> scratch(cap - 16);
-  ASSERT_TRUE(ring.try_write(scratch.data(), scratch.size()));
-  ASSERT_TRUE(ring.try_read_exact(scratch.data(), scratch.size()));
-
-  const auto src = pattern_bytes(64, 4);
-  ASSERT_TRUE(ring.try_write(src.data(), src.size()));
-  std::span<const std::byte> a, b;
-  ASSERT_TRUE(ring.peek(src.size(), a, b));
-  ASSERT_EQ(a.size() + b.size(), src.size());
-  EXPECT_EQ(a.size(), 16u) << "first span runs to the end of the buffer";
-  std::vector<std::byte> joined;
-  joined.insert(joined.end(), a.begin(), a.end());
-  joined.insert(joined.end(), b.begin(), b.end());
-  EXPECT_EQ(joined, src);
-  ring.consume(src.size());
-  EXPECT_EQ(ring.readable(), 0u);
-}
-
-TEST(ShmRing, BlockingTransferAcrossThreads) {
-  // A payload many times the ring size forces both sides through the
-  // futex park/wake path repeatedly.
+TEST(ShmRing, TryTransferAcrossThreads) {
+  // A payload many times the ring size, moved by a producer and a consumer
+  // thread in odd-sized chunks, so the cursor pair wraps repeatedly while
+  // both sides race on it. Each side yields when the ring refuses. Any
+  // write chunk plus any read chunk fits the ring, so one side can always
+  // move.
   auto plane = ShmPlane::create_anon(ShmPlane::kMinRingBytes);
   auto peer = plane.peer_view();
+  ASSERT_EQ(plane.tx().capacity(), ShmPlane::kMinRingBytes);
   const auto src = pattern_bytes(ShmPlane::kMinRingBytes * 23 + 5, 5);
   std::vector<std::byte> dst(src.size());
   std::thread producer{[&] {
-    ASSERT_TRUE(plane.tx().write_all(src.data(), src.size(), 10'000));
+    const std::size_t sizes[] = {1, 97, 1021, 2039};
+    std::size_t w = 0;
+    for (std::size_t k = 0; w < src.size(); ++k) {
+      const std::size_t n = std::min(sizes[k % 4], src.size() - w);
+      while (!plane.tx().try_write(src.data() + w, n)) {
+        std::this_thread::yield();
+      }
+      w += n;
+    }
   }};
-  ASSERT_TRUE(peer.rx().read_all(dst.data(), dst.size(), 10'000));
+  std::thread consumer{[&] {
+    const std::size_t sizes[] = {3, 211, 1531, 2017};
+    std::size_t r = 0;
+    for (std::size_t k = 0; r < dst.size(); ++k) {
+      const std::size_t n = std::min(sizes[k % 4], dst.size() - r);
+      while (!peer.rx().try_read_exact(dst.data() + r, n)) {
+        std::this_thread::yield();
+      }
+      r += n;
+    }
+  }};
   producer.join();
+  consumer.join();
   EXPECT_EQ(dst, src);
-}
-
-TEST(ShmRing, DoorbellFiresWhenArmed) {
-  auto plane = ShmPlane::create_anon(ShmPlane::kMinRingBytes);
-  auto peer = plane.peer_view();
-  const int efd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  ASSERT_GE(efd, 0);
-  plane.tx().set_doorbell_fd(efd);
-
-  std::uint64_t v = 0;
-  const char byte = 'x';
-  // Unarmed: publishing does not ring.
-  ASSERT_TRUE(plane.tx().try_write(&byte, 1));
-  EXPECT_LT(::read(efd, &v, sizeof(v)), 0);
-  // Armed: the next publish rings exactly through the eventfd.
-  peer.rx().arm_doorbell(true);
-  ASSERT_TRUE(plane.tx().try_write(&byte, 1));
-  ASSERT_EQ(::read(efd, &v, sizeof(v)), static_cast<ssize_t>(sizeof(v)));
-  EXPECT_GE(v, 1u);
-  peer.rx().arm_doorbell(false);
-  ::close(efd);
+  EXPECT_EQ(peer.rx().readable(), 0u);
 }
 
 TEST(ShmPlane, PeerViewCrossesTheRings) {
@@ -183,6 +161,25 @@ TEST(ShmPlane, AttachRejectsForeignSegment) {
   const std::string name = seg.name();
   EXPECT_THROW((void)ShmPlane::attach_peer(name), std::exception);
   seg.unlink_name();
+
+  // So must a segment of the right size and magic stamped with the
+  // previous layout version, whose ring headers held more than the two
+  // cursors; the same segment stamped with the current version attaches.
+  const auto stamped = [](std::uint32_t version) {
+    auto s = ShmSegment::create_named(
+        ShmPlane::layout_bytes(ShmPlane::kMinRingBytes));
+    auto* hdr = reinterpret_cast<ShmPlaneHdr*>(s.data());
+    hdr->magic = kShmPlaneMagic;
+    hdr->version = version;
+    hdr->ring_bytes = ShmPlane::kMinRingBytes;
+    return s;
+  };
+  auto v1 = stamped(1);
+  EXPECT_THROW((void)ShmPlane::attach_peer(v1.name()), std::exception);
+  v1.unlink_name();
+  auto current = stamped(kShmPlaneVersion);
+  EXPECT_NO_THROW((void)ShmPlane::attach_peer(current.name()));
+  current.unlink_name();
 }
 
 TEST(ShmSetup, CodecRoundTripAndValidation) {
