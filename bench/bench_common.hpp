@@ -13,8 +13,9 @@
 // Every emitter also records the process's resource footprint via
 // emit_resource_fields(): peak RSS and total wall-clock, so a regression
 // in memory or end-to-end runtime shows up in the canonical JSON even when
-// the benchmark's own metric holds steady. Call wall_anchor() first thing
-// in main() to start the wall clock.
+// the benchmark's own metric holds steady, and the host it ran on: the
+// CPU and the ISA level the binary was built for. Call wall_anchor() first
+// thing in main() to start the wall clock.
 #pragma once
 
 #include <sys/resource.h>
@@ -22,6 +23,8 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <stdexcept>
 #include <string>
 
 namespace benchutil {
@@ -86,11 +89,91 @@ inline double total_wall_s() {
       .count();
 }
 
-/// Writes the uniform resource-usage fields every BENCH_*.json carries.
-/// Emit inside the top-level object, after the opening brace.
+/// The CPU a bench ran on, from the first processor of /proc/cpuinfo: its
+/// model name and its family and model numbers (-1 where absent). A
+/// virtual machine may report a generic name such as "Intel(R) Xeon(R)
+/// Processor", so only the numbers tell two such hosts apart.
+struct HostCpu {
+  std::string model_name = "unknown";
+  int family = -1;
+  int model = -1;
+};
+
+inline HostCpu host_cpu() {
+  HostCpu cpu;
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  bool in_first = false;
+  while (std::getline(in, line)) {
+    const auto colon = line.find(':');
+    if (colon == std::string::npos) {
+      if (in_first) break;  // a blank line ends the first processor
+      continue;
+    }
+    in_first = true;
+    std::string key = line.substr(0, colon);
+    key.erase(key.find_last_not_of(" \t") + 1);
+    const auto start = line.find_first_not_of(" \t", colon + 1);
+    const std::string value =
+        start == std::string::npos ? std::string{} : line.substr(start);
+    if (key == "model name") {
+      cpu.model_name = value;
+    } else if (key == "cpu family" || key == "model") {
+      int& field = key == "model" ? cpu.model : cpu.family;
+      try {
+        field = std::stoi(value);
+      } catch (const std::exception&) {
+        field = -1;
+      }
+    }
+  }
+  return cpu;
+}
+
+/// The ISA level the binary was built for, from the compiler's target
+/// macros: the widest of the levels the SIMD emulation picks forms for.
+inline const char* isa_level() {
+#if defined(__AVX512VNNI__)
+  return "avx512-vnni";
+#elif defined(__AVX512F__)
+  return "avx512";
+#elif defined(__AVX2__)
+  return "avx2";
+#else
+  return "baseline";
+#endif
+}
+
+/// s as the body of a JSON string: quotes, backslashes and control
+/// characters escaped.
+inline std::string json_escape(const std::string& s) {
+  std::string out;
+  for (const char c : s) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
+      out += buf;
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
+/// Writes the uniform resource-usage and host fields every BENCH_*.json
+/// carries. Emit inside the top-level object, after the opening brace.
 inline void emit_resource_fields(std::FILE* f) {
   std::fprintf(f, "  \"peak_rss_bytes\": %lld,\n  \"total_wall_s\": %.3f,\n",
                peak_rss_bytes(), total_wall_s());
+  const HostCpu cpu = host_cpu();
+  std::fprintf(f,
+               "  \"cpu_model_name\": \"%s\",\n  \"cpu_family\": %d,\n"
+               "  \"cpu_model\": %d,\n  \"isa_level\": \"%s\",\n",
+               json_escape(cpu.model_name).c_str(), cpu.family, cpu.model,
+               isa_level());
 }
 
 }  // namespace benchutil

@@ -12,7 +12,9 @@
 //     execution, not the autovectorizer.
 //   * `native_backend` -- the same operations on GCC/Clang vector
 //     extensions (`__attribute__((vector_size(...)))`): one emulated AIE
-//     vector op maps onto one or two host SIMD instructions. On compilers
+//     vector op maps onto one or two host SIMD instructions per machine
+//     register, and an op on more lanes than one register holds runs one
+//     register at a time (see native_backend::kPiece). On compilers
 //     without vector extensions it degrades to `scalar_backend`.
 //
 // Both backends are always compiled, so equivalence tests and ablation
@@ -27,6 +29,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -55,6 +58,16 @@ namespace aie::simd {
 #define CGSIM_SIMD_VNNI 1
 #else
 #define CGSIM_SIMD_VNNI 0
+#endif
+
+/// Bytes in one vector register of the target: native_backend runs no op on
+/// a wider vector than this (see its kPiece).
+#if defined(__AVX512F__)
+inline constexpr unsigned kRegBytes = 64;
+#elif defined(__AVX2__)
+inline constexpr unsigned kRegBytes = 32;
+#else
+inline constexpr unsigned kRegBytes = 16;
 #endif
 
 // Pins the scalar backend's loops to per-lane code on GCC so that a
@@ -170,6 +183,42 @@ template <class T>
   }
 }
 
+/// Accumulator-lane arithmetic of the MAC family: x * y, acc + x * y and
+/// acc - x * y into an A lane. Integral lanes compute modulo 2^64 (the
+/// product is exact for the <= 32-bit factors the MACs take) and truncate
+/// once to A, modulo 2^|A| (defined in C++20), so int32 accumulator lanes
+/// wrap where a plain `+` would overflow; the native backend's unsigned
+/// lanes land on the same value. Float lanes compute in A as written.
+template <class A, class X, class Y>
+[[nodiscard]] constexpr A lane_mul(X x, Y y) {
+  if constexpr (std::is_integral_v<A>) {
+    return static_cast<A>(static_cast<std::uint64_t>(x) *
+                          static_cast<std::uint64_t>(y));
+  } else {
+    return static_cast<A>(x) * static_cast<A>(y);
+  }
+}
+
+template <class A, class X, class Y>
+[[nodiscard]] constexpr A lane_mac(A acc, X x, Y y) {
+  if constexpr (std::is_integral_v<A>) {
+    return static_cast<A>(
+        lane_add<std::int64_t>(acc, lane_mul<std::int64_t>(x, y)));
+  } else {
+    return acc + static_cast<A>(x) * static_cast<A>(y);
+  }
+}
+
+template <class A, class X, class Y>
+[[nodiscard]] constexpr A lane_msc(A acc, X x, Y y) {
+  if constexpr (std::is_integral_v<A>) {
+    return static_cast<A>(
+        lane_sub<std::int64_t>(acc, lane_mul<std::int64_t>(x, y)));
+  } else {
+    return acc - static_cast<A>(x) * static_cast<A>(y);
+  }
+}
+
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
@@ -231,56 +280,56 @@ struct scalar_backend {
   }
 
   // ---- multiply / multiply-accumulate into A-typed accumulator lanes ----
+  // Integral accumulator lanes wrap (detail::lane_mac).
 
   template <class A, class T, unsigned N>
   CGSIM_SIMD_SCALAR_LOOP static void mul(A* acc, const T* a, const T* b) {
-    for (unsigned i = 0; i < N; ++i) {
-      acc[i] = static_cast<A>(a[i]) * static_cast<A>(b[i]);
-    }
+    for (unsigned i = 0; i < N; ++i) acc[i] = detail::lane_mul<A>(a[i], b[i]);
   }
 
   template <class A, class T, unsigned N>
   CGSIM_SIMD_SCALAR_LOOP static void mac(A* acc, const T* a, const T* b) {
     for (unsigned i = 0; i < N; ++i) {
-      acc[i] = acc[i] + static_cast<A>(a[i]) * static_cast<A>(b[i]);
+      acc[i] = detail::lane_mac(acc[i], a[i], b[i]);
     }
   }
 
   template <class A, class T, unsigned N>
   CGSIM_SIMD_SCALAR_LOOP static void msc(A* acc, const T* a, const T* b) {
     for (unsigned i = 0; i < N; ++i) {
-      acc[i] = acc[i] - static_cast<A>(a[i]) * static_cast<A>(b[i]);
+      acc[i] = detail::lane_msc(acc[i], a[i], b[i]);
     }
   }
 
   template <class A, class T, unsigned N>
   CGSIM_SIMD_SCALAR_LOOP static void mul_s(A* acc, const T* a, T s) {
-    for (unsigned i = 0; i < N; ++i) {
-      acc[i] = static_cast<A>(a[i]) * static_cast<A>(s);
-    }
+    for (unsigned i = 0; i < N; ++i) acc[i] = detail::lane_mul<A>(a[i], s);
   }
 
   template <class A, class T, unsigned N>
   CGSIM_SIMD_SCALAR_LOOP static void mac_s(A* acc, const T* a, T s) {
-    for (unsigned i = 0; i < N; ++i) {
-      acc[i] = acc[i] + static_cast<A>(a[i]) * static_cast<A>(s);
-    }
+    for (unsigned i = 0; i < N; ++i) acc[i] = detail::lane_mac(acc[i], a[i], s);
   }
 
   /// acc[l] += c * data[l] over `N` contiguous data lanes -- the inner step
   /// of the contiguous sliding-multiply fast path.
   template <class A, class D, unsigned N>
   CGSIM_SIMD_SCALAR_LOOP static void mac_bcast(A* acc, const D* data, A c) {
-    for (unsigned i = 0; i < N; ++i) acc[i] = acc[i] + c * static_cast<A>(data[i]);
+    for (unsigned i = 0; i < N; ++i) {
+      acc[i] = detail::lane_mac(acc[i], c, data[i]);
+    }
   }
 
   /// acc[l] += c * (d1[l] + d2[l]) -- the pre-add step of the symmetric
-  /// sliding multiply (both data windows contiguous).
+  /// sliding multiply (both data windows contiguous). Integral data
+  /// pre-adds exactly in int64.
   template <class A, class D, unsigned N>
   CGSIM_SIMD_SCALAR_LOOP static void mac_bcast_pair(A* acc, const D* d1,
                                                     const D* d2, A c) {
+    using S = std::conditional_t<std::is_integral_v<A>, std::int64_t, A>;
     for (unsigned i = 0; i < N; ++i) {
-      acc[i] = acc[i] + c * (static_cast<A>(d1[i]) + static_cast<A>(d2[i]));
+      acc[i] = detail::lane_mac(acc[i], c,
+                                static_cast<S>(d1[i]) + static_cast<S>(d2[i]));
     }
   }
 
@@ -479,13 +528,14 @@ struct scalar_backend {
   }
 
   // ---- reductions ----
-  // Sequential on both backends: float reductions are order-sensitive, and
-  // keeping one evaluation order is what makes the backends bit-exact.
+  // Sequential. Float reductions are order-sensitive, and the native backend
+  // keeps this order for them; integer sums wrap (detail::lane_add), so any
+  // order of integer folds gives the same result.
 
   template <class T, unsigned N>
   CGSIM_SIMD_SCALAR_LOOP static T reduce_add(const T* a) {
     T s{};
-    for (unsigned i = 0; i < N; ++i) s = static_cast<T>(s + a[i]);
+    for (unsigned i = 0; i < N; ++i) s = detail::lane_add(s, a[i]);
     return s;
   }
 
@@ -519,12 +569,48 @@ struct native_backend {
   struct vt {
     typedef T type __attribute__((vector_size(sizeof(T) * N)));
   };
-  /// Host vector register of N T lanes.
+  /// Host vector of N T lanes.
   template <class T, unsigned N>
   using v = typename vt<T, N>::type;
   /// Same-shape signed integer vector (comparison results, shuffle masks).
   template <class T, unsigned N>
   using m = typename vt<detail::int_of_t<sizeof(T)>, N>::type;
+  /// Lane type of a vector type V.
+  template <class V>
+  using lane_of = std::remove_cvref_t<decltype(std::declval<V&>()[0])>;
+
+  // The rule every lane-wise op below keeps: no op works on a vector wider
+  // than one machine register. GCC 12 gives a vector-extension type wider
+  // than a register no machine mode, so every operand of one lives in
+  // stack memory, and a splat of it is stored as 256-bit halves that the
+  // following 512-bit loads cannot forward from (docs/PERF.md,
+  // "Generic-vector codegen pitfalls"). An op on more lanes runs as a loop
+  // over register-wide pieces, each piece the op's own one-register code.
+  // Every op split this way is lane-wise, so results do not change.
+
+  /// Lanes in one piece: the count at which the widest of Ts fills one
+  /// register (T[4] stands for mac_dot4's 4-lane input group).
+  template <class... Ts>
+  static constexpr unsigned kPiece =
+      kRegBytes / std::max({static_cast<unsigned>(sizeof(Ts))...});
+
+  /// True when an op on N lanes of Ts runs piece by piece: N is a larger
+  /// multiple of its piece. Any other N keeps the whole-vector code.
+  template <unsigned N, class... Ts>
+  static constexpr bool kSplit = N > kPiece<Ts...> && N % kPiece<Ts...> == 0;
+
+  /// Calls op.template operator()<P>(i) for i = 0, P, 2P, ... below N, where
+  /// P = kPiece<Ts...>: the one loop over pieces. It unrolls up to 8 pieces
+  /// (a 64-lane int64 op on AVX-512), so that every piece sits at a constant
+  /// offset: GCC's scalar replacement then keeps an accumulator the API
+  /// passes by value in registers across ops, where a rolled loop copies
+  /// it through the stack on both sides of every op.
+  template <unsigned N, class... Ts, class Op>
+  static void by_piece(Op op) {
+    constexpr unsigned P = kPiece<Ts...>;
+#pragma GCC unroll 8
+    for (unsigned i = 0; i < N; i += P) op.template operator()<P>(i);
+  }
 
   template <class T, unsigned N>
   static v<T, N> ld(const T* p) {
@@ -543,8 +629,8 @@ struct native_backend {
   //  * kSlpBytes: the widest vector GCC's SLP vectorizer forms, its
   //    preferred width (256 bits on AVX2 and AVX-512 tunings). Up to it, a
   //    lane-wise constructor of converted lanes becomes one vpmovsx/vpmovzx.
-  //  * kZmm: 512-bit widening moves and the signed 32x32->64 multiply
-  //    (vpmuldq), called through GCC's own x86 builtins -- the ones
+  //  * kZmm: 512-bit widening and narrowing moves and the signed 32x32->64
+  //    multiply (vpmuldq), called through GCC's own x86 builtins -- the ones
   //    <immintrin.h> wraps -- so no intrinsics header is parsed.
   //  * CGSIM_SIMD_VNNI: the 4-deep byte dot product (vpdpbusd) of
   //    AVX512-VNNI, in mac_dot4.
@@ -661,17 +747,61 @@ struct native_backend {
     return r;  // constant-folded at -O2
   }
 
-  /// x in every lane, as one broadcast instruction up to one machine
-  /// register. GCC 12 builds a lane-by-lane fill wider than 256 bits from
-  /// 256-bit halves stored to the stack and reloaded, a failed
-  /// store-to-load forward on every use; a constructor with x in each lane
-  /// becomes one vpbroadcast. It copies the bit pattern (-0.0 and NaN
-  /// payloads included).
+  /// x in every lane. Up to one machine register -- what every lane-wise op
+  /// passes, by the piece rule -- a constructor with x in each lane is one
+  /// vpbroadcast, where GCC 12 builds a lane-by-lane fill wider than 256
+  /// bits from halves stored to the stack and reloaded. Past one register
+  /// (the shuffles' index vectors) both forms go through the stack. It
+  /// copies the bit pattern (-0.0 and NaN payloads included).
   template <class T, unsigned N>
   static v<T, N> splat(T x) {
     return [&]<std::size_t... I>(std::index_sequence<I...>) {
       return v<T, N>{((void)I, x)...};
     }(std::make_index_sequence<N>{});
+  }
+
+  /// x op y lane-wise, integral lanes in unsigned lanes: signed lane
+  /// overflow is UB even in vector extensions, unsigned lanes wrap (defined)
+  /// into the bit pattern two's-complement wrapping produces -- the value
+  /// detail::lane_add and lane_mac give on the scalar backend. Float lanes
+  /// compute as written.
+  template <class V, class Op>
+  static V wrapping(const V& x, const V& y, Op op) {
+    using T = lane_of<V>;
+    if constexpr (std::is_integral_v<T>) {
+      using U = v<std::make_unsigned_t<T>, sizeof(V) / sizeof(T)>;
+      U ux, uy;
+      std::memcpy(&ux, &x, sizeof ux);
+      std::memcpy(&uy, &y, sizeof uy);
+      const U ur = op(ux, uy);
+      V r;
+      std::memcpy(&r, &ur, sizeof r);
+      return r;
+    } else {
+      return op(x, y);
+    }
+  }
+  template <class V>
+  static V wrap_add(const V& x, const V& y) {
+    return wrapping(x, y, [](const auto& p, const auto& q) { return p + q; });
+  }
+  template <class V>
+  static V wrap_sub(const V& x, const V& y) {
+    return wrapping(x, y, [](const auto& p, const auto& q) { return p - q; });
+  }
+  template <class V>
+  static V wrap_mul(const V& x, const V& y) {
+    return wrapping(x, y, [](const auto& p, const auto& q) { return p * q; });
+  }
+  /// -x; -INT_MIN wraps to itself instead of UB, and a float -0.0 stays
+  /// distinct from 0.0 - x.
+  template <class V>
+  static V wrap_neg(const V& x) {
+    if constexpr (std::is_integral_v<lane_of<V>>) {
+      return wrap_sub(V{}, x);
+    } else {
+      return -x;
+    }
   }
 
   // `__builtin_shuffle` (runtime mask) is a GCC extension; Clang only has
@@ -688,73 +818,101 @@ struct native_backend {
 
   template <class T, unsigned N>
   static void add(T* r, const T* a, const T* b) {
-    if constexpr (std::is_integral_v<T>) {
-      st<T, N>(r, wrap_add<T, N>(ld<T, N>(a), ld<T, N>(b)));
+    if constexpr (kSplit<N, T>) {
+      by_piece<N, T>([&]<unsigned P>(unsigned i) {
+        add<T, P>(r + i, a + i, b + i);
+      });
     } else {
-      st<T, N>(r, ld<T, N>(a) + ld<T, N>(b));
+      st<T, N>(r, wrap_add(ld<T, N>(a), ld<T, N>(b)));
     }
   }
 
   template <class T, unsigned N>
   static void sub(T* r, const T* a, const T* b) {
-    if constexpr (std::is_integral_v<T>) {
-      st<T, N>(r, wrap_sub<T, N>(ld<T, N>(a), ld<T, N>(b)));
+    if constexpr (kSplit<N, T>) {
+      by_piece<N, T>([&]<unsigned P>(unsigned i) {
+        sub<T, P>(r + i, a + i, b + i);
+      });
     } else {
-      st<T, N>(r, ld<T, N>(a) - ld<T, N>(b));
+      st<T, N>(r, wrap_sub(ld<T, N>(a), ld<T, N>(b)));
     }
   }
 
   template <class T, unsigned N>
   static void neg(T* r, const T* a) {
-    if constexpr (std::is_integral_v<T>) {
-      st<T, N>(r, wrap_neg<T, N>(ld<T, N>(a)));
+    if constexpr (kSplit<N, T>) {
+      by_piece<N, T>([&]<unsigned P>(unsigned i) { neg<T, P>(r + i, a + i); });
     } else {
-      st<T, N>(r, -ld<T, N>(a));
+      st<T, N>(r, wrap_neg(ld<T, N>(a)));
     }
   }
 
   template <class T, unsigned N>
   static void abs_(T* r, const T* a) {
-    const auto va = ld<T, N>(a);
-    // Mirrors the scalar `a < 0 ? -a : a` lane-wise (keeps -0.0f and NaN
-    // behaviour identical to the scalar backend); the integral negate wraps
-    // (abs(INT_MIN) == INT_MIN on both backends, not UB).
-    if constexpr (std::is_integral_v<T>) {
-      st<T, N>(r, (va < splat<T, N>(T{})) ? wrap_neg<T, N>(va) : va);
+    if constexpr (kSplit<N, T>) {
+      by_piece<N, T>([&]<unsigned P>(unsigned i) { abs_<T, P>(r + i, a + i); });
     } else {
-      st<T, N>(r, (va < splat<T, N>(T{})) ? -va : va);
+      // Mirrors the scalar `a < 0 ? -a : a` lane-wise (keeps -0.0f and NaN
+      // behaviour identical to the scalar backend); the integral negate
+      // wraps (abs(INT_MIN) == INT_MIN on both backends, not UB).
+      const auto va = ld<T, N>(a);
+      st<T, N>(r, (va < splat<T, N>(T{})) ? wrap_neg(va) : va);
     }
   }
 
   template <class T, unsigned N>
   static void min_(T* r, const T* a, const T* b) {
-    const auto va = ld<T, N>(a);
-    const auto vb = ld<T, N>(b);
-    st<T, N>(r, (vb < va) ? vb : va);  // == std::min per lane
+    if constexpr (kSplit<N, T>) {
+      by_piece<N, T>([&]<unsigned P>(unsigned i) {
+        min_<T, P>(r + i, a + i, b + i);
+      });
+    } else {
+      const auto va = ld<T, N>(a);
+      const auto vb = ld<T, N>(b);
+      st<T, N>(r, (vb < va) ? vb : va);  // == std::min per lane
+    }
   }
 
   template <class T, unsigned N>
   static void max_(T* r, const T* a, const T* b) {
-    const auto va = ld<T, N>(a);
-    const auto vb = ld<T, N>(b);
-    st<T, N>(r, (va < vb) ? vb : va);  // == std::max per lane
+    if constexpr (kSplit<N, T>) {
+      by_piece<N, T>([&]<unsigned P>(unsigned i) {
+        max_<T, P>(r + i, a + i, b + i);
+      });
+    } else {
+      const auto va = ld<T, N>(a);
+      const auto vb = ld<T, N>(b);
+      st<T, N>(r, (va < vb) ? vb : va);  // == std::max per lane
+    }
   }
 
   template <class T, unsigned N>
   static void clamp(T* r, const T* a, T lo, T hi) {
-    const auto va = ld<T, N>(a);
-    const auto vlo = splat<T, N>(lo);
-    const auto vhi = splat<T, N>(hi);
-    // Two canonical min/max ternaries, not one nested select: GCC folds
-    // each into MIN_EXPR/MAX_EXPR (packed at any vector width), while the
-    // nested form lowers to a lane select that scalarizes past ~2 registers.
-    const auto vmin = (vhi < va) ? vhi : va;
-    st<T, N>(r, (vmin < vlo) ? vlo : vmin);
+    if constexpr (kSplit<N, T>) {
+      by_piece<N, T>([&]<unsigned P>(unsigned i) {
+        clamp<T, P>(r + i, a + i, lo, hi);
+      });
+    } else {
+      const auto va = ld<T, N>(a);
+      const auto vlo = splat<T, N>(lo);
+      const auto vhi = splat<T, N>(hi);
+      // Two canonical min/max ternaries, not one nested select: GCC folds
+      // each into MIN_EXPR/MAX_EXPR, while the nested form lowers to a lane
+      // select.
+      const auto vmin = (vhi < va) ? vhi : va;
+      st<T, N>(r, (vmin < vlo) ? vlo : vmin);
+    }
   }
 
   template <class T, unsigned N>
   static void broadcast(T* r, T x) {
-    st<T, N>(r, splat<T, N>(x));
+    if constexpr (kSplit<N, T>) {
+      by_piece<N, T>([&]<unsigned P>(unsigned i) {
+        broadcast<T, P>(r + i, x);
+      });
+    } else {
+      st<T, N>(r, splat<T, N>(x));
+    }
   }
 
   template <class T, unsigned N>
@@ -764,6 +922,8 @@ struct native_backend {
   }
 
   // ---- multiply / multiply-accumulate ----
+  // Integral accumulator lanes wrap (wrap_add / wrap_sub / wrap_mul), as
+  // detail::lane_mac does on the scalar backend.
 
  private:
   /// Loads N T lanes widened to the accumulator element type A.
@@ -782,6 +942,12 @@ struct native_backend {
       std::is_integral_v<A> && std::is_integral_v<T> && sizeof(A) == 8 &&
       (sizeof(T) == 1 || (sizeof(T) == 2 && std::is_signed_v<T>));
 
+  /// Integer lanes whose every value fits int32.
+  template <class T>
+  static constexpr bool kFitsI32 =
+      std::is_integral_v<T> &&
+      (sizeof(T) < 4 || (sizeof(T) == 4 && std::is_signed_v<T>));
+
   /// a[i] * b[i] widened into A lanes, via int32 lanes when exact.
   template <class A, class T, unsigned N>
   static v<A, N> wmul(const T* a, const T* b) {
@@ -789,85 +955,9 @@ struct native_backend {
       return cvt<A, std::int32_t, N>(ldw<std::int32_t, T, N>(a) *
                                      ldw<std::int32_t, T, N>(b));
     } else {
-      return ldw<A, T, N>(a) * ldw<A, T, N>(b);
+      return wrap_mul(ldw<A, T, N>(a), ldw<A, T, N>(b));
     }
   }
-
- public:
-  template <class A, class T, unsigned N>
-  static void mul(A* acc, const T* a, const T* b) {
-    st<A, N>(acc, wmul<A, T, N>(a, b));
-  }
-
-  template <class A, class T, unsigned N>
-  static void mac(A* acc, const T* a, const T* b) {
-    st<A, N>(acc, ld<A, N>(acc) + wmul<A, T, N>(a, b));
-  }
-
-  template <class A, class T, unsigned N>
-  static void msc(A* acc, const T* a, const T* b) {
-    st<A, N>(acc, ld<A, N>(acc) - wmul<A, T, N>(a, b));
-  }
-
-  template <class A, class T, unsigned N>
-  static void mul_s(A* acc, const T* a, T s) {
-    st<A, N>(acc, ldw<A, T, N>(a) * splat<A, N>(static_cast<A>(s)));
-  }
-
-  template <class A, class T, unsigned N>
-  static void mac_s(A* acc, const T* a, T s) {
-    st<A, N>(acc,
-             ld<A, N>(acc) + ldw<A, T, N>(a) * splat<A, N>(static_cast<A>(s)));
-  }
-
-  template <class A, class D, unsigned N>
-  static void mac_bcast(A* acc, const D* data, A c) {
-    if constexpr (kNarrowMul<A, D>) {
-      // Coefficients come from a <=16-bit vector, but check anyway: the
-      // narrow path is exact only when c * data fits in int32 lanes.
-      if (c >= -32768 && c <= 32767) {
-        const auto p = splat<std::int32_t, N>(static_cast<std::int32_t>(c)) *
-                       ldw<std::int32_t, D, N>(data);
-        st<A, N>(acc, ld<A, N>(acc) + cvt<A, std::int32_t, N>(p));
-        return;
-      }
-    }
-    st<A, N>(acc, ld<A, N>(acc) + splat<A, N>(c) * ldw<A, D, N>(data));
-  }
-
-  template <class A, class D, unsigned N>
-  static void mac_bcast_pair(A* acc, const D* d1, const D* d2, A c) {
-    if constexpr (kNarrowMul<A, D>) {
-      if (c >= -32768 && c <= 32767) {
-        // c*(d1+d2) == c*d1 + c*d2 exactly in int64; each product fits in
-        // an int32 lane, so two packed 32-bit multiplies replace the
-        // scalarized 64-bit one.
-        const auto vc = splat<std::int32_t, N>(static_cast<std::int32_t>(c));
-        const auto p1 = vc * ldw<std::int32_t, D, N>(d1);
-        const auto p2 = vc * ldw<std::int32_t, D, N>(d2);
-        st<A, N>(acc, ld<A, N>(acc) + cvt<A, std::int32_t, N>(p1) +
-                          cvt<A, std::int32_t, N>(p2));
-        return;
-      }
-    }
-    st<A, N>(acc, ld<A, N>(acc) +
-                      splat<A, N>(c) * (ldw<A, D, N>(d1) + ldw<A, D, N>(d2)));
-  }
-
- private:
-  /// Integer lanes whose every value fits int32.
-  template <class T>
-  static constexpr bool kFitsI32 =
-      std::is_integral_v<T> &&
-      (sizeof(T) < 4 || (sizeof(T) == 4 && std::is_signed_v<T>));
-
-  /// The shapes mac_window runs: int64 lanes filling one zmm, a data
-  /// vector of two such chunks, and data and coefficients that fit int32
-  /// (the factors vpmuldq multiplies).
-  template <class A, class C, class D, unsigned ND, unsigned L>
-  static constexpr bool kWindowMac =
-      kZmm && std::is_same_v<A, std::int64_t> && L * sizeof(A) == 64 &&
-      ND == 2 * L && kFitsI32<C> && kFitsI32<D>;
 
 #if CGSIM_SIMD_ZMM_BUILTINS
   /// x * c for int64 lanes whose values, like c, fit int32: one vpmuldq
@@ -881,6 +971,134 @@ struct native_backend {
         (s64)x, splat<std::int32_t, 16>(c), q64{}, 0xff);
   }
 #endif
+
+  /// a[i] * s widened into A lanes. One zmm of int64 lanes whose factors
+  /// fit int32 -- softmax's aie::mul(vector<int32>, int32) -- takes
+  /// mul_i32's vpmuldq.
+  template <class A, class T, unsigned N>
+  static v<A, N> wmul_s(const T* a, T s) {
+#if CGSIM_SIMD_ZMM_BUILTINS
+    if constexpr (std::is_same_v<A, std::int64_t> && kFitsI32<T> && N == 8) {
+      return mul_i32(ldw<A, T, N>(a), static_cast<std::int32_t>(s));
+    }
+#endif
+    return wrap_mul(ldw<A, T, N>(a), splat<A, N>(static_cast<A>(s)));
+  }
+
+ public:
+  template <class A, class T, unsigned N>
+  static void mul(A* acc, const T* a, const T* b) {
+    if constexpr (kSplit<N, A, T>) {
+      by_piece<N, A, T>([&]<unsigned P>(unsigned i) {
+        mul<A, T, P>(acc + i, a + i, b + i);
+      });
+    } else {
+      st<A, N>(acc, wmul<A, T, N>(a, b));
+    }
+  }
+
+  template <class A, class T, unsigned N>
+  static void mac(A* acc, const T* a, const T* b) {
+    if constexpr (kSplit<N, A, T>) {
+      by_piece<N, A, T>([&]<unsigned P>(unsigned i) {
+        mac<A, T, P>(acc + i, a + i, b + i);
+      });
+    } else {
+      st<A, N>(acc, wrap_add(ld<A, N>(acc), wmul<A, T, N>(a, b)));
+    }
+  }
+
+  template <class A, class T, unsigned N>
+  static void msc(A* acc, const T* a, const T* b) {
+    if constexpr (kSplit<N, A, T>) {
+      by_piece<N, A, T>([&]<unsigned P>(unsigned i) {
+        msc<A, T, P>(acc + i, a + i, b + i);
+      });
+    } else {
+      st<A, N>(acc, wrap_sub(ld<A, N>(acc), wmul<A, T, N>(a, b)));
+    }
+  }
+
+  template <class A, class T, unsigned N>
+  static void mul_s(A* acc, const T* a, T s) {
+    if constexpr (kSplit<N, A, T>) {
+      by_piece<N, A, T>([&]<unsigned P>(unsigned i) {
+        mul_s<A, T, P>(acc + i, a + i, s);
+      });
+    } else {
+      st<A, N>(acc, wmul_s<A, T, N>(a, s));
+    }
+  }
+
+  template <class A, class T, unsigned N>
+  static void mac_s(A* acc, const T* a, T s) {
+    if constexpr (kSplit<N, A, T>) {
+      by_piece<N, A, T>([&]<unsigned P>(unsigned i) {
+        mac_s<A, T, P>(acc + i, a + i, s);
+      });
+    } else {
+      st<A, N>(acc, wrap_add(ld<A, N>(acc), wmul_s<A, T, N>(a, s)));
+    }
+  }
+
+  template <class A, class D, unsigned N>
+  static void mac_bcast(A* acc, const D* data, A c) {
+    if constexpr (kSplit<N, A, D>) {
+      by_piece<N, A, D>([&]<unsigned P>(unsigned i) {
+        mac_bcast<A, D, P>(acc + i, data + i, c);
+      });
+    } else {
+      if constexpr (kNarrowMul<A, D>) {
+        // Coefficients come from a <=16-bit vector, but check anyway: the
+        // narrow path is exact only when c * data fits in int32 lanes.
+        if (c >= -32768 && c <= 32767) {
+          const auto p = splat<std::int32_t, N>(static_cast<std::int32_t>(c)) *
+                         ldw<std::int32_t, D, N>(data);
+          st<A, N>(acc, wrap_add(ld<A, N>(acc), cvt<A, std::int32_t, N>(p)));
+          return;
+        }
+      }
+      st<A, N>(acc, wrap_add(ld<A, N>(acc),
+                             wrap_mul(splat<A, N>(c), ldw<A, D, N>(data))));
+    }
+  }
+
+  template <class A, class D, unsigned N>
+  static void mac_bcast_pair(A* acc, const D* d1, const D* d2, A c) {
+    if constexpr (kSplit<N, A, D>) {
+      by_piece<N, A, D>([&]<unsigned P>(unsigned i) {
+        mac_bcast_pair<A, D, P>(acc + i, d1 + i, d2 + i, c);
+      });
+    } else {
+      if constexpr (kNarrowMul<A, D>) {
+        if (c >= -32768 && c <= 32767) {
+          // c*(d1+d2) == c*d1 + c*d2 exactly in int64; each product fits in
+          // an int32 lane, so two packed 32-bit multiplies replace the
+          // scalarized 64-bit one.
+          const auto vc = splat<std::int32_t, N>(static_cast<std::int32_t>(c));
+          const auto p1 = vc * ldw<std::int32_t, D, N>(d1);
+          const auto p2 = vc * ldw<std::int32_t, D, N>(d2);
+          st<A, N>(acc, wrap_add(wrap_add(ld<A, N>(acc),
+                                          cvt<A, std::int32_t, N>(p1)),
+                                 cvt<A, std::int32_t, N>(p2)));
+          return;
+        }
+      }
+      st<A, N>(acc, wrap_add(ld<A, N>(acc),
+                             wrap_mul(splat<A, N>(c),
+                                      wrap_add(ldw<A, D, N>(d1),
+                                               ldw<A, D, N>(d2)))));
+    }
+  }
+
+ private:
+  /// The shapes mac_window runs: int64 lanes filling one zmm, a data
+  /// vector of two such chunks, and data and coefficients that fit int32
+  /// (the factors vpmuldq multiplies).
+  template <class A, class C, class D, unsigned ND, unsigned L>
+  static constexpr bool kWindowMac =
+      kZmm && std::is_same_v<A, std::int64_t> && L * sizeof(A) == 64 &&
+      ND == 2 * L && kFitsI32<C> && kFitsI32<D>;
 
  public:
   /// The contiguous sliding multiply in one call: for p = 0 .. P-1 in turn,
@@ -919,19 +1137,12 @@ struct native_backend {
 
   // ---- accumulator <-> vector moves (srs / ups) ----
 
- private:
-  /// srs to int16 in 8-lane pieces, each narrowed from one zmm by one
-  /// vpmovqw, where cvt's hop-by-hop narrowing takes two cross-lane
-  /// permutes against a zeroed register. int8 and int32 targets keep cvt.
-  template <class T, unsigned N>
-  static constexpr bool kZmmNarrow16 =
-      kZmm && std::is_same_v<T, std::int16_t> && N % 8 == 0;
-
- public:
   template <class T, unsigned N>
   static void srs(T* r, const std::int64_t* acc, int shift) {
-    if constexpr (kZmmNarrow16<T, N> && N > 8) {
-      for (unsigned i = 0; i < N; i += 8) srs<T, 8>(r + i, acc + i, shift);
+    if constexpr (kSplit<N, std::int64_t, T>) {
+      by_piece<N, std::int64_t, T>([&]<unsigned P>(unsigned i) {
+        srs<T, P>(r + i, acc + i, shift);
+      });
     } else {
       auto va = ld<std::int64_t, N>(acc);
       if (shift <= 0) {
@@ -945,18 +1156,25 @@ struct native_backend {
       const auto vhi =
           splat<std::int64_t, N>(std::numeric_limits<T>::max());
       // Saturate with two canonical min/max ternaries: GCC folds each into
-      // a packed MIN_EXPR/MAX_EXPR at any width, where the equivalent
-      // nested select scalarizes to per-lane cmovs once the vector spans
-      // more than a couple of registers.
+      // a packed MIN_EXPR/MAX_EXPR, where the equivalent nested select
+      // lowers to per-lane cmovs.
       va = (va > vhi) ? vhi : va;
       va = (va < vlo) ? vlo : va;
 #if CGSIM_SIMD_ZMM_BUILTINS
-      if constexpr (kZmmNarrow16<T, N>) {
-        // The lanes are clamped, so vpmovqw's truncation is exact.
-        typedef short h16 __attribute__((vector_size(16)));
+      // One zmm narrows to int16 or int8 in one vpmovqw / vpmovqb, where
+      // cvt's hop-by-hop narrowing takes two or three cross-lane permutes.
+      // The lanes are clamped, so the truncation is exact.
+      if constexpr (N == 8 && std::is_same_v<T, std::int16_t>) {
         typedef long long q64 __attribute__((vector_size(64)));
+        typedef short h16 __attribute__((vector_size(16)));
         const h16 n = __builtin_ia32_pmovqw512_mask((q64)va, h16{}, 0xff);
         std::memcpy(r, &n, sizeof n);
+        return;
+      } else if constexpr (N == 8 && std::is_same_v<T, std::int8_t>) {
+        typedef long long q64 __attribute__((vector_size(64)));
+        typedef char b16 __attribute__((vector_size(16)));
+        const b16 n = __builtin_ia32_pmovqb512_mask((q64)va, b16{}, 0xff);
+        std::memcpy(r, &n, N);
         return;
       }
 #endif
@@ -966,13 +1184,23 @@ struct native_backend {
 
   template <class T, unsigned N>
   static void ups(std::int64_t* acc, const T* p, int shift) {
-    st<std::int64_t, N>(acc, ldw<std::int64_t, T, N>(p) << shift);
+    if constexpr (kSplit<N, std::int64_t, T>) {
+      by_piece<N, std::int64_t, T>([&]<unsigned P>(unsigned i) {
+        ups<T, P>(acc + i, p + i, shift);
+      });
+    } else {
+      st<std::int64_t, N>(acc, ldw<std::int64_t, T, N>(p) << shift);
+    }
   }
 
   template <class Dst, class Src, unsigned N>
   static void convert(Dst* r, const Src* a) {
     if constexpr (std::is_same_v<Dst, Src>) {
       std::memcpy(r, a, N * sizeof(Dst));
+    } else if constexpr (kSplit<N, Dst, Src>) {
+      by_piece<N, Dst, Src>([&]<unsigned P>(unsigned i) {
+        convert<Dst, Src, P>(r + i, a + i);
+      });
     } else {
       st<Dst, N>(r, cvt<Dst, Src, N>(ld<Src, N>(a)));
     }
@@ -981,46 +1209,6 @@ struct native_backend {
   // ---- ML extensions: dot-product MAC, 32-bit accumulators, converts ----
 
  private:
-  /// Lane-wise wrapping add. Signed lane overflow is UB even in vector
-  /// extensions, so the add runs in unsigned lanes (defined wrap); the bit
-  /// pattern is what two's-complement wrapping produces.
-  template <class T, unsigned N>
-  static v<T, N> wrap_add(const v<T, N>& x, const v<T, N>& y) {
-    using U = std::make_unsigned_t<T>;
-    v<U, N> ux, uy;
-    std::memcpy(&ux, &x, sizeof(ux));
-    std::memcpy(&uy, &y, sizeof(uy));
-    ux += uy;
-    v<T, N> r;
-    std::memcpy(&r, &ux, sizeof(r));
-    return r;
-  }
-
-  /// Lane-wise wrapping subtract (same unsigned detour as wrap_add).
-  template <class T, unsigned N>
-  static v<T, N> wrap_sub(const v<T, N>& x, const v<T, N>& y) {
-    using U = std::make_unsigned_t<T>;
-    v<U, N> ux, uy;
-    std::memcpy(&ux, &x, sizeof(ux));
-    std::memcpy(&uy, &y, sizeof(uy));
-    ux -= uy;
-    v<T, N> r;
-    std::memcpy(&r, &ux, sizeof(r));
-    return r;
-  }
-
-  /// Lane-wise wrapping negate: -INT_MIN wraps to itself instead of UB.
-  template <class T, unsigned N>
-  static v<T, N> wrap_neg(const v<T, N>& x) {
-    using U = std::make_unsigned_t<T>;
-    v<U, N> ux;
-    std::memcpy(&ux, &x, sizeof(ux));
-    ux = v<U, N>{} - ux;
-    v<T, N> r;
-    std::memcpy(&r, &ux, sizeof(r));
-    return r;
-  }
-
   /// Splits a 2N-lane vector into its even and odd lanes, each widened to
   /// a double-width lane (sign-extended for signed T, zero-extended for
   /// unsigned): reinterpret each pair as one wide lane (little-endian:
@@ -1082,35 +1270,34 @@ struct native_backend {
     const s64 biased = __builtin_ia32_vpdpbusd_v16si(
         acc, (s64)(ld<std::int8_t, 64>(a) ^ k80), vb);
     const s64 excess = __builtin_ia32_vpdpbusd_v16si(s64{}, (s64)k80, vb);
-    return wrap_sub<std::int32_t, 16>(biased, excess);
+    return wrap_sub(biased, excess);
   }
 #endif
 
  public:
-  /// acc[l] += dot of the l-th 4-deep product group. int8 into whole zmms
-  /// of int32 lanes takes vpdpbusd where the target has it (dot4_vnni).
-  /// Otherwise products are exact in double-width lanes; the 4-group
-  /// reduction folds adjacent pairs with the lane-local reinterpret idiom
-  /// above instead of cross-lane shuffles (which GCC scalarizes at these
-  /// widths). Each narrowing step truncates modulo the accumulator width,
-  /// so the result is congruent -- hence bit-identical -- to the scalar
-  /// backend's exact int64 sum truncated once at the end.
+  /// acc[l] += dot of the l-th 4-deep product group. It splits by output
+  /// lanes, so that each piece's input lanes fill one register; one piece
+  /// of int8 into int32 lanes takes vpdpbusd where the target has it
+  /// (dot4_vnni). Otherwise products are exact in double-width lanes; the
+  /// 4-group reduction folds adjacent pairs with the lane-local
+  /// reinterpret idiom above instead of cross-lane shuffles (which GCC
+  /// scalarizes at these widths). Each narrowing step truncates modulo the
+  /// accumulator width, so the result is congruent -- hence bit-identical
+  /// -- to the scalar backend's exact int64 sum truncated once.
   template <class A, class T, unsigned N>
   static void mac_dot4(A* acc, const T* a, const T* b) {
     using P = detail::int_of_t<2 * sizeof(T)>;  // exact product lane type
+    if constexpr (kSplit<N, A, T[4]>) {
+      by_piece<N, A, T[4]>([&]<unsigned Q>(unsigned i) {
+        mac_dot4<A, T, Q>(acc + i, a + 4 * i, b + 4 * i);
+      });
 #if CGSIM_SIMD_VNNI
-    if constexpr (std::is_same_v<A, std::int32_t> &&
-                  std::is_same_v<T, std::int8_t> && N % 16 == 0) {
-      for (unsigned i = 0; i < N; i += 16) {
-        st<std::int32_t, 16>(
-            acc + i, dot4_vnni(ld<std::int32_t, 16>(acc + i), a + 4 * i,
-                               b + 4 * i));
-      }
-      return;
-    }
+    } else if constexpr (std::is_same_v<A, std::int32_t> &&
+                         std::is_same_v<T, std::int8_t> && N == 16) {
+      st<std::int32_t, 16>(acc, dot4_vnni(ld<std::int32_t, 16>(acc), a, b));
 #endif
-    if constexpr (std::endian::native != std::endian::little ||
-                  (sizeof(P) > sizeof(A))) {
+    } else if constexpr (std::endian::native != std::endian::little ||
+                         (sizeof(P) > sizeof(A))) {
       scalar_backend::mac_dot4<A, T, N>(acc, a, b);
     } else {
       const v<P, 4 * N> p = cvt<P, T, 4 * N>(ld<T, 4 * N>(a)) *
@@ -1123,130 +1310,162 @@ struct native_backend {
         // Product lanes already match the accumulator width: fold mod 2^|A|.
         s2 = pair_sum_mod<A, 2 * N>(p);
       }
-      st<A, N>(acc, wrap_add<A, N>(ld<A, N>(acc), pair_sum_mod<A, N>(s2)));
+      st<A, N>(acc, wrap_add(ld<A, N>(acc), pair_sum_mod<A, N>(s2)));
     }
   }
 
   /// srs from int32 accumulator lanes. For shifts 0..31 into a T whose
-  /// range lies within int32's it stays in int32 lanes:
-  /// (x >> s) + ((x >> (s - 1)) & 1) is floor((x + 2^(s-1)) / 2^s), the
-  /// scalar backend's int64 round-half-up, without forming the sum, so
-  /// INT32_MAX cannot wrap; then the clamp and the narrow. 16 int8 lanes
-  /// on AVX-512 clamp and narrow in one saturating vpmovsdb, where cvt's
-  /// hop-by-hop narrowing takes two cross-lane permutes. Anything else
-  /// widens to int64 lanes and runs the int64 srs.
+  /// range lies within int32's it stays in int32 lanes (srs32_lanes);
+  /// anything else widens to int64 lanes and runs the int64 srs. The choice
+  /// is made once per call, so a constant shift leaves one path.
   template <class T, unsigned N>
   static void srs32(T* r, const std::int32_t* acc, int shift) {
     if constexpr (kFitsI32<T>) {
       if (shift >= 0 && shift <= 31) {
-        auto x = ld<std::int32_t, N>(acc);
-        if (shift > 0) {
-          x = (x >> shift) +
-              ((x >> (shift - 1)) & splat<std::int32_t, N>(1));
-        }
-#if CGSIM_SIMD_ZMM_BUILTINS
-        if constexpr (std::is_same_v<T, std::int8_t> && N == 16) {
-          typedef char b16 __attribute__((vector_size(16)));
-          typedef int s64 __attribute__((vector_size(64)));
-          const b16 n = __builtin_ia32_pmovsdb512_mask((s64)x, b16{}, 0xffff);
-          std::memcpy(r, &n, sizeof n);
-          return;
-        }
-#endif
-        if constexpr (!std::is_same_v<T, std::int32_t>) {
-          const auto vlo =
-              splat<std::int32_t, N>(std::numeric_limits<T>::min());
-          const auto vhi =
-              splat<std::int32_t, N>(std::numeric_limits<T>::max());
-          x = (x > vhi) ? vhi : x;  // canonical min/max pair, as in srs
-          x = (x < vlo) ? vlo : x;
-        }
-        st<T, N>(r, cvt<T, std::int32_t, N>(x));
+        srs32_lanes<T, N>(r, acc, shift);
         return;
       }
     }
-    alignas(32) std::int64_t wide[N];
-    st<std::int64_t, N>(
-        wide, cvt<std::int64_t, std::int32_t, N>(ld<std::int32_t, N>(acc)));
+    alignas(64) std::int64_t wide[N];
+    convert<std::int64_t, std::int32_t, N>(wide, acc);
     srs<T, N>(r, wide, shift);
   }
 
+ private:
+  /// srs32 in int32 lanes, shift in 0..31:
+  /// (x >> s) + ((x >> (s - 1)) & 1) is floor((x + 2^(s-1)) / 2^s), the
+  /// scalar backend's int64 round-half-up, without forming the sum, so
+  /// INT32_MAX cannot wrap; then the clamp and the narrow. 16 int8 lanes
+  /// on AVX-512 clamp and narrow in one saturating vpmovsdb, where cvt's
+  /// hop-by-hop narrowing takes two cross-lane permutes.
+  template <class T, unsigned N>
+  static void srs32_lanes(T* r, const std::int32_t* acc, int shift) {
+    if constexpr (kSplit<N, std::int32_t, T>) {
+      by_piece<N, std::int32_t, T>([&]<unsigned P>(unsigned i) {
+        srs32_lanes<T, P>(r + i, acc + i, shift);
+      });
+    } else {
+      auto x = ld<std::int32_t, N>(acc);
+      if (shift > 0) {
+        x = (x >> shift) + ((x >> (shift - 1)) & splat<std::int32_t, N>(1));
+      }
+#if CGSIM_SIMD_ZMM_BUILTINS
+      if constexpr (std::is_same_v<T, std::int8_t> && N == 16) {
+        typedef char b16 __attribute__((vector_size(16)));
+        typedef int s64 __attribute__((vector_size(64)));
+        const b16 n = __builtin_ia32_pmovsdb512_mask((s64)x, b16{}, 0xffff);
+        std::memcpy(r, &n, sizeof n);
+        return;
+      }
+#endif
+      if constexpr (!std::is_same_v<T, std::int32_t>) {
+        const auto vlo = splat<std::int32_t, N>(std::numeric_limits<T>::min());
+        const auto vhi = splat<std::int32_t, N>(std::numeric_limits<T>::max());
+        x = (x > vhi) ? vhi : x;  // canonical min/max pair, as in srs
+        x = (x < vlo) ? vlo : x;
+      }
+      st<T, N>(r, cvt<T, std::int32_t, N>(x));
+    }
+  }
+
+ public:
   template <class T, unsigned N>
   static void ups32(std::int32_t* acc, const T* p, int shift) {
-    st<std::int32_t, N>(acc, ldw<std::int32_t, T, N>(p) << shift);
+    if constexpr (kSplit<N, std::int32_t, T>) {
+      by_piece<N, std::int32_t, T>([&]<unsigned P>(unsigned i) {
+        ups32<T, P>(acc + i, p + i, shift);
+      });
+    } else {
+      st<std::int32_t, N>(acc, ldw<std::int32_t, T, N>(p) << shift);
+    }
   }
 
   template <class Dst, class Src, unsigned N>
   static void convert_sat(Dst* r, const Src* a) {
     static_assert(std::is_integral_v<Dst> && std::is_integral_v<Src> &&
                   sizeof(Dst) < sizeof(Src));
-    const auto va = ld<Src, N>(a);
-    const auto vlo = splat<Src, N>(
-        static_cast<Src>(std::numeric_limits<Dst>::min()));
-    const auto vhi = splat<Src, N>(
-        static_cast<Src>(std::numeric_limits<Dst>::max()));
-    const auto cmin = (va > vhi) ? vhi : va;       // canonical min/max pair:
-    const auto c = (cmin < vlo) ? vlo : cmin;      // stays packed at any width
-    st<Dst, N>(r, cvt<Dst, Src, N>(c));
+    if constexpr (kSplit<N, Src>) {
+      by_piece<N, Src>([&]<unsigned P>(unsigned i) {
+        convert_sat<Dst, Src, P>(r + i, a + i);
+      });
+    } else {
+      const auto va = ld<Src, N>(a);
+      const auto vlo = splat<Src, N>(
+          static_cast<Src>(std::numeric_limits<Dst>::min()));
+      const auto vhi = splat<Src, N>(
+          static_cast<Src>(std::numeric_limits<Dst>::max()));
+      const auto cmin = (va > vhi) ? vhi : va;   // canonical min/max pair
+      const auto c = (cmin < vlo) ? vlo : cmin;
+      st<Dst, N>(r, cvt<Dst, Src, N>(c));
+    }
   }
 
   template <unsigned N>
   static void bf16_to_f32(float* r, const std::uint16_t* a) {
-    const auto wide =
-        cvt<std::uint32_t, std::uint16_t, N>(ld<std::uint16_t, N>(a)) << 16;
-    v<float, N> f;
-    std::memcpy(&f, &wide, sizeof f);
-    st<float, N>(r, f);
+    if constexpr (kSplit<N, float>) {
+      by_piece<N, float>([&]<unsigned P>(unsigned i) {
+        bf16_to_f32<P>(r + i, a + i);
+      });
+    } else {
+      const auto wide =
+          cvt<std::uint32_t, std::uint16_t, N>(ld<std::uint16_t, N>(a)) << 16;
+      v<float, N> f;
+      std::memcpy(&f, &wide, sizeof f);
+      st<float, N>(r, f);
+    }
   }
 
   template <unsigned N>
   static void f32_to_bf16(std::uint16_t* r, const float* a) {
-    const auto vf = ld<float, N>(a);
-    v<std::uint32_t, N> u;
-    std::memcpy(&u, &vf, sizeof u);
-    // Same branchless RNE + NaN-quieting formula as the scalar backend.
-    const auto nan = (u & splat<std::uint32_t, N>(0x7fffffffu)) >
-                     splat<std::uint32_t, N>(0x7f800000u);
-    const auto rne =
-        (u + splat<std::uint32_t, N>(0x7fffu) +
-         ((u >> 16) & splat<std::uint32_t, N>(1u))) >> 16;
-    const auto quiet = (u >> 16) | splat<std::uint32_t, N>(0x0040u);
-    st<std::uint16_t, N>(r, __builtin_convertvector(nan ? quiet : rne,
-                                                    v<std::uint16_t, N>));
+    if constexpr (kSplit<N, float>) {
+      by_piece<N, float>([&]<unsigned P>(unsigned i) {
+        f32_to_bf16<P>(r + i, a + i);
+      });
+    } else {
+      const auto vf = ld<float, N>(a);
+      v<std::uint32_t, N> u;
+      std::memcpy(&u, &vf, sizeof u);
+      // Same branchless RNE + NaN-quieting formula as the scalar backend.
+      const auto nan = (u & splat<std::uint32_t, N>(0x7fffffffu)) >
+                       splat<std::uint32_t, N>(0x7f800000u);
+      const auto rne =
+          (u + splat<std::uint32_t, N>(0x7fffu) +
+           ((u >> 16) & splat<std::uint32_t, N>(1u))) >> 16;
+      const auto quiet = (u >> 16) | splat<std::uint32_t, N>(0x0040u);
+      st<std::uint16_t, N>(r, __builtin_convertvector(nan ? quiet : rne,
+                                                      v<std::uint16_t, N>));
+    }
   }
 
   template <unsigned N>
   static void exp2_neg_q15(std::int32_t* r, const std::int32_t* up) {
-    // Slice to one-register-wide steps: the shift clamps and the f==0 blend
-    // only stay packed when the lane selects sit in a real machine vector
-    // mode; on wider generic vectors GCC scalarizes them per lane once the
-    // operands are register-resident (composed with surrounding vector code).
-    if constexpr (N > 16 && N % 16 == 0) {
-      for (unsigned i = 0; i < N; i += 16) exp2_neg_q15<16>(r + i, up + i);
-      return;
+    if constexpr (kSplit<N, std::int32_t>) {
+      by_piece<N, std::int32_t>([&]<unsigned P>(unsigned i) {
+        exp2_neg_q15<P>(r + i, up + i);
+      });
+    } else {
+      using V = v<std::int32_t, N>;
+      const auto sp = [](std::int32_t x) { return splat<std::int32_t, N>(x); };
+      V u = ld<std::int32_t, N>(up);
+      const V zero{};
+      u = (u < zero) ? zero : u;
+      const V n = u >> 15;
+      const V f = u & sp(32767);
+      const V x = sp(32768) - f;
+      V t = sp(detail::kExp2C3);
+      t = sp(detail::kExp2C2) + ((t * x) >> 15);
+      t = sp(detail::kExp2C1) + ((t * x) >> 15);
+      const V p = sp(32768) + ((t * x) >> 15);
+      // Canonical min ternaries and a bitwise mask blend: other lane
+      // selects lower to per-lane code.
+      const V sh0 = (n > sp(31)) ? sp(31) : n;
+      const V n1 = n + sp(1);
+      const V sh1 = (n1 > sp(31)) ? sp(31) : n1;
+      const V r0 = sp(32768) >> sh0;
+      const V r1 = p >> sh1;
+      const V m = f == zero;  // -1/0 lanes
+      st<std::int32_t, N>(r, (r0 & m) | (r1 & ~m));
     }
-    using V = v<std::int32_t, N>;
-    const auto sp = [](std::int32_t x) { return splat<std::int32_t, N>(x); };
-    V u = ld<std::int32_t, N>(up);
-    const V zero{};
-    u = (u < zero) ? zero : u;
-    const V n = u >> 15;
-    const V f = u & sp(32767);
-    const V x = sp(32768) - f;
-    V t = sp(detail::kExp2C3);
-    t = sp(detail::kExp2C2) + ((t * x) >> 15);
-    t = sp(detail::kExp2C1) + ((t * x) >> 15);
-    const V p = sp(32768) + ((t * x) >> 15);
-    // Canonical min ternaries and a bitwise mask blend: both stay packed at
-    // any vector width, where non-min/max lane selects scalarize once the
-    // operands live in registers across more than a couple of zmms.
-    const V sh0 = (n > sp(31)) ? sp(31) : n;
-    const V n1 = n + sp(1);
-    const V sh1 = (n1 > sp(31)) ? sp(31) : n1;
-    const V r0 = sp(32768) >> sh0;
-    const V r1 = p >> sh1;
-    const V m = f == zero;  // -1/0 lanes
-    st<std::int32_t, N>(r, (r0 & m) | (r1 & ~m));
   }
 
   // ---- compares and select ----
@@ -1276,22 +1495,42 @@ struct native_backend {
  public:
   template <class T, unsigned N>
   static void lt(bool* mp, const T* a, const T* b) {
-    st_mask<T, N>(mp, ld<T, N>(a) < ld<T, N>(b));
+    if constexpr (kSplit<N, T>) {
+      by_piece<N, T>([&]<unsigned P>(unsigned i) {
+        lt<T, P>(mp + i, a + i, b + i);
+      });
+    } else {
+      st_mask<T, N>(mp, ld<T, N>(a) < ld<T, N>(b));
+    }
   }
 
   template <class T, unsigned N>
   static void ge(bool* mp, const T* a, const T* b) {
-    st_mask<T, N>(mp, ld<T, N>(a) >= ld<T, N>(b));
+    if constexpr (kSplit<N, T>) {
+      by_piece<N, T>([&]<unsigned P>(unsigned i) {
+        ge<T, P>(mp + i, a + i, b + i);
+      });
+    } else {
+      st_mask<T, N>(mp, ld<T, N>(a) >= ld<T, N>(b));
+    }
   }
 
   template <class T, unsigned N>
   static void select(T* r, const T* a, const T* b, const bool* mp) {
-    st<T, N>(r, (ld_mask<T, N>(mp) != m<T, N>{}) ? ld<T, N>(a) : ld<T, N>(b));
+    if constexpr (kSplit<N, T>) {
+      by_piece<N, T>([&]<unsigned P>(unsigned i) {
+        select<T, P>(r + i, a + i, b + i, mp + i);
+      });
+    } else {
+      st<T, N>(r,
+               (ld_mask<T, N>(mp) != m<T, N>{}) ? ld<T, N>(a) : ld<T, N>(b));
+    }
   }
 
   // ---- lane permutations ----
   // GCC's __builtin_shuffle reads mask lanes modulo N, matching the scalar
-  // backend's explicit `% N` for power-of-two N.
+  // backend's explicit `% N` for power-of-two N. They move lanes across
+  // the whole vector, so they keep whole-vector code.
 
   template <class T, unsigned N>
   static void shuffle_down(T* r, const T* a, unsigned n) {
@@ -1411,9 +1650,11 @@ struct native_backend {
 
   // ---- reductions ----
   // Integer lane folds are associative (adds wrap modulo 2^|T|, min/max
-  // exactly), so a pairwise tree is bit-identical to the scalar backend's
-  // sequential fold and runs in log2(N) lane-local steps. FP addition is
-  // not associative, so float lanes keep the scalar sequential order.
+  // exactly), so any grouping is bit-identical to the scalar backend's
+  // sequential fold: several pieces first combine lane-wise into one, then
+  // one register folds as a pairwise tree in log2(N) lane-local steps. FP
+  // addition is not associative, so float lanes keep the scalar sequential
+  // order.
 
  private:
   /// Pairwise tree fold: splits even/odd lanes into double-width vectors,
@@ -1439,30 +1680,56 @@ struct native_backend {
       std::is_integral_v<T> && sizeof(T) <= 4 && N > 1 &&
       (N & (N - 1)) == 0 && std::endian::native == std::endian::little;
 
+  /// An integer reduction's pieces combined lane-wise by `op` into one
+  /// piece, returned as its lanes.
+  template <class T, unsigned N, class F>
+  static std::array<T, kPiece<T>> combine_pieces(const T* a, F op) {
+    constexpr unsigned P = kPiece<T>;
+    auto s = ld<T, P>(a);
+    by_piece<N - P, T>([&]<unsigned Q>(unsigned i) {
+      s = op(s, ld<T, Q>(a + P + i));
+    });
+    std::array<T, P> r;
+    st<T, P>(r.data(), s);
+    return r;
+  }
+
  public:
   template <class T, unsigned N>
   static T reduce_add(const T* a) {
-    if constexpr (kTreeFold<T, N>) {
-      return fold_tree<T, N>(ld<T, N>(a),
-                             [](auto e, auto o) { return e + o; });
+    const auto op = [](const auto& e, const auto& o) {
+      return wrap_add(e, o);
+    };
+    if constexpr (std::is_integral_v<T> && kSplit<N, T>) {
+      return reduce_add<T, kPiece<T>>(combine_pieces<T, N>(a, op).data());
+    } else if constexpr (kTreeFold<T, N>) {
+      return fold_tree<T, N>(ld<T, N>(a), op);
     } else {
       return scalar_backend::reduce_add<T, N>(a);
     }
   }
   template <class T, unsigned N>
   static T reduce_min(const T* a) {
-    if constexpr (kTreeFold<T, N>) {
-      return fold_tree<T, N>(ld<T, N>(a),
-                             [](auto e, auto o) { return (o < e) ? o : e; });
+    const auto op = [](const auto& e, const auto& o) {
+      return (o < e) ? o : e;
+    };
+    if constexpr (std::is_integral_v<T> && kSplit<N, T>) {
+      return reduce_min<T, kPiece<T>>(combine_pieces<T, N>(a, op).data());
+    } else if constexpr (kTreeFold<T, N>) {
+      return fold_tree<T, N>(ld<T, N>(a), op);
     } else {
       return scalar_backend::reduce_min<T, N>(a);
     }
   }
   template <class T, unsigned N>
   static T reduce_max(const T* a) {
-    if constexpr (kTreeFold<T, N>) {
-      return fold_tree<T, N>(ld<T, N>(a),
-                             [](auto e, auto o) { return (o > e) ? o : e; });
+    const auto op = [](const auto& e, const auto& o) {
+      return (o > e) ? o : e;
+    };
+    if constexpr (std::is_integral_v<T> && kSplit<N, T>) {
+      return reduce_max<T, kPiece<T>>(combine_pieces<T, N>(a, op).data());
+    } else if constexpr (kTreeFold<T, N>) {
+      return fold_tree<T, N>(ld<T, N>(a), op);
     } else {
       return scalar_backend::reduce_max<T, N>(a);
     }

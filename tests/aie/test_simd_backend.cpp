@@ -75,6 +75,41 @@ aie::vector<T, N> random_vector(std::mt19937& rng, bool full_range = true) {
   return v;
 }
 
+/// Integer lanes over T's whole range (int64 included), about one lane in
+/// five at an extreme; float lanes as random_lane's full range.
+template <class T, unsigned N>
+aie::vector<T, N> full_range_vector(std::mt19937& rng) {
+  aie::vector<T, N> v;
+  for (unsigned i = 0; i < N; ++i) {
+    if constexpr (std::is_integral_v<T>) {
+      const std::uint64_t bits = (std::uint64_t{rng()} << 32) | rng();
+      switch (rng() % 10) {
+        case 0: v.set(i, std::numeric_limits<T>::min()); break;
+        case 1: v.set(i, std::numeric_limits<T>::max()); break;
+        default: v.set(i, static_cast<T>(bits));
+      }
+    } else {
+      v.set(i, random_lane<T>(rng, true));
+    }
+  }
+  return v;
+}
+
+/// Lanes of T in `Regs` host vector registers. The native backend runs an
+/// op on more lanes than one register holds as a loop over register-wide
+/// pieces (simd.hpp, native_backend::kPiece); at these widths an op whose
+/// widest lane type is T runs as one, two or four pieces.
+template <class T, unsigned Regs>
+constexpr unsigned kRegLanes = Regs * aie::simd::kRegBytes / sizeof(T);
+
+/// f.template operator()<N>() at one, two and four registers of T.
+template <class T, class F>
+void at_registers(F f) {
+  f.template operator()<kRegLanes<T, 1>>();
+  f.template operator()<kRegLanes<T, 2>>();
+  f.template operator()<kRegLanes<T, 4>>();
+}
+
 /// Bit-exact comparison (NaN payloads and -0.0 included).
 template <class T, unsigned N>
 ::testing::AssertionResult bits_eq(const aie::vector<T, N>& a,
@@ -294,11 +329,46 @@ void check_reductions(unsigned seed) {
   }
 }
 
+/// Integer reductions over full-range lanes, where the sums wrap: both
+/// backends against the sum modulo 2^|T| and std::min/max_element.
+template <class T, unsigned N>
+void check_reductions_full_range(unsigned seed) {
+  SCOPED_TRACE(::testing::Message() << "T=" << typeid(T).name() << " N=" << N);
+  using U = std::make_unsigned_t<T>;
+  std::mt19937 rng(seed);
+  for (unsigned round = 0; round < kFuzzRounds; ++round) {
+    auto a = full_range_vector<T, N>(rng);
+    if (round < 2) {  // every partial sum past the first lane overflows
+      for (unsigned i = 0; i < N; ++i) {
+        a.set(i, round == 0 ? std::numeric_limits<T>::max()
+                            : std::numeric_limits<T>::min());
+      }
+    }
+    U sum = 0;
+    for (unsigned i = 0; i < N; ++i) sum = static_cast<U>(sum + U(a.get(i)));
+    const T add_s = aie::reduce_add<Scalar>(a);
+    EXPECT_EQ(add_s, static_cast<T>(sum)) << "round " << round;
+    EXPECT_EQ(add_s, aie::reduce_add<Native>(a)) << "round " << round;
+    const auto& lanes = a.data();
+    EXPECT_EQ(aie::reduce_min<Scalar>(a),
+              *std::min_element(lanes.begin(), lanes.end()));
+    EXPECT_EQ(aie::reduce_min<Native>(a),
+              *std::min_element(lanes.begin(), lanes.end()));
+    EXPECT_EQ(aie::reduce_max<Scalar>(a),
+              *std::max_element(lanes.begin(), lanes.end()));
+    EXPECT_EQ(aie::reduce_max<Native>(a),
+              *std::max_element(lanes.begin(), lanes.end()));
+  }
+}
+
 TEST(SimdBackend, ReductionEquivalence) {
   check_reductions<std::int16_t, 16>(51);
   check_reductions<std::int32_t, 8>(52);
   check_reductions<float, 8>(53);
   check_reductions<float, 32>(54);
+  // Full range: the integer sums wrap on both backends.
+  check_reductions_full_range<std::int32_t, 64>(55);
+  check_reductions_full_range<std::int64_t, 16>(56);
 }
 
 // ---------------------------------------------------------------------------
@@ -550,6 +620,189 @@ TEST(SimdBackend, UpsAndFloatAccumMoves) {
   EXPECT_TRUE(bits_eq(aie::to_vector<Scalar>(af), aie::to_vector<Native>(af)));
   EXPECT_TRUE(bits_eq(aie::srs<float, Scalar>(af, 0),
                       aie::srs<float, Native>(af, 0)));
+}
+
+// ---------------------------------------------------------------------------
+// every op the native backend splits, at one, two and four registers
+// ---------------------------------------------------------------------------
+
+/// The lane-wise element ops, compares and select over full-range lanes.
+template <class T, unsigned N>
+void check_lanewise_ops(unsigned seed) {
+  SCOPED_TRACE(::testing::Message() << "T=" << typeid(T).name() << " N=" << N);
+  std::mt19937 rng(seed);
+  for (unsigned round = 0; round < kFuzzRounds; ++round) {
+    const auto a = full_range_vector<T, N>(rng);
+    const auto b = full_range_vector<T, N>(rng);
+    EXPECT_TRUE(bits_eq(aie::add<Scalar>(a, b), aie::add<Native>(a, b)));
+    EXPECT_TRUE(bits_eq(aie::sub<Scalar>(a, b), aie::sub<Native>(a, b)));
+    EXPECT_TRUE(bits_eq(aie::neg<Scalar>(a), aie::neg<Native>(a)));
+    EXPECT_TRUE(bits_eq(aie::abs<Scalar>(a), aie::abs<Native>(a)));
+    EXPECT_TRUE(bits_eq(aie::min<Scalar>(a, b), aie::min<Native>(a, b)));
+    EXPECT_TRUE(bits_eq(aie::max<Scalar>(a, b), aie::max<Native>(a, b)));
+    T lo = a.get(0);
+    T hi = b.get(0);
+    if constexpr (std::is_floating_point_v<T>) {
+      if (std::isnan(lo)) lo = T(-1);  // std::clamp needs an ordered range
+      if (std::isnan(hi)) hi = T(1);
+    }
+    if (hi < lo) std::swap(lo, hi);
+    EXPECT_TRUE(
+        bits_eq(aie::clamp<Scalar>(a, lo, hi), aie::clamp<Native>(a, lo, hi)));
+    EXPECT_TRUE(bits_eq(aie::broadcast<T, N, Scalar>(a.get(1)),
+                        aie::broadcast<T, N, Native>(a.get(1))));
+    const auto mlt = aie::lt<Scalar>(a, b);
+    EXPECT_EQ(mlt, aie::lt<Native>(a, b));
+    EXPECT_EQ(aie::ge<Scalar>(a, b), aie::ge<Native>(a, b));
+    EXPECT_TRUE(bits_eq(aie::select<Scalar>(a, b, mlt),
+                        aie::select<Native>(a, b, mlt)));
+  }
+}
+
+TEST(SimdBackend, LaneWiseOpsAtOneTwoFourRegisters) {
+  at_registers<std::int8_t>(
+      []<unsigned N>() { check_lanewise_ops<std::int8_t, N>(1101); });
+  at_registers<std::int16_t>(
+      []<unsigned N>() { check_lanewise_ops<std::int16_t, N>(1102); });
+  at_registers<std::int32_t>(
+      []<unsigned N>() { check_lanewise_ops<std::int32_t, N>(1103); });
+  at_registers<std::int64_t>(
+      []<unsigned N>() { check_lanewise_ops<std::int64_t, N>(1104); });
+  at_registers<float>(
+      []<unsigned N>() { check_lanewise_ops<float, N>(1105); });
+}
+
+/// mul / mac / msc / mul_s / mac_s (check_mul_mac) and the backends'
+/// broadcast MACs mac_bcast and mac_bcast_pair into A lanes.
+template <class T, unsigned N>
+void check_mac_family(unsigned seed) {
+  check_mul_mac<T, N>(seed);
+  SCOPED_TRACE(::testing::Message() << "T=" << typeid(T).name() << " N=" << N);
+  using A = aie::detail::acc_elem_for<T>;
+  std::mt19937 rng(seed + 1);
+  for (unsigned round = 0; round < kFuzzRounds; ++round) {
+    const auto d1 = random_vector<T, N>(rng, /*full_range=*/false);
+    const auto d2 = random_vector<T, N>(rng, /*full_range=*/false);
+    const auto base = aie::mul<Scalar>(d1, d2);
+    const A c = static_cast<A>(random_lane<T>(rng, false));
+    auto rs = base;
+    auto rn = base;
+    Scalar::mac_bcast<A, T, N>(rs.data().data(), d1.data().data(), c);
+    Native::mac_bcast<A, T, N>(rn.data().data(), d1.data().data(), c);
+    EXPECT_TRUE(bits_eq(rs, rn)) << "mac_bcast round " << round;
+    Scalar::mac_bcast_pair<A, T, N>(rs.data().data(), d1.data().data(),
+                                    d2.data().data(), c);
+    Native::mac_bcast_pair<A, T, N>(rn.data().data(), d1.data().data(),
+                                    d2.data().data(), c);
+    EXPECT_TRUE(bits_eq(rs, rn)) << "mac_bcast_pair round " << round;
+  }
+}
+
+TEST(SimdBackend, MacFamilyAtOneTwoFourRegisters) {
+  // Integral MACs accumulate in int64 lanes: their piece is int64's.
+  at_registers<std::int64_t>([]<unsigned N>() {
+    check_mac_family<std::int8_t, N>(1201);
+    check_mac_family<std::int16_t, N>(1202);
+    check_mac_family<std::int32_t, N>(1203);
+  });
+  at_registers<float>([]<unsigned N>() { check_mac_family<float, N>(1204); });
+}
+
+/// The float accumulator moves: ups into accfloat (int16 -> float), srs
+/// out of it (float -> int16), and to_accum / to_vector.
+template <unsigned N>
+void check_float_accum_moves(unsigned seed) {
+  SCOPED_TRACE(::testing::Message() << "N=" << N);
+  std::mt19937 rng(seed);
+  const auto v16 = random_vector<std::int16_t, N>(rng);
+  const auto af = aie::ups<aie::accfloat_tag, Scalar>(v16, 0);
+  EXPECT_TRUE(bits_eq(af, aie::ups<aie::accfloat_tag, Native>(v16, 0)));
+  EXPECT_TRUE(bits_eq(aie::srs<std::int16_t, Scalar>(af, 0),
+                      aie::srs<std::int16_t, Native>(af, 0)));
+  const auto vf = random_vector<float, N>(rng);
+  const auto acc = aie::to_accum<Scalar>(vf);
+  EXPECT_TRUE(bits_eq(acc, aie::to_accum<Native>(vf)));
+  EXPECT_TRUE(
+      bits_eq(aie::to_vector<Scalar>(acc), aie::to_vector<Native>(acc)));
+}
+
+TEST(SimdBackend, AccumMovesAtOneTwoFourRegisters) {
+  // srs / ups between int64 accumulator lanes and vectors, and unpack into
+  // int64 lanes: int64's piece.
+  at_registers<std::int64_t>([]<unsigned N>() {
+    check_srs_boundaries<std::int8_t, N>();
+    check_srs_boundaries<std::int16_t, N>();
+    check_srs_boundaries<std::int32_t, N>();
+    check_widen_extremes<std::int8_t, N>();
+    check_widen_extremes<std::int16_t, N>();
+    check_widen_extremes<std::int32_t, N>();
+    check_widen_extremes<std::uint16_t, N>();
+  });
+  // unpack into int32 / int16 lanes and ups into acc32.
+  at_registers<std::int32_t>([]<unsigned N>() {
+    check_widen_extremes<std::int8_t, N>();
+    check_widen_extremes<std::uint8_t, N>();
+    check_widen_extremes<std::int16_t, N>();
+  });
+  at_registers<std::int16_t>(
+      []<unsigned N>() { check_widen_extremes<std::int8_t, N>(); });
+  at_registers<float>([]<unsigned N>() { check_float_accum_moves<N>(1301); });
+}
+
+/// Sums per register-wide piece, then the piece sums in order: what a
+/// float reduction folded per piece would return.
+template <unsigned N>
+float piecewise_sum(const aie::vector<float, N>& a) {
+  constexpr unsigned kPiece = kRegLanes<float, 1>;
+  float total = 0.0f;
+  for (unsigned p = 0; p < N; p += kPiece) {
+    float part = 0.0f;
+    for (unsigned i = p; i < p + kPiece; ++i) part += a.get(i);
+    total += part;
+  }
+  return total;
+}
+
+/// Float reductions keep the scalar backend's sequential order. The lanes
+/// alternate +-1e8 with small values between them, so the sum depends on
+/// the order of its additions; past one register the case first checks
+/// that it tells the sequential order from a per-piece fold.
+template <unsigned N>
+void check_float_reduction_order() {
+  SCOPED_TRACE(::testing::Message() << "N=" << N);
+  aie::vector<float, N> a;
+  for (unsigned i = 0; i < N; ++i) {
+    a.set(i, i % 4 == 0 ? (i % 8 == 0 ? 1e8f : -1e8f)
+                        : 1.0f + static_cast<float>(i % 7));
+  }
+  float seq = 0.0f;
+  for (unsigned i = 0; i < N; ++i) seq += a.get(i);
+  if constexpr (N > kRegLanes<float, 1>) {
+    ASSERT_NE(seq, piecewise_sum(a)) << "lanes do not tell the orders apart";
+  }
+  const float s = aie::reduce_add<Scalar>(a);
+  const float n = aie::reduce_add<Native>(a);
+  EXPECT_EQ(0, std::memcmp(&s, &seq, sizeof s));
+  EXPECT_EQ(0, std::memcmp(&n, &seq, sizeof n));
+}
+
+TEST(SimdBackend, ReductionsAtOneTwoFourRegisters) {
+  at_registers<std::int8_t>([]<unsigned N>() {
+    check_reductions_full_range<std::int8_t, N>(1401);
+  });
+  at_registers<std::int16_t>([]<unsigned N>() {
+    check_reductions_full_range<std::int16_t, N>(1402);
+  });
+  at_registers<std::int32_t>([]<unsigned N>() {
+    check_reductions_full_range<std::int32_t, N>(1403);
+  });
+  at_registers<std::int64_t>([]<unsigned N>() {
+    check_reductions_full_range<std::int64_t, N>(1404);
+  });
+  at_registers<float>([]<unsigned N>() {
+    check_reductions<float, N>(1405);
+    check_float_reduction_order<N>();
+  });
 }
 
 // ---------------------------------------------------------------------------

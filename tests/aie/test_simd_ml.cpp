@@ -36,6 +36,22 @@ aie::vector<T, N> random_int_vector(std::mt19937& rng) {
   return v;
 }
 
+/// Lanes of T in `Regs` host vector registers: at these widths an op whose
+/// widest lane type is T runs on the native backend as one, two or four
+/// register-wide pieces (simd.hpp, native_backend::kPiece).
+template <class T, unsigned Regs>
+constexpr unsigned kRegLanes = Regs * aie::simd::kRegBytes / sizeof(T);
+
+/// f.template operator()<N>() at one, two and four registers of T, then at
+/// the 64 lanes the conv2d and softmax kernels run.
+template <class T, class F>
+void at_registers_and_64(F f) {
+  f.template operator()<kRegLanes<T, 1>>();
+  f.template operator()<kRegLanes<T, 2>>();
+  f.template operator()<kRegLanes<T, 4>>();
+  f.template operator()<64>();
+}
+
 /// Streamable representation of a lane: bf16 prints as its bit pattern,
 /// everything else promotes through unary + (so int8 prints numerically).
 int lane_repr(aie::bf16 v) { return v.bits; }
@@ -542,6 +558,296 @@ TEST(SimdMl, Exp2NegQ15FullRangeFuzzEquivalence) {
     const auto s = aie::exp2_neg_q15<Scalar>(v);
     const auto n = aie::exp2_neg_q15<Native>(v);
     EXPECT_TRUE(bits_eq(s, n)) << "round " << round;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// the ML ops at one, two and four registers and at the kernels' 64 lanes
+// ---------------------------------------------------------------------------
+
+/// conv2d's tap: acc32 lanes += s * a[l], for any int32 s. Both backends
+/// against the sum modulo 2^32.
+template <class T, unsigned N>
+void check_mac_bcast_acc32(unsigned seed) {
+  SCOPED_TRACE(::testing::Message() << "N=" << N << " T=" << sizeof(T));
+  std::mt19937 rng(seed);
+  for (unsigned round = 0; round < kFuzzRounds; ++round) {
+    const auto a = random_int_vector<T, N>(rng);
+    const auto base = random_int_vector<std::int32_t, N>(rng);
+    const auto s = round % 2 == 0
+                       ? static_cast<std::int32_t>(rng() % 512) - 256
+                       : static_cast<std::int32_t>(rng());
+    const auto acc = aie::ups<aie::acc32_tag, Scalar>(base, 0);
+    const auto rs = aie::mac<Scalar>(acc, a, s);
+    EXPECT_TRUE(bits_eq(rs, aie::mac<Native>(acc, a, s))) << "round " << round;
+    for (unsigned l = 0; l < N; ++l) {
+      const auto want = static_cast<std::uint32_t>(base.get(l)) +
+                        static_cast<std::uint32_t>(s) *
+                            static_cast<std::uint32_t>(a.get(l));
+      EXPECT_EQ(rs.get(l), static_cast<std::int32_t>(want)) << "lane " << l;
+    }
+  }
+}
+
+TEST(SimdMl, MacBroadcastInt32AtOneTwoFourRegisters) {
+  at_registers_and_64<std::int32_t>([]<unsigned N>() {
+    check_mac_bcast_acc32<std::int8_t, N>(2101);
+    check_mac_bcast_acc32<std::int16_t, N>(2102);
+  });
+}
+
+/// acc32 lanes near INT32_MAX and INT32_MIN take 127 * 100 and -128 * 100:
+/// every lane's sum wraps, on both backends, to the exact sum truncated once.
+template <unsigned N>
+void check_mac_bcast_acc32_wraps() {
+  SCOPED_TRACE(::testing::Message() << "N=" << N);
+  aie::vector<std::int8_t, N> a;
+  aie::vector<std::int32_t, N> base;
+  for (unsigned l = 0; l < N; ++l) {
+    const bool up = l % 2 == 0;
+    a.set(l, up ? std::int8_t{127} : std::int8_t{-128});
+    base.set(l, up ? std::numeric_limits<std::int32_t>::max() -
+                         static_cast<std::int32_t>(l)
+                   : std::numeric_limits<std::int32_t>::min() +
+                         static_cast<std::int32_t>(l));
+  }
+  const auto acc = aie::ups<aie::acc32_tag, Scalar>(base, 0);
+  const auto rs = aie::mac<Scalar>(acc, a, std::int32_t{100});
+  EXPECT_TRUE(bits_eq(rs, aie::mac<Native>(acc, a, std::int32_t{100})));
+  for (unsigned l = 0; l < N; ++l) {
+    const std::int64_t exact = std::int64_t{base.get(l)} + 100 * a.get(l);
+    EXPECT_EQ(rs.get(l), static_cast<std::int32_t>(exact)) << "lane " << l;
+  }
+}
+
+TEST(SimdMl, MacBroadcastInt32Wraps) {
+  check_mac_bcast_acc32_wraps<kRegLanes<std::int32_t, 1>>();
+  check_mac_bcast_acc32_wraps<64>();
+}
+
+/// softmax's normalize: int32 lanes times an int32 scalar into int64
+/// accumulator lanes, exact over the full range; then mac on top.
+template <unsigned N>
+void check_mul_scalar_i32(unsigned seed) {
+  SCOPED_TRACE(::testing::Message() << "N=" << N);
+  std::mt19937 rng(seed);
+  for (unsigned round = 0; round < kFuzzRounds; ++round) {
+    auto a = random_int_vector<std::int32_t, N>(rng);
+    auto s = static_cast<std::int32_t>(rng());
+    if (round == 0) {  // the largest product: INT32_MIN squared
+      for (unsigned l = 0; l < N; ++l) {
+        a.set(l, std::numeric_limits<std::int32_t>::min());
+      }
+      s = std::numeric_limits<std::int32_t>::min();
+    }
+    const auto ps = aie::mul<Scalar>(a, s);
+    EXPECT_TRUE(bits_eq(ps, aie::mul<Native>(a, s))) << "round " << round;
+    for (unsigned l = 0; l < N; ++l) {
+      EXPECT_EQ(ps.get(l), std::int64_t{a.get(l)} * s) << "lane " << l;
+    }
+    const auto b = random_int_vector<std::int16_t, N>(rng);
+    const auto t = static_cast<std::int16_t>(rng());
+    EXPECT_TRUE(
+        bits_eq(aie::mac<Scalar>(ps, b, t), aie::mac<Native>(ps, b, t)))
+        << "round " << round;
+  }
+}
+
+TEST(SimdMl, MulScalarInt32IntoInt64AtOneTwoFourRegisters) {
+  at_registers_and_64<std::int64_t>(
+      []<unsigned N>() { check_mul_scalar_i32<N>(2201); });
+}
+
+/// srs from int64 accumulator lanes to int8, int16 and int32, with lanes
+/// that saturate both ways at every shift.
+template <unsigned N>
+void check_srs_from_i64(unsigned seed) {
+  SCOPED_TRACE(::testing::Message() << "N=" << N);
+  std::mt19937 rng(seed);
+  for (unsigned round = 0; round < kFuzzRounds; ++round) {
+    aie::acc48<N> acc;
+    for (unsigned l = 0; l < N; ++l) {
+      const auto raw = static_cast<std::int64_t>(
+          (std::uint64_t{rng()} << 32) | rng());
+      acc.set(l, raw >> (rng() % 40));  // magnitudes from 2^24 to 2^63
+    }
+    for (const int shift : {0, 1, 7, 23, 40, -1}) {
+      const auto s8 = aie::srs<std::int8_t, Scalar>(acc, shift);
+      const auto s16 = aie::srs<std::int16_t, Scalar>(acc, shift);
+      const auto s32 = aie::srs<std::int32_t, Scalar>(acc, shift);
+      EXPECT_TRUE(bits_eq(s8, aie::srs<std::int8_t, Native>(acc, shift)))
+          << "shift " << shift;
+      EXPECT_TRUE(bits_eq(s16, aie::srs<std::int16_t, Native>(acc, shift)))
+          << "shift " << shift;
+      EXPECT_TRUE(bits_eq(s32, aie::srs<std::int32_t, Native>(acc, shift)))
+          << "shift " << shift;
+      for (unsigned l = 0; l < N; ++l) {
+        if (shift < 0) continue;  // a left shift of these lanes overflows
+        const auto r = aie::simd::detail::shift_round(acc.get(l), shift);
+        EXPECT_EQ(s8.get(l), aie::simd::detail::saturate_i64<std::int8_t>(r));
+        EXPECT_EQ(s32.get(l),
+                  aie::simd::detail::saturate_i64<std::int32_t>(r));
+      }
+    }
+  }
+}
+
+TEST(SimdMl, SrsFromInt64AtOneTwoFourRegisters) {
+  at_registers_and_64<std::int64_t>(
+      []<unsigned N>() { check_srs_from_i64<N>(2301); });
+}
+
+/// srs from acc32 lanes (round-half-up, both clamps, the int64 detour for
+/// shifts outside 0..31) and ups back into acc32.
+template <unsigned N>
+void check_srs32_ups32(unsigned seed) {
+  SCOPED_TRACE(::testing::Message() << "N=" << N);
+  std::mt19937 rng(seed);
+  for (unsigned round = 0; round < kFuzzRounds; ++round) {
+    const auto v = random_int_vector<std::int32_t, N>(rng);
+    const auto acc = aie::ups<aie::acc32_tag, Scalar>(v, 0);
+    for (const int shift : {0, 1, 7, 31, 33, -1}) {
+      EXPECT_TRUE(bits_eq(aie::srs<std::int8_t, Scalar>(acc, shift),
+                          aie::srs<std::int8_t, Native>(acc, shift)))
+          << "shift " << shift;
+      EXPECT_TRUE(bits_eq(aie::srs<std::int16_t, Scalar>(acc, shift),
+                          aie::srs<std::int16_t, Native>(acc, shift)))
+          << "shift " << shift;
+      EXPECT_TRUE(bits_eq(aie::srs<std::int32_t, Scalar>(acc, shift),
+                          aie::srs<std::int32_t, Native>(acc, shift)))
+          << "shift " << shift;
+    }
+    const auto v8 = random_int_vector<std::int8_t, N>(rng);
+    const auto v16 = random_int_vector<std::int16_t, N>(rng);
+    for (const int sh : {0, 7, 16}) {
+      EXPECT_TRUE(bits_eq(aie::ups<aie::acc32_tag, Scalar>(v8, sh),
+                          aie::ups<aie::acc32_tag, Native>(v8, sh)));
+      EXPECT_TRUE(bits_eq(aie::ups<aie::acc32_tag, Scalar>(v16, sh),
+                          aie::ups<aie::acc32_tag, Native>(v16, sh)));
+    }
+  }
+}
+
+TEST(SimdMl, Srs32Ups32AtOneTwoFourRegisters) {
+  at_registers_and_64<std::int32_t>(
+      []<unsigned N>() { check_srs32_ups32<N>(2401); });
+}
+
+/// unpack, pack_sat, the bf16 converts and exp2_neg_q15 at N lanes.
+template <unsigned N>
+void check_ml_converts(unsigned seed) {
+  SCOPED_TRACE(::testing::Message() << "N=" << N);
+  std::mt19937 rng(seed);
+  for (unsigned round = 0; round < kFuzzRounds; ++round) {
+    const auto v8 = random_int_vector<std::int8_t, N>(rng);
+    const auto v16 = random_int_vector<std::int16_t, N>(rng);
+    const auto v32 = random_int_vector<std::int32_t, N>(rng);
+    EXPECT_TRUE(bits_eq(aie::unpack<std::int32_t, Scalar>(v8),
+                        aie::unpack<std::int32_t, Native>(v8)));
+    EXPECT_TRUE(bits_eq(aie::unpack<std::int32_t, Scalar>(v16),
+                        aie::unpack<std::int32_t, Native>(v16)));
+    EXPECT_TRUE(bits_eq(aie::pack_sat<std::int8_t, Scalar>(v32),
+                        aie::pack_sat<std::int8_t, Native>(v32)));
+    EXPECT_TRUE(bits_eq(aie::pack_sat<std::int16_t, Scalar>(v32),
+                        aie::pack_sat<std::int16_t, Native>(v32)));
+    EXPECT_TRUE(bits_eq(aie::pack_sat<std::int8_t, Scalar>(v16),
+                        aie::pack_sat<std::int8_t, Native>(v16)));
+    EXPECT_TRUE(bits_eq(aie::exp2_neg_q15<Scalar>(v32),
+                        aie::exp2_neg_q15<Native>(v32)));
+    aie::vector<aie::bf16, N> bf;
+    aie::vector<float, N> f;
+    for (unsigned l = 0; l < N; ++l) {
+      bf.set(l, aie::bf16{static_cast<std::uint16_t>(rng())});
+      const auto bits = static_cast<std::uint32_t>(rng());
+      float x;
+      std::memcpy(&x, &bits, sizeof x);
+      f.set(l, x);
+    }
+    EXPECT_TRUE(bits_eq(aie::to_float<Scalar>(bf), aie::to_float<Native>(bf)));
+    EXPECT_TRUE(bits_eq(aie::to_bf16<Scalar>(f), aie::to_bf16<Native>(f)));
+  }
+}
+
+TEST(SimdMl, ConvertsAndExpAtOneTwoFourRegisters) {
+  at_registers_and_64<std::int32_t>(
+      []<unsigned N>() { check_ml_converts<N>(2501); });
+  at_registers_and_64<std::int16_t>(
+      []<unsigned N>() { check_ml_converts<N>(2502); });
+}
+
+/// mac_dot4 splits by output lanes: one piece is the output lanes whose
+/// 4-lane input groups fill one register.
+TEST(SimdMl, MacDot4AtOneTwoFourPieces) {
+  std::mt19937 rng(2601);
+  const auto int8_at = [&]<unsigned Out>() {
+    for (unsigned round = 0; round < kFuzzRounds; ++round) {
+      const auto a = random_int_vector<std::int8_t, 4 * Out>(rng);
+      const auto b = random_int_vector<std::int8_t, 4 * Out>(rng);
+      const auto base = random_int_vector<std::int32_t, Out>(rng);
+      EXPECT_TRUE(mac_dot4_matches<4 * Out>(base, a, b))
+          << "Out=" << Out << " round " << round;
+    }
+  };
+  int8_at.template operator()<kRegLanes<std::int32_t, 1>>();
+  int8_at.template operator()<kRegLanes<std::int32_t, 2>>();
+  int8_at.template operator()<kRegLanes<std::int32_t, 4>>();
+  const auto int16_at = [&]<unsigned Out>() {
+    for (unsigned round = 0; round < kFuzzRounds; ++round) {
+      const auto a = random_int_vector<std::int16_t, 4 * Out>(rng);
+      const auto b = random_int_vector<std::int16_t, 4 * Out>(rng);
+      const auto acc = aie::mul_dot4<Scalar>(a, b);
+      EXPECT_TRUE(bits_eq(acc, aie::mul_dot4<Native>(a, b)))
+          << "Out=" << Out << " round " << round;
+      EXPECT_TRUE(bits_eq(aie::mac_dot4<Scalar>(acc, b, a),
+                          aie::mac_dot4<Native>(acc, b, a)))
+          << "Out=" << Out << " round " << round;
+    }
+  };
+  int16_at.template operator()<kRegLanes<std::int64_t, 1>>();
+  int16_at.template operator()<kRegLanes<std::int64_t, 2>>();
+  int16_at.template operator()<kRegLanes<std::int64_t, 4>>();
+}
+
+// The reductions, compares and select at the 64 lanes softmax runs:
+// integer sums over full-range lanes wrap, float sums keep the sequential
+// order.
+TEST(SimdMl, ReductionsCompareSelectAt64Lanes) {
+  std::mt19937 rng(2701);
+  for (unsigned round = 0; round < kFuzzRounds; ++round) {
+    const auto e = random_int_vector<std::int32_t, 64>(rng);
+    std::uint32_t sum = 0;
+    for (unsigned l = 0; l < 64; ++l) {
+      sum += static_cast<std::uint32_t>(e.get(l));
+    }
+    EXPECT_EQ(aie::reduce_add<Scalar>(e), static_cast<std::int32_t>(sum));
+    EXPECT_EQ(aie::reduce_add<Native>(e), static_cast<std::int32_t>(sum));
+    EXPECT_EQ(aie::reduce_min<Scalar>(e), aie::reduce_min<Native>(e));
+    EXPECT_EQ(aie::reduce_max<Scalar>(e), aie::reduce_max<Native>(e));
+    const auto x = random_int_vector<std::int8_t, 64>(rng);
+    EXPECT_EQ(aie::reduce_max<Scalar>(x), aie::reduce_max<Native>(x));
+    EXPECT_EQ(aie::reduce_add<Scalar>(x), aie::reduce_add<Native>(x));
+
+    aie::vector<float, 64> f, g;
+    for (unsigned l = 0; l < 64; ++l) {
+      f.set(l, static_cast<float>(static_cast<std::int32_t>(rng())) * 1e-3f);
+      g.set(l, static_cast<float>(static_cast<std::int32_t>(rng())) * 1e-3f);
+    }
+    const float fs = aie::reduce_add<Scalar>(f);
+    const float fn = aie::reduce_add<Native>(f);
+    EXPECT_EQ(0, std::memcmp(&fs, &fn, sizeof fs)) << "round " << round;
+    EXPECT_EQ(aie::reduce_max<Scalar>(f), aie::reduce_max<Native>(f));
+
+    const auto y = random_int_vector<std::int32_t, 64>(rng);
+    const auto m32 = aie::lt<Scalar>(e, y);
+    EXPECT_EQ(m32, aie::lt<Native>(e, y));
+    EXPECT_EQ(aie::ge<Scalar>(e, y), aie::ge<Native>(e, y));
+    EXPECT_TRUE(bits_eq(aie::select<Scalar>(e, y, m32),
+                        aie::select<Native>(e, y, m32)));
+    const auto mf = aie::ge<Scalar>(f, g);
+    EXPECT_EQ(mf, aie::ge<Native>(f, g));
+    EXPECT_EQ(aie::lt<Scalar>(f, g), aie::lt<Native>(f, g));
+    EXPECT_TRUE(bits_eq(aie::select<Scalar>(f, g, mf),
+                        aie::select<Native>(f, g, mf)));
   }
 }
 
